@@ -17,9 +17,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
-from . import splittings as splittings_mod
 from .analyticity import (
     audit_certificate,
     covariant_level_sups,
@@ -41,7 +40,6 @@ from .splittings import (
 )
 from .symbolic import (
     Direction,
-    GaussianRational,
     WirtingerPolynomial,
     laplacian,
     ONE,
@@ -56,7 +54,7 @@ class ConfigError(ValueError):
     """The run configuration is unusable (exit status 2)."""
 
 
-_DEFAULT_RECTANGLE = CompactRectangle(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1), 33)
+_DEFAULT_RECTANGLE = CompactRectangle(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
 _DEFAULT_FUNCTIONS = (ONE, S, S * SBAR)
 
 
@@ -90,15 +88,8 @@ class RunConfig:
             problems.append("basis indices must be nonnegative")
         if not self.functions:
             problems.append("function list must not be empty")
-        for name in (
-            "m_identity",
-            "m_splittings",
-            "m_bijection",
-            "m_decay",
-            "m_greedy",
-            "curvature_j_max",
-        ):
-            if getattr(self, name) < 0:
+        for name, kind in _FIELD_TYPES.items():
+            if kind is int and getattr(self, name) < 0:
                 problems.append(f"{name} must be nonnegative")
         if self.m_greedy < self.m_decay:
             problems.append("m_greedy must be at least m_decay")
@@ -112,36 +103,46 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        kwargs: dict = {}
-        if "connection" in data:
-            kwargs["connection"] = Connection.from_json(data["connection"])
-        if "indices" in data:
-            kwargs["indices"] = tuple(int(j) for j in data["indices"])
-        if "functions" in data:
-            kwargs["functions"] = tuple(
-                WirtingerPolynomial.from_json_terms(records) for records in data["functions"]
-            )
-        if "rectangle" in data:
-            kwargs["rectangle"] = CompactRectangle.from_json(data["rectangle"])
-        for name in (
-            "m_identity",
-            "m_splittings",
-            "m_bijection",
-            "m_decay",
-            "m_greedy",
-            "curvature_j_max",
-        ):
-            if name in data:
-                kwargs[name] = int(data[name])
-        if "eval_points" in data:
-            kwargs["eval_points"] = tuple(complex(re, im) for re, im in data["eval_points"])
-        if "safety" in data:
-            kwargs["safety"] = Fraction(str(data["safety"]))
-        if "out_dir" in data:
-            kwargs["out_dir"] = Path(data["out_dir"])
-        if "formats" in data:
-            kwargs["formats"] = tuple(data["formats"])
-        return cls(**kwargs)
+        """Decode a JSON object whose keys are field names; any other key is an error."""
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(data) - set(_FIELD_TYPES))
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        return cls(
+            **{name: _decode(name, _FIELD_TYPES[name], value) for name, value in data.items()}
+        )
+
+
+_FIELD_TYPES = get_type_hints(RunConfig)
+
+
+def _complex(pair) -> complex:
+    re, im = pair
+    return complex(re, im)
+
+
+# how a JSON value becomes a field (or tuple element) of each declared type;
+# types not listed are built by calling the type on the value
+_DECODERS = {
+    Connection: Connection.from_json,
+    WirtingerPolynomial: WirtingerPolynomial.from_json_terms,
+    CompactRectangle: CompactRectangle.from_json,
+    complex: _complex,
+    Fraction: lambda value: Fraction(str(value)),
+}
+
+
+def _decode(name: str, kind, value):
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name}: expected a JSON list, got {value!r}")
+        return tuple(_decode(name, get_args(kind)[0], item) for item in value)
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{name}: expected a JSON integer, got {value!r}")
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{name}: expected a JSON boolean, got {value!r}")
+    return _DECODERS.get(kind, kind)(value)
 
 
 # --- report helpers -------------------------------------------------------
@@ -179,7 +180,9 @@ def cmd_verify_identity(cfg: RunConfig) -> int:
         for dirs in direction_sequences(m):
             for j in cfg.indices:
                 for f_index, f in enumerate(cfg.functions):
-                    ok = verify_expansion_identity(m, dirs, cfg.connection, j, f)
+                    ok = verify_expansion_identity(
+                        m, dirs, cfg.connection, j, f, corrupt=cfg.corrupt_expansion
+                    )
                     all_pass = all_pass and ok
                     cells.append(
                         {
@@ -283,27 +286,24 @@ def cmd_curvature(cfg: RunConfig) -> int:
     if conn.potential is None:
         raise ConfigError("curvature report needs a connection given by a potential g")
     lap = laplacian(conn.potential)
+    point_headers = tuple(f"abs_at_{_format_point(pt)}" for pt in cfg.eval_points)
+    header = ("j", "eigenvalue", "matches_closed_form", *point_headers)
     all_pass = True
     rows = []
-    values_by_point: dict[complex, list[float]] = {pt: [] for pt in cfg.eval_points}
     for j in range(cfg.curvature_j_max + 1):
+        # curvature_eigenvalue raises unless the eigenvalue is -(j+1)*laplacian(g)/2
         try:
             eigen = conn.curvature_eigenvalue(j)
         except CurvatureConsistencyError as exc:
             print(f"curvature consistency failure at j={j}: {exc}", file=sys.stderr)
-            return 1
-        closed_form = lap * GaussianRational(Fraction(-(j + 1), 2))
-        match = eigen == closed_form
-        all_pass = all_pass and match
-        magnitudes = []
-        for pt in cfg.eval_points:
-            magnitude = abs(eigen.evaluate(pt))
-            values_by_point[pt].append(magnitude)
-            magnitudes.append(magnitude)
-        rows.append((j, str(eigen), match, *magnitudes))
+            all_pass = False
+            rows.append({**dict.fromkeys(header), "j": j, "matches_closed_form": False, "error": str(exc)})
+            continue
+        magnitudes = [abs(eigen.evaluate(pt)) for pt in cfg.eval_points]
+        rows.append(dict(zip(header, (j, str(eigen), True, *magnitudes))))
     growth = {}
-    for pt in cfg.eval_points:
-        values = values_by_point[pt]
+    for pt, column in zip(cfg.eval_points, point_headers):
+        values = [row[column] for row in rows if "error" not in row]
         if abs(lap.evaluate(pt)) > 1e-12:
             increasing = all(a < b for a, b in zip(values, values[1:]))
             growth[_format_point(pt)] = increasing
@@ -311,12 +311,9 @@ def cmd_curvature(cfg: RunConfig) -> int:
         else:
             growth[_format_point(pt)] = False
             all_pass = all_pass and all(v <= 1e-9 for v in values)
-    point_headers = tuple(f"abs_at_{_format_point(pt)}" for pt in cfg.eval_points)
     if "csv" in cfg.formats:
         _write_csv(
-            cfg.out_dir / "curvature.csv",
-            ("j", "eigenvalue", "matches_closed_form", *point_headers),
-            rows,
+            cfg.out_dir / "curvature.csv", header, [[row[h] for h in header] for row in rows]
         )
     if "json" in cfg.formats:
         _write_json(
@@ -325,10 +322,7 @@ def cmd_curvature(cfg: RunConfig) -> int:
                 "check": "curvature",
                 "potential": str(conn.potential),
                 "laplacian": str(lap),
-                "rows": [
-                    dict(zip(("j", "eigenvalue", "matches_closed_form", *point_headers), row))
-                    for row in rows
-                ],
+                "rows": rows,
                 "growth": growth,
                 "all_pass": all_pass,
             },
@@ -480,17 +474,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    command = _COMMANDS[args.command]
-    previous_sign = splittings_mod._EXPANSION_SIGN
     try:
-        if cfg.corrupt_expansion:
-            splittings_mod._EXPANSION_SIGN = -1
-        return command(cfg)
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        splittings_mod._EXPANSION_SIGN = previous_sign
 
 
 def entrypoint() -> None:

@@ -222,6 +222,9 @@ class Connection:
 
     @classmethod
     def from_json(cls, data: dict) -> "Connection":
+        unknown = sorted(set(data) - {"k", "g"})
+        if unknown:
+            raise ValueError(f"unknown connection key(s): {', '.join(unknown)}")
         g = data.get("g")
         potential = WirtingerPolynomial.from_json_terms(g) if g is not None else None
         if "k" in data:

@@ -11,7 +11,7 @@ independent audit code walking the same grid reproduces it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -73,13 +73,10 @@ class CompactRectangle:
 
     @classmethod
     def from_json(cls, data: dict) -> "CompactRectangle":
-        return cls(
-            Fraction(str(data["re_min"])),
-            Fraction(str(data["re_max"])),
-            Fraction(str(data["im_min"])),
-            Fraction(str(data["im_max"])),
-            int(data.get("grid_n", 33)),
-        )
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown rectangle key(s): {', '.join(unknown)}")
+        return cls(**data)
 
 
 def evaluate_on_grid(poly: WirtingerPolynomial, points: np.ndarray) -> np.ndarray:

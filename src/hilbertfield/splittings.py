@@ -283,12 +283,6 @@ def type2_correspondence(m: int, k: int) -> tuple[tuple[Splitting, tuple[Splitti
 
 # --- expansion of iterated covariant derivatives -------------------------
 
-# Test hook for negative controls: set to -1 to corrupt every expansion so
-# that verification sweeps demonstrably detect failures.  Never set in
-# production paths.
-_EXPANSION_SIGN = 1
-
-
 def _apply_indexed_derivatives(
     poly: WirtingerPolynomial, block: tuple[int, ...], dirs: Sequence[Direction]
 ) -> WirtingerPolynomial:
@@ -360,7 +354,7 @@ def splitting_expansion(
     total = WirtingerPolynomial.zero()
     for spl in all_splittings(m):
         total = total + _term_for(spl, dirs, multipliers, f, cache)
-    return total if _EXPANSION_SIGN == 1 else -total
+    return total
 
 
 def verify_expansion_identity(
@@ -369,11 +363,17 @@ def verify_expansion_identity(
     conn: Connection,
     j: int,
     f: WirtingerPolynomial,
+    *,
+    corrupt: bool = False,
 ) -> bool:
-    """Exact check: the splitting expansion equals the iterated covariant derivative."""
+    """Exact check: the splitting expansion equals the iterated covariant derivative.
+
+    ``corrupt=True`` is the negative control: the expansion is negated
+    before the comparison, so a working check must report a failure.
+    """
     direct = conn.iterated(f * FieldSection.basis(j), dirs)
-    expanded = splitting_expansion(m, dirs, conn, j, f) * FieldSection.basis(j)
-    return direct == expanded
+    expanded = splitting_expansion(m, dirs, conn, j, f)
+    return direct == (-expanded if corrupt else expanded) * FieldSection.basis(j)
 
 
 def check_splitting_recursion(
@@ -382,13 +382,16 @@ def check_splitting_recursion(
     conn: Connection,
     j: int,
     f: WirtingerPolynomial,
+    *,
+    corrupt: bool = False,
 ) -> bool:
     """Exact check of the one-step growth of the expansion.
 
     With dirs of length m+1: the type-1 part of the level-(m+1) sum equals
     the new multiplier times the level-m sum, the type-2 part equals the
     new derivative of the level-m sum, and the full level-(m+1) sum is
-    their total.
+    their total.  ``corrupt=True`` is the negative control: both
+    expansion sums read back are negated, so a working check must fail.
     """
     if len(dirs) != m + 1:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m + 1}")
@@ -404,6 +407,8 @@ def check_splitting_recursion(
             type2_sum = type2_sum + term
     level_m = splitting_expansion(m, dirs[:m], conn, j, f)
     level_next = splitting_expansion(m + 1, dirs, conn, j, f)
+    if corrupt:
+        level_m, level_next = -level_m, -level_next
     return (
         type1_sum == multipliers[m] * level_m
         and type2_sum == level_m.derivative(dirs[m])

@@ -35,7 +35,6 @@ from hilbertfield import (
     S,
     SBAR,
 )
-from hilbertfield import splittings as splittings_mod
 
 D, DBAR = Direction.D, Direction.DBAR
 
@@ -186,12 +185,10 @@ def test_criterion_7_term_type_bound():
     _report(7, "splitting-term factorial bound", ok)
 
 
-def test_criterion_8_negative_controls(monkeypatch):
+def test_criterion_8_negative_controls():
     conn = Connection(k=SBAR)
     healthy = verify_expansion_identity(2, (D, DBAR), conn, 0, ONE)
-    monkeypatch.setattr(splittings_mod, "_EXPANSION_SIGN", -1)
-    corrupted_fails = not verify_expansion_identity(2, (D, DBAR), conn, 0, ONE)
-    monkeypatch.setattr(splittings_mod, "_EXPANSION_SIGN", 1)
+    corrupted_fails = not verify_expansion_identity(2, (D, DBAR), conn, 0, ONE, corrupt=True)
     rect = CompactRectangle(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1), 33)
     cert = estimate_certificate(ONE, conn, 0, rect)
     audit_ok = audit_certificate(cert)

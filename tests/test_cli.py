@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from hilbertfield import (
     SBAR,
 )
 from hilbertfield.cli import RunConfig, main
+from hilbertfield.field import CurvatureConsistencyError
 
 
 def write_config(path, **overrides):
@@ -60,6 +63,10 @@ class TestVerifyIdentity:
         out = tmp_path / "out"
         assert main(["verify-identity", "--config", str(config), "--out", str(out), "--corrupt-expansion"]) == 1
         assert main(["verify-identity", "--config", str(config), "--out", str(out)]) == 0
+
+    def test_corrupt_expansion_config_key(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json", m_identity=1, corrupt_expansion=True)
+        assert main(["verify-identity", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
 
     def test_empty_index_list_is_config_error(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", indices=[])
@@ -131,6 +138,29 @@ class TestCurvature:
         rows = report["rows"]
         assert all(row["abs_at_0+0i"] == 0.0 for row in rows)
         assert rows[0]["abs_at_1+0i"] == pytest.approx(8.0)
+
+    def test_consistency_failure_writes_failing_row(self, tmp_path, monkeypatch):
+        original = Connection.curvature_eigenvalue
+
+        def fails_at_three(conn, j):
+            if j == 3:
+                raise CurvatureConsistencyError("injected failure at j=3")
+            return original(conn, j)
+
+        monkeypatch.setattr(Connection, "curvature_eigenvalue", fails_at_three)
+        config = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["curvature", "--config", str(config), "--out", str(out)]) == 1
+        report = json.loads((out / "curvature.json").read_text())
+        assert report["all_pass"] is False
+        rows = report["rows"]
+        assert [row["j"] for row in rows] == list(range(7))
+        assert rows[3]["matches_closed_form"] is False
+        assert rows[3]["error"] == "injected failure at j=3"
+        assert all(row["matches_closed_form"] for row in rows if row["j"] != 3)
+        with (out / "curvature.csv").open() as handle:
+            csv_rows = list(csv.DictReader(handle))
+        assert [row["matches_closed_form"] for row in csv_rows] == ["True"] * 3 + ["False"] + ["True"] * 3
 
     def test_connection_without_potential_is_config_error(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", connection={"k": SBAR.to_json_terms()})
@@ -204,6 +234,32 @@ class TestRunConfig:
 
     def test_greedy_cap_below_decay_cap_rejected(self):
         assert RunConfig(m_decay=10, m_greedy=8).validate()
+
+    def test_default_and_readme_configs_load(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json")
+        assert RunConfig.from_json(json.loads(config.read_text())).validate() == []
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"### Configuration.*?```json\n(.*?)```", readme, re.S).group(1)
+        assert RunConfig.from_json(json.loads(example)).validate() == []
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"curvature_j_maxx": 3}, "curvature_j_maxx"),
+            ({"curvature_j_max": 2.9}, "curvature_j_max"),
+            ({"indices": [0.5]}, "indices"),
+            (
+                {"rectangle": {"re_min": "-1", "re_max": "1", "im_min": "-1", "im_max": "1", "grid": 5}},
+                "grid",
+            ),
+            ({"connection": {"g": (S * SBAR).to_json_terms(), "kk": []}}, "kk"),
+        ],
+    )
+    def test_silently_accepted_config_is_rejected(self, tmp_path, capsys, overrides, key):
+        config = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["curvature", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsageErrors:

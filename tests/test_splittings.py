@@ -39,8 +39,6 @@ CONN2 = Connection(k=S * SBAR**2)
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind by inclusion-exclusion."""
-    if k == 0:
-        return 1 if n == 0 else 0
     total = sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
     return total // math.factorial(k)
 
@@ -114,9 +112,14 @@ class TestCounts:
                 assert left == right, (m, k)
 
     def test_matches_shifted_stirling_triangle(self):
+        # closed-form oracle: N(m, k) = S(m+1, k) (OEIS A008277), with zeros
+        # outside 1 <= k <= m+1, and the row totals are the Bell numbers
+        # B(m+1) (OEIS A000110)
+        bell = (1, 2, 5, 15, 52, 203, 877, 4140, 21147)
         for m in range(9):
-            for k in range(1, m + 2):
-                assert count_splittings(m, k) == stirling2(m + 1, k), (m, k)
+            row = [count_splittings(m, k) for k in range(m + 3)]
+            assert row == [stirling2(m + 1, k) for k in range(m + 3)], m
+            assert sum(row) == bell[m], m
 
 
 class TestClassification:
@@ -325,12 +328,10 @@ class TestRecursion:
 
 
 class TestNegativeControl:
-    def test_sign_flip_hook_breaks_identity(self, monkeypatch):
+    def test_sign_flip_hook_breaks_identity(self):
         assert verify_expansion_identity(2, (D, DBAR), CONN, 0, ONE)
-        monkeypatch.setattr(splittings_mod, "_EXPANSION_SIGN", -1)
-        assert not verify_expansion_identity(2, (D, DBAR), CONN, 0, ONE)
+        assert not verify_expansion_identity(2, (D, DBAR), CONN, 0, ONE, corrupt=True)
 
-    def test_sign_flip_hook_breaks_recursion(self, monkeypatch):
+    def test_sign_flip_hook_breaks_recursion(self):
         assert check_splitting_recursion(1, (D, DBAR), CONN, 0, S)
-        monkeypatch.setattr(splittings_mod, "_EXPANSION_SIGN", -1)
-        assert not check_splitting_recursion(1, (D, DBAR), CONN, 0, S)
+        assert not check_splitting_recursion(1, (D, DBAR), CONN, 0, S, corrupt=True)
