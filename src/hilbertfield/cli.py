@@ -142,7 +142,10 @@ def _decode(name: str, kind, value):
         raise ConfigError(f"{name}: expected a JSON integer, got {value!r}")
     if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"{name}: expected a JSON boolean, got {value!r}")
-    return _DECODERS.get(kind, kind)(value)
+    try:
+        return _DECODERS.get(kind, kind)(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 # --- report helpers -------------------------------------------------------

@@ -388,10 +388,12 @@ def check_splitting_recursion(
     """Exact check of the one-step growth of the expansion.
 
     With dirs of length m+1: the type-1 part of the level-(m+1) sum equals
-    the new multiplier times the level-m sum, the type-2 part equals the
-    new derivative of the level-m sum, and the full level-(m+1) sum is
-    their total.  ``corrupt=True`` is the negative control: both
-    expansion sums read back are negated, so a working check must fail.
+    the new multiplier times the level-m sum, and the type-2 part equals
+    the new derivative of the level-m sum.  The full level-(m+1) sum is not
+    compared with their total: both would sum the same terms of
+    ``all_splittings(m + 1)``, so that comparison could never fail.
+    ``corrupt=True`` is the negative control: the level-m sum is negated,
+    so a working check must fail.
     """
     if len(dirs) != m + 1:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m + 1}")
@@ -406,14 +408,9 @@ def check_splitting_recursion(
         else:
             type2_sum = type2_sum + term
     level_m = splitting_expansion(m, dirs[:m], conn, j, f)
-    level_next = splitting_expansion(m + 1, dirs, conn, j, f)
     if corrupt:
-        level_m, level_next = -level_m, -level_next
-    return (
-        type1_sum == multipliers[m] * level_m
-        and type2_sum == level_m.derivative(dirs[m])
-        and level_next == type1_sum + type2_sum
-    )
+        level_m = -level_m
+    return type1_sum == multipliers[m] * level_m and type2_sum == level_m.derivative(dirs[m])
 
 
 def direction_sequences(m: int) -> Iterable[tuple[Direction, ...]]:

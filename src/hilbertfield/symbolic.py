@@ -377,7 +377,9 @@ class WirtingerPolynomial:
         terms = {}
         for record in records:
             p, q, re, im = record
-            terms[(int(p), int(q))] = GaussianRational(Fraction(str(re)), Fraction(str(im)))
+            if type(p) is not int or type(q) is not int:
+                raise ValueError(f"term exponents must be JSON integers, got {record!r}")
+            terms[(p, q)] = GaussianRational(Fraction(str(re)), Fraction(str(im)))
         return cls(terms)
 
     # -- display ---------------------------------------------------------

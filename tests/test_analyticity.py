@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -12,12 +13,16 @@ from hilbertfield import (
     CompactRectangle,
     Connection,
     Direction,
+    FieldSection,
+    WirtingerPolynomial,
     audit_certificate,
     covariant_level_sups,
     decay_profile,
     delta_from,
     derivative_sup,
     estimate_certificate,
+    evaluate_on_grid,
+    metric_norm_at,
     verify_bound_chain,
     verify_term_type_bound,
     ONE,
@@ -171,6 +176,51 @@ class TestDecayProfile:
         assert all(level.exhaustive for level in levels[:5])
         assert not levels[5].exhaustive and not levels[6].exhaustive
         assert len(levels[6].dirs) == 6
+
+
+def reference_level_sups(conn, j, f, rect, m_max, full_cap):
+    """Level sups that confirm every frontier section; the first maximum wins.
+
+    Also returns, per level, how many confirmed values lie within relative
+    1e-9 of the level maximum (2 or more is a float tie).
+    """
+    points = rect.grid_points()
+    frontier = [((), f * FieldSection.basis(j))]
+    rows, near_max = [], []
+    for m in range(m_max + 1):
+        confirmed = []
+        for dirs, section in frontier:
+            squares = np.zeros(points.shape)
+            for index in section.support:
+                squares += np.abs(evaluate_on_grid(section.coefficient(index), points)) ** 2
+            point = complex(points[int(np.argmax(squares))])
+            confirmed.append((metric_norm_at(section, point), dirs, section))
+        best_sup, best_dirs, best_section = max(confirmed, key=lambda item: item[0])
+        rows.append((m, best_sup, best_dirs, len(frontier) == 2**m))
+        near_max.append(sum(value >= best_sup * (1 - 1e-9) for value, _, _ in confirmed))
+        parents = frontier if m < full_cap else [(best_dirs, best_section)]
+        frontier = [
+            (dirs + (d,), conn.covariant_derivative(section, d))
+            for dirs, section in parents
+            for d in (D, DBAR)
+        ]
+    return rows, near_max
+
+
+class TestLevelSupOracle:
+    def test_matches_confirm_everything_reference(self):
+        complex_k = Connection(
+            k=WirtingerPolynomial.from_json_terms([[1, 2, "1/2", "-1/3"], [0, 0, "1", "1"]])
+        )
+        rect = SQUARE.with_grid_n(9)
+        near_max = []
+        for conn, j, f in [(CONN, 0, ONE), (CONN, 2, S), (complex_k, 1, ONE), (complex_k, 0, S * SBAR)]:
+            expected, ties = reference_level_sups(conn, j, f, rect, 6, full_cap=4)
+            levels = covariant_level_sups(conn, j, f, rect, 6, full_cap=4)
+            assert [(l.m, l.sup, l.dirs, l.exhaustive) for l in levels] == expected
+            near_max += ties
+        # some level has two sections within 1e-9, so the tie rule is exercised
+        assert max(near_max) >= 2
 
 
 class TestBoundChain:

@@ -253,6 +253,8 @@ class TestRunConfig:
                 "grid",
             ),
             ({"connection": {"g": (S * SBAR).to_json_terms(), "kk": []}}, "kk"),
+            ({"functions": [[[1.9, 0, "1", "0"]]]}, "functions"),
+            ({"connection": {"g": (S * SBAR).to_json_terms(), "k": [[0, True, "1", "0"]]}}, "connection"),
         ],
     )
     def test_silently_accepted_config_is_rejected(self, tmp_path, capsys, overrides, key):

@@ -325,6 +325,17 @@ class TestRecursion:
             for dirs in direction_sequences(m + 1):
                 for j in (0, 2):
                     assert check_splitting_recursion(m, dirs, CONN, j, S)
+                    assert not check_splitting_recursion(m, dirs, CONN, j, S, corrupt=True)
+
+    def test_one_expansion_per_check(self, monkeypatch):
+        # only the level-m sum is expanded; the level-(m+1) terms are summed once, by type
+        calls = []
+        expand = splittings_mod.splitting_expansion
+        monkeypatch.setattr(
+            splittings_mod, "splitting_expansion", lambda *args: calls.append(args) or expand(*args)
+        )
+        assert check_splitting_recursion(2, (D, DBAR, D), CONN, 1, S)
+        assert [args[0] for args in calls] == [2]
 
 
 class TestNegativeControl:

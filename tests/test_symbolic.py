@@ -192,3 +192,9 @@ class TestSerialization:
     def test_parses_strings(self):
         p = WirtingerPolynomial.from_json_terms([[0, 0, "2/4", "0"]])
         assert p == WirtingerPolynomial.constant(Fraction(1, 2))
+
+    @pytest.mark.parametrize("record", [[1.9, 0, "1", "0"], [True, 0, "1", "0"], [0, "2", "1", "0"]])
+    def test_non_integer_exponent_rejected(self, record):
+        # int() would read these as exponents 1, 1 and 2; each must be refused instead
+        with pytest.raises(ValueError, match="JSON integers"):
+            WirtingerPolynomial.from_json_terms([record])
