@@ -53,6 +53,7 @@ from .analyticity import (
     estimate_certificate,
     audit_certificate,
     covariant_level_sups,
+    decay_row,
     decay_profile,
     verify_bound_chain,
     verify_term_type_bound,
@@ -101,6 +102,7 @@ __all__ = [
     "estimate_certificate",
     "audit_certificate",
     "covariant_level_sups",
+    "decay_row",
     "decay_profile",
     "verify_bound_chain",
     "verify_term_type_bound",

@@ -17,8 +17,9 @@ and verifies.
 
 Grid suprema are lower bounds of the true suprema; M carries a
 configurable safety factor (default x2) on top of the observed worst
-value, and every certificate returned by the search is re-verified by an
-exhaustive audit that shares no logic with the search.
+value.  The search returns its candidate unaudited: the caller re-verifies
+it with an exhaustive audit that shares no logic with the search, and
+reports that outcome.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "estimate_certificate",
     "audit_certificate",
     "covariant_level_sups",
+    "decay_row",
     "decay_profile",
     "verify_bound_chain",
     "verify_term_type_bound",
@@ -63,7 +65,7 @@ def delta_from(epsilon: Fraction, M: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class AnalyticityCertificate:
-    """Audited constants (epsilon, M) with their derived decay rate delta.
+    """Constants (epsilon, M) with their derived decay rate delta.
 
     ``h_polys`` is the certified triple (f, multiplier along d/ds,
     multiplier along d/dsbar); ``m_max`` is the derivative-order cap past
@@ -107,7 +109,6 @@ class AnalyticityCertificate:
             "delta": str(self.delta),
             "m_max": self.m_max,
             "K": self.rectangle.to_json(),
-            "audited": True,
         }
 
     @classmethod
@@ -152,39 +153,35 @@ def estimate_certificate(
     rectangle: CompactRectangle,
     safety: Fraction = Fraction(2),
 ) -> AnalyticityCertificate:
-    """Search for a valid certificate for (f, conn, j) on the rectangle.
+    """Candidate certificate for (f, conn, j) on the rectangle, not yet audited.
 
     The derivative-order cap is one past the largest total degree, where
-    the vanishing tail makes the all-orders supremum finite.  Epsilon runs
-    down a fixed ladder 1/2, 1/4, ...; M is the safety factor times the
-    worst observed scaled derivative, floored at 9/8 to stay above 1.  The
-    first pair passing the independent audit is returned.
+    the vanishing tail makes the all-orders supremum finite.  Epsilon is
+    fixed at 1/2; M is the safety factor times the worst observed scaled
+    derivative, floored at 9/8 to stay above 1.  The caller decides the
+    certificate with ``audit_certificate``.
+
+    A smaller epsilon cannot help: M is set from the same grid quantity the
+    audit checks, at the same epsilon, so the audit's strict inequality
+    holds whatever epsilon is, unless safety exceeds 1 by no more than the
+    float rounding between the vectorized and the scalar evaluation.
     """
-    if safety < 1:
-        raise ValueError("safety factor must be at least 1")
+    if safety <= 1:
+        raise ValueError("safety factor must exceed 1")
     h_polys = (
         f,
         conn.coefficient(j, Direction.D),
         conn.coefficient(j, Direction.DBAR),
     )
     m_max = max(0, 1 + max(h.total_degree() for h in h_polys))
-    for exponent in range(1, 9):
-        epsilon = Fraction(1, 2**exponent)
-        worst = Fraction(0)
-        for h in h_polys:
-            for m in range(m_max + 1):
-                scaled = (
-                    Fraction(derivative_sup(h, m, rectangle)) * epsilon**m / math.factorial(m)
-                )
-                if scaled > worst:
-                    worst = scaled
-        M = max(Fraction(safety) * worst, Fraction(9, 8))
-        certificate = AnalyticityCertificate(
-            epsilon, M, delta_from(epsilon, M), m_max, rectangle, h_polys
-        )
-        if audit_certificate(certificate):
-            return certificate
-    raise RuntimeError("certificate search exhausted its ladder; should not happen for polynomials")
+    epsilon = Fraction(1, 2)
+    worst = max(
+        Fraction(derivative_sup(h, m, rectangle)) * epsilon**m / math.factorial(m)
+        for h in h_polys
+        for m in range(m_max + 1)
+    )
+    M = max(Fraction(safety) * worst, Fraction(9, 8))
+    return AnalyticityCertificate(epsilon, M, delta_from(epsilon, M), m_max, rectangle, h_polys)
 
 
 def audit_certificate(certificate: AnalyticityCertificate) -> bool:
@@ -280,6 +277,17 @@ def covariant_level_sups(
     return levels
 
 
+def decay_row(certificate: AnalyticityCertificate, m: int, sup: float) -> tuple[float, float, bool]:
+    """Decay check of one level: (delta^m / m!) * sup against (m+1) M (1/2)^m.
+
+    Returns the scaled supremum, the bound and whether the first is at most
+    the second, with relative tolerance 1e-9.
+    """
+    scaled = float(certificate.delta**m / math.factorial(m)) * sup
+    bound = float((m + 1) * certificate.M * Fraction(1, 2) ** m)
+    return scaled, bound, scaled <= bound * (1 + 1e-9)
+
+
 def decay_profile(
     conn: Connection,
     j: int,
@@ -290,10 +298,7 @@ def decay_profile(
 ) -> list[float]:
     """Scaled decay sequence (delta^m / m!) * level supremum, m = 0..m_max."""
     levels = covariant_level_sups(conn, j, f, certificate.rectangle, m_max, full_cap)
-    return [
-        float(certificate.delta**level.m / math.factorial(level.m)) * level.sup
-        for level in levels
-    ]
+    return [decay_row(certificate, level.m, level.sup)[0] for level in levels]
 
 
 def verify_bound_chain(
@@ -304,22 +309,18 @@ def verify_bound_chain(
     m: int,
     dirs: Sequence[Direction],
 ) -> bool:
-    """Check one direction sequence against the factorial and decay bounds.
+    """Check one direction sequence against the decay bound.
 
-    (a) the grid supremum of the fiber norm of the m-fold covariant
-    derivative of f*phi_j is at most (m+1)! M ((1 + M epsilon)/epsilon)^m;
-    (b) after scaling by delta^m/m! it is at most (m+1) M (1/2)^m.  Both
-    carry relative tolerance 1e-9.
+    The grid supremum of the fiber norm of the m-fold covariant derivative
+    of f*phi_j is bounded by (m+1)! M ((1 + M epsilon)/epsilon)^m.  Scaled
+    by delta^m/m!, that factorial bound is exactly (m+1) M (1/2)^m, so the
+    two bounds are one inequality, checked once through ``decay_row``.
     """
     if len(dirs) != m:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
     section = conn.iterated(f * FieldSection.basis(j), dirs)
     sup = metric_norm_at(section, _section_sup(section, certificate.rectangle.grid_points())[1])
-    epsilon, M = certificate.epsilon, certificate.M
-    raw_bound = Fraction(math.factorial(m + 1)) * M * ((1 + M * epsilon) / epsilon) ** m
-    scaled = float(certificate.delta**m / math.factorial(m)) * sup
-    scaled_bound = (m + 1) * M * Fraction(1, 2) ** m
-    return sup <= float(raw_bound) * (1 + 1e-9) and scaled <= float(scaled_bound) * (1 + 1e-9)
+    return decay_row(certificate, m, sup)[2]
 
 
 def verify_term_type_bound(

@@ -18,6 +18,7 @@ from hilbertfield import (
     audit_certificate,
     covariant_level_sups,
     decay_profile,
+    decay_row,
     delta_from,
     derivative_sup,
     estimate_certificate,
@@ -128,6 +129,11 @@ class TestCertificates:
         assert float(cert4.M) == pytest.approx(5 * float(cert0.M))
         assert audit_certificate(cert4)
 
+    def test_safety_must_exceed_one(self):
+        for safety in (Fraction(1), Fraction(1, 2)):
+            with pytest.raises(ValueError, match="exceed 1"):
+                estimate_certificate(ONE, CONN, 0, SQUARE, safety)
+
     def test_halved_bound_fails_audit(self):
         cert = estimate_certificate(ONE, CONN, 0, SQUARE)
         assert not audit_certificate(cert.with_bound(cert.M / 2))
@@ -170,12 +176,26 @@ class TestDecayProfile:
             bound = float((m + 1) * cert.M * Fraction(1, 2) ** m)
             assert entry <= bound * (1 + 1e-9), m
 
+    def test_decay_row_against_hand_certificate(self):
+        # delta = 1/8: at m = 2 the scale is 1/128 and the bound 3 * 2 / 4
+        cert = hand_certificate(ONE, CONN, 0, SQUARE, Fraction(1, 2), Fraction(2))
+        assert decay_row(cert, 2, 64.0) == (0.5, 1.5, True)
+        assert decay_row(cert, 2, 200.0) == (1.5625, 1.5, False)
+
     def test_level_sups_metadata(self):
         levels = covariant_level_sups(CONN, 0, ONE, SQUARE.with_grid_n(9), 6, full_cap=4)
         assert [level.m for level in levels] == list(range(7))
         assert all(level.exhaustive for level in levels[:5])
         assert not levels[5].exhaustive and not levels[6].exhaustive
         assert len(levels[6].dirs) == 6
+
+
+def confirmed_sup(section, points):
+    """``metric_norm_at`` at the first grid point maximizing the fiber norm."""
+    squares = np.zeros(points.shape)
+    for index in section.support:
+        squares += np.abs(evaluate_on_grid(section.coefficient(index), points)) ** 2
+    return metric_norm_at(section, complex(points[int(np.argmax(squares))]))
 
 
 def reference_level_sups(conn, j, f, rect, m_max, full_cap):
@@ -188,13 +208,7 @@ def reference_level_sups(conn, j, f, rect, m_max, full_cap):
     frontier = [((), f * FieldSection.basis(j))]
     rows, near_max = [], []
     for m in range(m_max + 1):
-        confirmed = []
-        for dirs, section in frontier:
-            squares = np.zeros(points.shape)
-            for index in section.support:
-                squares += np.abs(evaluate_on_grid(section.coefficient(index), points)) ** 2
-            point = complex(points[int(np.argmax(squares))])
-            confirmed.append((metric_norm_at(section, point), dirs, section))
+        confirmed = [(confirmed_sup(section, points), dirs, section) for dirs, section in frontier]
         best_sup, best_dirs, best_section = max(confirmed, key=lambda item: item[0])
         rows.append((m, best_sup, best_dirs, len(frontier) == 2**m))
         near_max.append(sum(value >= best_sup * (1 - 1e-9) for value, _, _ in confirmed))
@@ -238,6 +252,9 @@ class TestBoundChain:
         levels = covariant_level_sups(CONN, 0, ONE, rect, 10)
         for level in levels:
             assert verify_bound_chain(CONN, 0, ONE, cert, level.m, level.dirs)
+            # the section rebuilt from its directions confirms to the reported sup
+            section = CONN.iterated(ONE * FieldSection.basis(0), level.dirs)
+            assert confirmed_sup(section, rect.grid_points()) == level.sup
 
     def test_length_mismatch_rejected(self):
         cert = estimate_certificate(ONE, CONN, 0, SQUARE)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import hilbertfield.analyticity
+import hilbertfield.cli
 from hilbertfield import (
     AnalyticityCertificate,
     Connection,
@@ -198,6 +200,31 @@ class TestAnalyticity:
         cert = AnalyticityCertificate.from_json(data, h_polys)
         assert audit_certificate(cert)
 
+    def test_each_certificate_audited_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(certificate, audit=hilbertfield.analyticity.audit_certificate):
+            calls.append(certificate)
+            return audit(certificate)
+
+        monkeypatch.setattr(hilbertfield.analyticity, "audit_certificate", counted)
+        monkeypatch.setattr(hilbertfield.cli, "audit_certificate", counted)
+        config = write_config(tmp_path / "cfg.json", indices=[0], functions=[ONE.to_json_terms()])
+        assert main(["analyticity", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
+    def test_failed_audit_is_reported(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hilbertfield.cli, "audit_certificate", lambda certificate: False)
+        config = write_config(tmp_path / "cfg.json", indices=[0], functions=[ONE.to_json_terms()])
+        out = tmp_path / "out"
+        assert main(["analyticity", "--config", str(config), "--out", str(out)]) == 1
+        summary = json.loads((out / "analyticity.json").read_text())
+        assert summary["all_pass"] is False
+        assert [cell["audited"] for cell in summary["cells"]] == [False]
+        assert [cell["all_rows_pass"] for cell in summary["cells"]] == [False]
+        assert json.loads((out / "certificate_j0_f0.json").read_text())["audited"] is False
+        assert (out / "decay_j0_f0.csv").exists()
+
 
 class TestAll:
     def test_runs_every_suite(self, tmp_path):
@@ -255,6 +282,10 @@ class TestRunConfig:
             ({"connection": {"g": (S * SBAR).to_json_terms(), "kk": []}}, "kk"),
             ({"functions": [[[1.9, 0, "1", "0"]]]}, "functions"),
             ({"connection": {"g": (S * SBAR).to_json_terms(), "k": [[0, True, "1", "0"]]}}, "connection"),
+            ({"safety": "1"}, "safety"),
+            ({"eval_points": [[True, 0]]}, "eval_points"),
+            ({"eval_points": [[1, False]]}, "eval_points"),
+            ({"eval_points": [5]}, "eval_points"),
         ],
     )
     def test_silently_accepted_config_is_rejected(self, tmp_path, capsys, overrides, key):
