@@ -49,13 +49,12 @@ from .analyticity import (
     AnalyticityCertificate,
     LevelSup,
     delta_from,
-    derivative_sup,
+    derivative_bound,
     estimate_certificate,
     audit_certificate,
     covariant_level_sups,
     decay_row,
     decay_profile,
-    verify_bound_chain,
     verify_term_type_bound,
 )
 
@@ -98,13 +97,12 @@ __all__ = [
     "AnalyticityCertificate",
     "LevelSup",
     "delta_from",
-    "derivative_sup",
+    "derivative_bound",
     "estimate_certificate",
     "audit_certificate",
     "covariant_level_sups",
     "decay_row",
     "decay_profile",
-    "verify_bound_chain",
     "verify_term_type_bound",
     "__version__",
 ]

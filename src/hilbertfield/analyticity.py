@@ -7,24 +7,26 @@ and M > 1 such that
 
 for every derivative order m, every coordinate direction sequence, every h
 in the triple (f, multiplier along d/ds, multiplier along d/dsbar), and
-every grid point s of the compact rectangle.  For polynomial h all
-derivatives beyond the total degree vanish, so the supremum over all m is
-attained at some m <= 1 + max degree and a bounded search is sound.  From
-a certificate the derived rate delta = epsilon / (2 (1 + M epsilon))
-forces the scaled fiber norms of iterated covariant derivatives of f*phi_j
-down to zero like (m+1) M (1/2)^m, which is the decay this module computes
-and verifies.
+every point s of the compact rectangle.  For polynomial h all derivatives
+beyond the total degree vanish, so only orders m <= 1 + max degree carry
+information; and since the coordinate derivatives commute, an order-m
+sequence matters only through its counts (a, b) of d and dbar.
 
-Grid suprema are lower bounds of the true suprema; M carries a
-configurable safety factor (default x2) on top of the observed worst
-value.  The search returns its candidate unaudited: the caller re-verifies
-it with an exhaustive audit that shares no logic with the search, and
-reports that outcome.
+Certificates are proved, not sampled: |d^a dbar^b h| is bounded on the
+whole rectangle from the coefficients alone (each term c s^p sbar^q is at
+most |c| R^(p+q), R the largest |s| there), in exact rational arithmetic
+with square roots rounded up.  The estimate and the audit both use that
+bound, so ``audit_certificate`` is an exact decision.
+
+From a certificate the derived rate delta = epsilon / (2 (1 + M epsilon))
+forces the scaled fiber norms of iterated covariant derivatives of f*phi_j
+down to zero like (m+1) M (1/2)^m.  This module computes that decay from
+grid suprema (lower bounds of the true suprema) and checks each level
+against the bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,23 +35,26 @@ from typing import Sequence
 import numpy as np
 
 from .field import Connection, FieldSection, metric_norm_at
-from .grid import CompactRectangle, evaluate_on_grid, sup_norm_on_grid, sup_with_argmax
+from .grid import CompactRectangle, evaluate_on_grid, sup_norm_on_grid
 from .splittings import Splitting, splitting_term
-from .symbolic import Direction, WirtingerPolynomial
+from .symbolic import Direction, WirtingerPolynomial, json_int
 
 __all__ = [
     "AnalyticityCertificate",
     "LevelSup",
     "delta_from",
-    "derivative_sup",
+    "derivative_bound",
     "estimate_certificate",
     "audit_certificate",
     "covariant_level_sups",
     "decay_row",
     "decay_profile",
-    "verify_bound_chain",
     "verify_term_type_bound",
 ]
+
+# M is twice the largest scaled bound: the audit's inequality is strict, and
+# halving M must still break it (the negative control)
+_HEADROOM = 2
 
 
 def delta_from(epsilon: Fraction, M: Fraction) -> Fraction:
@@ -90,10 +95,10 @@ class AnalyticityCertificate:
             raise ValueError("M must exceed 1")
         if self.delta != delta_from(self.epsilon, self.M):
             raise ValueError("delta must equal epsilon / (2 (1 + M epsilon)) exactly")
-        if self.m_max < 0:
-            raise ValueError("m_max must be nonnegative")
         if len(self.h_polys) != 3:
             raise ValueError("certificate covers exactly three functions")
+        if self.m_max < 1 + max(h.total_degree() for h in self.h_polys):
+            raise ValueError("m_max must be at least one past the largest total degree")
 
     def with_bound(self, M: Fraction) -> "AnalyticityCertificate":
         """Same certificate data with a replaced bound (delta recomputed)."""
@@ -117,33 +122,53 @@ class AnalyticityCertificate:
             Fraction(str(data["epsilon"])),
             Fraction(str(data["M"])),
             Fraction(str(data["delta"])),
-            int(data["m_max"]),
+            json_int(data["m_max"], "m_max"),
             CompactRectangle.from_json(data["K"]),
             tuple(h_polys),
         )
 
 
-def derivative_sup(h: WirtingerPolynomial, m: int, rectangle: CompactRectangle) -> float:
-    """Max of |m-fold coordinate derivative of h| over directions and grid points.
+def _sqrt_up(x: Fraction) -> Fraction:
+    """Rational upper bound of sqrt(x) for x >= 0, within 2^-32 relative."""
+    scaled = x.numerator * x.denominator * 4**32
+    root = math.isqrt(scaled)
+    if root * root != scaled:
+        root += 1
+    return Fraction(root, x.denominator * 2**32)
 
-    Explores the binary tree of direction sequences, pruning branches whose
-    derivative has already vanished.
+
+def derivative_bound(h: WirtingerPolynomial, a: int, b: int, rectangle: CompactRectangle) -> Fraction:
+    """Exact upper bound of |d^a dbar^b h| everywhere on the rectangle.
+
+    Each term c s^p sbar^q of the derivative has modulus |c| |s|^(p+q), and
+    |s|^2 is at most R2 = max(re_min^2, re_max^2) + max(im_min^2, im_max^2)
+    on the rectangle; the bound sums |c| R^(p+q) over the terms, with both
+    square roots rounded up.
     """
-    if m < 0:
-        raise ValueError("derivative order must be nonnegative")
-    points = rectangle.grid_points()
+    if a < 0 or b < 0:
+        raise ValueError("derivative orders must be nonnegative")
+    poly = h
+    for d in (Direction.D,) * a + (Direction.DBAR,) * b:
+        poly = poly.derivative(d)
+    radius = _sqrt_up(
+        max(rectangle.re_min**2, rectangle.re_max**2) + max(rectangle.im_min**2, rectangle.im_max**2)
+    )
+    return sum(
+        (_sqrt_up(c.re**2 + c.im**2) * radius ** (p + q) for (p, q), c in poly.terms.items()),
+        Fraction(0),
+    )
 
-    def walk(poly: WirtingerPolynomial, remaining: int) -> float:
-        if poly.is_zero:
-            return 0.0
-        if remaining == 0:
-            return sup_with_argmax(poly, points)[0]
-        return max(
-            walk(poly.derivative(Direction.D), remaining - 1),
-            walk(poly.derivative(Direction.DBAR), remaining - 1),
-        )
 
-    return walk(h, m)
+def _scaled_bounds(
+    h_polys: Sequence[WirtingerPolynomial], epsilon: Fraction, m_max: int, rectangle: CompactRectangle
+) -> list[Fraction]:
+    """(epsilon^m / m!) * derivative_bound for every h, every m <= m_max and a + b = m."""
+    return [
+        epsilon**m / math.factorial(m) * derivative_bound(h, a, m - a, rectangle)
+        for h in h_polys
+        for m in range(m_max + 1)
+        for a in range(m + 1)
+    ]
 
 
 def estimate_certificate(
@@ -151,61 +176,38 @@ def estimate_certificate(
     conn: Connection,
     j: int,
     rectangle: CompactRectangle,
-    safety: Fraction = Fraction(2),
 ) -> AnalyticityCertificate:
     """Candidate certificate for (f, conn, j) on the rectangle, not yet audited.
 
     The derivative-order cap is one past the largest total degree, where
     the vanishing tail makes the all-orders supremum finite.  Epsilon is
-    fixed at 1/2; M is the safety factor times the worst observed scaled
-    derivative, floored at 9/8 to stay above 1.  The caller decides the
-    certificate with ``audit_certificate``.
-
-    A smaller epsilon cannot help: M is set from the same grid quantity the
-    audit checks, at the same epsilon, so the audit's strict inequality
-    holds whatever epsilon is, unless safety exceeds 1 by no more than the
-    float rounding between the vectorized and the scalar evaluation.
+    fixed at 1/2; M is twice the largest scaled derivative bound, floored
+    at 9/8 to stay above 1.  The caller decides the certificate with
+    ``audit_certificate``.
     """
-    if safety <= 1:
-        raise ValueError("safety factor must exceed 1")
     h_polys = (
         f,
         conn.coefficient(j, Direction.D),
         conn.coefficient(j, Direction.DBAR),
     )
-    m_max = max(0, 1 + max(h.total_degree() for h in h_polys))
+    m_max = 1 + max(h.total_degree() for h in h_polys)
     epsilon = Fraction(1, 2)
-    worst = max(
-        Fraction(derivative_sup(h, m, rectangle)) * epsilon**m / math.factorial(m)
-        for h in h_polys
-        for m in range(m_max + 1)
-    )
-    M = max(Fraction(safety) * worst, Fraction(9, 8))
+    M = max(_HEADROOM * max(_scaled_bounds(h_polys, epsilon, m_max, rectangle)), Fraction(9, 8))
     return AnalyticityCertificate(epsilon, M, delta_from(epsilon, M), m_max, rectangle, h_polys)
 
 
 def audit_certificate(certificate: AnalyticityCertificate) -> bool:
-    """Exhaustive, search-independent re-verification of a certificate.
+    """Exact decision of the certificate inequality on the whole rectangle.
 
-    Walks every order m <= m_max, every direction sequence, every certified
-    function and every grid point with plain scalar arithmetic, and checks
-    the strict inequality against M exactly (float magnitudes are compared
-    as exact fractions).
+    Every scaled derivative bound, over every certified function, order
+    m <= m_max and split a + b = m, must lie strictly below M.
     """
-    points = [complex(z) for z in certificate.rectangle.grid_points()]
-    for h in certificate.h_polys:
-        for m in range(certificate.m_max + 1):
-            scale = certificate.epsilon**m / math.factorial(m)
-            for sequence in itertools.product((Direction.D, Direction.DBAR), repeat=m):
-                poly = h
-                for d in sequence:
-                    poly = poly.derivative(d)
-                if poly.is_zero:
-                    continue
-                for s in points:
-                    if Fraction(abs(poly.evaluate(s))) * scale >= certificate.M:
-                        return False
-    return True
+    return all(
+        bound < certificate.M
+        for bound in _scaled_bounds(
+            certificate.h_polys, certificate.epsilon, certificate.m_max, certificate.rectangle
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -299,28 +301,6 @@ def decay_profile(
     """Scaled decay sequence (delta^m / m!) * level supremum, m = 0..m_max."""
     levels = covariant_level_sups(conn, j, f, certificate.rectangle, m_max, full_cap)
     return [decay_row(certificate, level.m, level.sup)[0] for level in levels]
-
-
-def verify_bound_chain(
-    conn: Connection,
-    j: int,
-    f: WirtingerPolynomial,
-    certificate: AnalyticityCertificate,
-    m: int,
-    dirs: Sequence[Direction],
-) -> bool:
-    """Check one direction sequence against the decay bound.
-
-    The grid supremum of the fiber norm of the m-fold covariant derivative
-    of f*phi_j is bounded by (m+1)! M ((1 + M epsilon)/epsilon)^m.  Scaled
-    by delta^m/m!, that factorial bound is exactly (m+1) M (1/2)^m, so the
-    two bounds are one inequality, checked once through ``decay_row``.
-    """
-    if len(dirs) != m:
-        raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
-    section = conn.iterated(f * FieldSection.basis(j), dirs)
-    sup = metric_norm_at(section, _section_sup(section, certificate.rectangle.grid_points())[1])
-    return decay_row(certificate, m, sup)[2]
 
 
 def verify_term_type_bound(

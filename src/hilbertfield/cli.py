@@ -74,7 +74,6 @@ class RunConfig:
     m_greedy: int = 12
     curvature_j_max: int = 9
     eval_points: tuple[complex, ...] = (0j, 1 + 0j)
-    safety: Fraction = Fraction(2)
     out_dir: Path = Path("reports")
     formats: tuple[str, ...] = ("json", "csv")
     corrupt_expansion: bool = False
@@ -94,8 +93,6 @@ class RunConfig:
             problems.append("m_greedy must be at least m_decay")
         if not self.formats or any(fmt not in ("json", "csv") for fmt in self.formats):
             problems.append("formats must be a nonempty subset of {json, csv}")
-        if self.safety <= 1:
-            problems.append("safety factor must exceed 1")
         if not self.eval_points:
             problems.append("eval_points must not be empty")
         return problems
@@ -131,7 +128,6 @@ _DECODERS = {
     WirtingerPolynomial: WirtingerPolynomial.from_json_terms,
     CompactRectangle: CompactRectangle.from_json,
     complex: _complex,
-    Fraction: lambda value: Fraction(str(value)),
 }
 
 
@@ -343,7 +339,7 @@ def cmd_analyticity(cfg: RunConfig) -> int:
     all_pass = True
     for j in cfg.indices:
         for f_index, f in enumerate(cfg.functions):
-            certificate = estimate_certificate(f, conn, j, cfg.rectangle, cfg.safety)
+            certificate = estimate_certificate(f, conn, j, cfg.rectangle)
             audited = audit_certificate(certificate)
             _write_json(
                 cfg.out_dir / f"certificate_j{j}_f{f_index}.json",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from .symbolic import Direction, GaussianRational, WirtingerPolynomial, laplacian
+from .symbolic import Direction, GaussianRational, WirtingerPolynomial, json_int, laplacian
 
 __all__ = [
     "FieldSection",
@@ -123,7 +123,12 @@ class FieldSection:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable]) -> "FieldSection":
-        return cls({int(index): WirtingerPolynomial.from_json_terms(terms) for index, terms in data})
+        return cls(
+            {
+                json_int(index, "section index"): WirtingerPolynomial.from_json_terms(terms)
+                for index, terms in data
+            }
+        )
 
     def __str__(self) -> str:
         if not self._coeffs:

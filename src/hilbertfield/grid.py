@@ -1,12 +1,10 @@
 """Grid evaluation and suprema of polynomials over compact rectangles.
 
 Suprema are taken over a regular grid that always contains the four
-corners, so they are lower bounds for the true supremum; consumers that
-need a safe upper bound (the analyticity certificates) compensate with a
-multiplicative safety factor.  The value returned by
-:func:`sup_norm_on_grid` is re-evaluated through the scalar
-:meth:`WirtingerPolynomial.evaluate` path at the maximizing grid point, so
-independent audit code walking the same grid reproduces it exactly.
+corners, so they are lower bounds for the true supremum.  They estimate
+the decay profiles and the splitting-term sizes; the analyticity
+certificates do not use them, because those bound derivatives on the whole
+rectangle from the coefficients.
 """
 
 from __future__ import annotations
@@ -98,20 +96,6 @@ def evaluate_on_grid(poly: WirtingerPolynomial, points: np.ndarray) -> np.ndarra
     return values
 
 
-def sup_with_argmax(poly: WirtingerPolynomial, points: np.ndarray) -> tuple[float, complex]:
-    """Max of |poly| over the points and a point attaining it.
-
-    The returned value is recomputed through the scalar evaluate path at the
-    argmax, so point-by-point audits agree with it bit-for-bit.
-    """
-    if poly.is_zero:
-        return 0.0, complex(points[0])
-    magnitudes = np.abs(evaluate_on_grid(poly, points))
-    best = complex(points[int(np.argmax(magnitudes))])
-    return abs(poly.evaluate(best)), best
-
-
 def sup_norm_on_grid(poly: WirtingerPolynomial, rectangle: CompactRectangle) -> float:
     """Maximum of |poly| over the rectangle's grid points."""
-    sup, _ = sup_with_argmax(poly, rectangle.grid_points())
-    return sup
+    return float(np.max(np.abs(evaluate_on_grid(poly, rectangle.grid_points()))))

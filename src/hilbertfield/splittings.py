@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .field import Connection, FieldSection
-from .symbolic import Direction, WirtingerPolynomial
+from .symbolic import Direction, WirtingerPolynomial, json_int
 
 __all__ = [
     "Splitting",
@@ -122,9 +122,9 @@ class Splitting:
     @classmethod
     def from_json(cls, data: dict) -> "Splitting":
         return cls(
-            int(data["m"]),
-            tuple(tuple(int(e) for e in block) for block in data["blocks"]),
-            tuple(int(e) for e in data["markers"]),
+            json_int(data["m"], "m"),
+            tuple(tuple(json_int(e, "block element") for e in block) for block in data["blocks"]),
+            tuple(json_int(e, "marker") for e in data["markers"]),
         )
 
 

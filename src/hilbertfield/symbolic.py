@@ -36,6 +36,14 @@ RationalLike = Union[Fraction, int, str]
 _F0 = Fraction(0)
 
 
+def json_int(value, name: str) -> int:
+    """``value`` when it is a JSON integer; a float, bool or string raises ValueError."""
+    # type(), not isinstance(): a JSON boolean is a Python int
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 class GaussianRational:
     """Exact complex number re + im*i with rational components.
 

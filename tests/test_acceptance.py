@@ -5,12 +5,14 @@ lines and timings.  Everything symbolic is checked with zero tolerance;
 floating-point bound checks carry the stated relative tolerance 1e-9.
 """
 
+import itertools
 import math
 import random
 import time
 from fractions import Fraction
 
 from hilbertfield import (
+    AnalyticityCertificate,
     Connection,
     Direction,
     FieldSection,
@@ -24,6 +26,7 @@ from hilbertfield import (
     check_splitting_recursion,
     count_splittings,
     covariant_level_sups,
+    delta_from,
     direction_sequences,
     estimate_certificate,
     laplacian,
@@ -185,6 +188,21 @@ def test_criterion_7_term_type_bound():
     _report(7, "splitting-term factorial bound", ok)
 
 
+def grid_audit(certificate) -> bool:
+    """The certificate inequality checked at the rectangle's grid points only."""
+    points = [complex(z) for z in certificate.rectangle.grid_points()]
+    for h in certificate.h_polys:
+        for m in range(certificate.m_max + 1):
+            scale = certificate.epsilon**m / math.factorial(m)
+            for sequence in itertools.product((D, DBAR), repeat=m):
+                poly = h
+                for d in sequence:
+                    poly = poly.derivative(d)
+                if any(Fraction(abs(poly.evaluate(s))) * scale >= certificate.M for s in points):
+                    return False
+    return True
+
+
 def test_criterion_8_negative_controls():
     conn = Connection(k=SBAR)
     healthy = verify_expansion_identity(2, (D, DBAR), conn, 0, ONE)
@@ -193,4 +211,13 @@ def test_criterion_8_negative_controls():
     cert = estimate_certificate(ONE, conn, 0, rect)
     audit_ok = audit_certificate(cert)
     halved_fails = not audit_certificate(cert.with_bound(cert.M / 2))
-    _report(8, "negative controls", healthy and corrupted_fails and audit_ok and halved_fails)
+    # 2 - s*sbar vanishes at the corners, all a 2-point grid sees, but is 2 > M at s = 0
+    flat = Connection.flat()
+    peak = WirtingerPolynomial.constant(2) - S * SBAR
+    h_polys = (peak, flat.coefficient(0, D), flat.coefficient(0, DBAR))
+    epsilon, M = Fraction(1, 2), Fraction(9, 8)
+    corners = rect.with_grid_n(2)
+    interior = AnalyticityCertificate(epsilon, M, delta_from(epsilon, M), 3, corners, h_polys)
+    interior_fails = grid_audit(interior) and not audit_certificate(interior)
+    ok = healthy and corrupted_fails and audit_ok and halved_fails and interior_fails
+    _report(8, "negative controls", ok)

@@ -14,26 +14,28 @@ from hilbertfield import (
     Connection,
     Direction,
     FieldSection,
+    GaussianRational,
     WirtingerPolynomial,
     audit_certificate,
     covariant_level_sups,
     decay_profile,
     decay_row,
     delta_from,
-    derivative_sup,
+    derivative_bound,
     estimate_certificate,
     evaluate_on_grid,
     metric_norm_at,
-    verify_bound_chain,
     verify_term_type_bound,
     ONE,
     S,
     SBAR,
+    ZERO,
 )
 
 D, DBAR = Direction.D, Direction.DBAR
 SQUARE = CompactRectangle(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1), 33)
 CONN = Connection(k=SBAR)
+TINY = CompactRectangle(Fraction(-1, 100), Fraction(1, 100), Fraction(-1, 100), Fraction(1, 100), 5)
 
 
 def hand_certificate(f, conn, j, rect, epsilon, M):
@@ -46,35 +48,66 @@ def hand_certificate(f, conn, j, rect, epsilon, M):
 
 
 class TestDerivativeSup:
+    """``derivative_bound``: an exact upper bound of a derivative's sup on the rectangle."""
+
     def test_constants_annihilated(self):
-        for m in (1, 2, 5):
-            assert derivative_sup(ONE, m, SQUARE) == 0.0
+        for a, b in ((1, 0), (0, 1), (3, 2)):
+            assert derivative_bound(ONE, a, b, SQUARE) == 0
 
     def test_order_zero_is_plain_sup(self):
-        # dense-grid oracle: the corner value does not move under refinement
-        dense = derivative_sup(SBAR, 0, SQUARE.with_grid_n(256))
-        assert derivative_sup(SBAR, 0, SQUARE) == dense == pytest.approx(math.sqrt(2), abs=1e-12)
+        # |sbar| peaks at the corners, so the bound is sqrt(2) rounded up
+        bound = derivative_bound(SBAR, 0, 0, SQUARE)
+        assert bound**2 > 2
+        assert float(bound) == pytest.approx(math.sqrt(2), rel=1e-9)
 
     def test_first_derivatives_of_modulus_squared(self):
         # both first derivatives of s*sbar are coordinate monomials
-        assert derivative_sup(S * SBAR, 1, SQUARE) == pytest.approx(math.sqrt(2), abs=1e-12)
+        for a, b in ((1, 0), (0, 1)):
+            assert float(derivative_bound(S * SBAR, a, b, SQUARE)) == pytest.approx(math.sqrt(2), rel=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(polynomials)
     def test_vanishing_tail(self, h):
-        degree = h.total_degree()
-        for m in (degree + 1, degree + 2):
-            assert derivative_sup(h, max(m, 0), SQUARE.with_grid_n(5)) == 0.0
+        m = h.total_degree() + 1
+        for a in range(m + 2):
+            assert derivative_bound(h, a, m + 1 - a, SQUARE) == 0
 
     def test_refinement_stability(self):
-        # doubling the grid moves the sup of any low-order derivative by
-        # well under 5% on the unit square
+        # the bound reads the rectangle's corners, never its grid
         polys = [S, S * SBAR, S**2 + SBAR**2, (S + SBAR) ** 2, S**3 * SBAR]
         for poly in polys:
-            for m in range(3):
-                base = derivative_sup(poly, m, SQUARE)
-                refined = derivative_sup(poly, m, SQUARE.with_grid_n(66))
-                assert abs(refined - base) <= 0.05 * max(base, 1e-12), (str(poly), m)
+            for a, b in ((0, 0), (1, 0), (1, 1), (0, 2)):
+                assert derivative_bound(poly, a, b, SQUARE) == derivative_bound(
+                    poly, a, b, SQUARE.with_grid_n(66)
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(polynomials)
+    def test_bounds_every_grid_value(self, h):
+        # soundness oracle: the derivative is built here by .derivative in
+        # both orders and evaluated on a 17 x 17 grid; float evaluation may
+        # round up by a few ulps, hence the 1e-12
+        lopsided = CompactRectangle(Fraction(-3, 2), Fraction(1, 2), Fraction(-1, 4), Fraction(1), 17)
+        for rect in (SQUARE.with_grid_n(17), CompactRectangle(0, 1, 0, 1, 17), lopsided):
+            points = rect.grid_points()
+            for m in range(h.total_degree() + 2):
+                for a in range(m + 1):
+                    bound = float(derivative_bound(h, a, m - a, rect))
+                    for order in ((D,) * a + (DBAR,) * (m - a), (DBAR,) * (m - a) + (D,) * a):
+                        poly = h
+                        for d in order:
+                            poly = poly.derivative(d)
+                        peak = np.max(np.abs(evaluate_on_grid(poly, points)))
+                        assert peak <= bound * (1 + 1e-12), (str(h), a, m - a, order)
+
+    def test_tight_for_monomials(self):
+        # c s^p sbar^q peaks at the corners of the unit square, at |c| 2^((p+q)/2)
+        for c in (GaussianRational(1), GaussianRational("-3/2", 2), GaussianRational(0, "1/7")):
+            for p in range(4):
+                for q in range(4 - p):
+                    bound = derivative_bound(WirtingerPolynomial({(p, q): c}), 0, 0, SQUARE)
+                    exact = abs(c.to_complex()) * 2 ** ((p + q) / 2)
+                    assert exact <= float(bound) <= exact * (1 + 1e-9), (c, p, q)
 
 
 class TestDeltaFrom:
@@ -129,10 +162,22 @@ class TestCertificates:
         assert float(cert4.M) == pytest.approx(5 * float(cert0.M))
         assert audit_certificate(cert4)
 
-    def test_safety_must_exceed_one(self):
-        for safety in (Fraction(1), Fraction(1, 2)):
-            with pytest.raises(ValueError, match="exceed 1"):
-                estimate_certificate(ONE, CONN, 0, SQUARE, safety)
+    def test_m_max_below_degree_rejected(self):
+        # (1/2)^2 / 2! * |d^2 (100 s^2)| = 25 > M, but an order cap of 0 would hide it
+        h_polys = (100 * S**2, ZERO, ZERO)
+        delta = delta_from(Fraction(1, 2), Fraction(2))
+        with pytest.raises(ValueError, match="m_max"):
+            AnalyticityCertificate(Fraction(1, 2), Fraction(2), delta, 0, TINY, h_polys)
+        cert = AnalyticityCertificate(Fraction(1, 2), Fraction(2), delta, 3, TINY, h_polys)
+        assert not audit_certificate(cert)
+
+    def test_mixed_derivative_audited(self):
+        # only d dbar (100 s sbar) = 100 breaks M = 2 (scaled: 25/2); every
+        # pure derivative of order 1 or 2 stays below 1 on the tiny square
+        delta = delta_from(Fraction(1, 2), Fraction(2))
+        h_polys = (100 * S * SBAR, ZERO, ZERO)
+        cert = AnalyticityCertificate(Fraction(1, 2), Fraction(2), delta, 3, TINY, h_polys)
+        assert not audit_certificate(cert)
 
     def test_halved_bound_fails_audit(self):
         cert = estimate_certificate(ONE, CONN, 0, SQUARE)
@@ -236,30 +281,16 @@ class TestLevelSupOracle:
         # some level has two sections within 1e-9, so the tie rule is exercised
         assert max(near_max) >= 2
 
-
-class TestBoundChain:
-    def test_order_zero_reduces_to_certified_sup(self):
-        cert = estimate_certificate(ONE, CONN, 0, SQUARE)
-        assert verify_bound_chain(CONN, 0, ONE, cert, 0, ())
-
-    def test_reference_sequence(self):
-        cert = estimate_certificate(ONE, CONN, 1, SQUARE)
-        assert verify_bound_chain(CONN, 1, ONE, cert, 3, (D, DBAR, D))
-
     def test_worst_sequences_up_to_order_ten(self):
         rect = SQUARE.with_grid_n(9)
         cert = estimate_certificate(ONE, CONN, 0, rect)
         levels = covariant_level_sups(CONN, 0, ONE, rect, 10)
         for level in levels:
-            assert verify_bound_chain(CONN, 0, ONE, cert, level.m, level.dirs)
+            assert decay_row(cert, level.m, level.sup)[2]
             # the section rebuilt from its directions confirms to the reported sup
             section = CONN.iterated(ONE * FieldSection.basis(0), level.dirs)
             assert confirmed_sup(section, rect.grid_points()) == level.sup
 
-    def test_length_mismatch_rejected(self):
-        cert = estimate_certificate(ONE, CONN, 0, SQUARE)
-        with pytest.raises(ValueError):
-            verify_bound_chain(CONN, 0, ONE, cert, 2, (D,))
 
 
 class TestTermTypeBound:

@@ -286,6 +286,7 @@ class TestRunConfig:
             ({"eval_points": [[True, 0]]}, "eval_points"),
             ({"eval_points": [[1, False]]}, "eval_points"),
             ({"eval_points": [5]}, "eval_points"),
+            ({"safety": "2"}, "safety"),
         ],
     )
     def test_silently_accepted_config_is_rejected(self, tmp_path, capsys, overrides, key):

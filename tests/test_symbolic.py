@@ -7,8 +7,12 @@ from hypothesis import given
 
 from conftest import coefficients, directions, polynomials
 from hilbertfield import (
+    AnalyticityCertificate,
+    CompactRectangle,
     Direction,
+    FieldSection,
     GaussianRational,
+    Splitting,
     WirtingerPolynomial,
     laplacian,
     ONE,
@@ -198,3 +202,24 @@ class TestSerialization:
         # int() would read these as exponents 1, 1 and 2; each must be refused instead
         with pytest.raises(ValueError, match="JSON integers"):
             WirtingerPolynomial.from_json_terms([record])
+
+    @pytest.mark.parametrize(
+        "decode, data",
+        [
+            (FieldSection.from_json, [[1.9, [[0, 0, "1", "0"]]]]),
+            (FieldSection.from_json, [["2", [[0, 0, "1", "0"]]]]),
+            (FieldSection.from_json, [[True, [[0, 0, "1", "0"]]]]),
+            (Splitting.from_json, {"m": 1.7, "blocks": [[1]], "markers": []}),
+            (Splitting.from_json, {"m": 1, "blocks": [[1.2]], "markers": []}),
+            (Splitting.from_json, {"m": 1, "blocks": [[], []], "markers": ["1"]}),
+            (lambda data: AnalyticityCertificate.from_json(data, (ONE, ZERO, ZERO)), {"m_max": 2.9}),
+            (lambda data: AnalyticityCertificate.from_json(data, (ONE, ZERO, ZERO)), {"m_max": True}),
+        ],
+    )
+    def test_report_decoders_reject_non_integers(self, decode, data):
+        # int() would read each of these as a valid integer; each must be refused instead
+        if "m_max" in data:
+            square = CompactRectangle(-1, 1, -1, 1).to_json()
+            data = {"epsilon": "1/2", "M": "2", "delta": "1/8", "K": square, **data}
+        with pytest.raises(ValueError, match="JSON integer"):
+            decode(data)
