@@ -18,7 +18,7 @@ from .symbolic import (
     S,
     SBAR,
 )
-from .grid import CompactRectangle, evaluate_on_grid, sup_norm_on_grid
+from .grid import CompactRectangle, evaluate_on_grid
 from .field import (
     FieldSection,
     Connection,
@@ -53,8 +53,8 @@ from .analyticity import (
     estimate_certificate,
     audit_certificate,
     covariant_level_sups,
+    scaled_level_bound,
     decay_row,
-    decay_profile,
     verify_term_type_bound,
 )
 
@@ -71,7 +71,6 @@ __all__ = [
     "SBAR",
     "CompactRectangle",
     "evaluate_on_grid",
-    "sup_norm_on_grid",
     "FieldSection",
     "Connection",
     "CurvatureConsistencyError",
@@ -101,8 +100,8 @@ __all__ = [
     "estimate_certificate",
     "audit_certificate",
     "covariant_level_sups",
+    "scaled_level_bound",
     "decay_row",
-    "decay_profile",
     "verify_term_type_bound",
     "__version__",
 ]

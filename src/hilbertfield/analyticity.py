@@ -20,9 +20,10 @@ bound, so ``audit_certificate`` is an exact decision.
 
 From a certificate the derived rate delta = epsilon / (2 (1 + M epsilon))
 forces the scaled fiber norms of iterated covariant derivatives of f*phi_j
-down to zero like (m+1) M (1/2)^m.  This module computes that decay from
-grid suprema (lower bounds of the true suprema) and checks each level
-against the bound.
+down to zero.  Summed over all splittings, the certified term bounds give
+each scaled level the bound U_m = M (1/2)^m prod_{i=1..m} (x+i) / (i (1+x)),
+x = M epsilon, which is at most M (1/2)^m.  The decay rows are decided from
+U_m exactly; grid suprema are reported as lower bounds.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .field import Connection, FieldSection, metric_norm_at
-from .grid import CompactRectangle, evaluate_on_grid, sup_norm_on_grid
+from .grid import CompactRectangle, evaluate_on_grid
 from .splittings import Splitting, splitting_term
 from .symbolic import Direction, WirtingerPolynomial, json_int
 
@@ -47,8 +48,8 @@ __all__ = [
     "estimate_certificate",
     "audit_certificate",
     "covariant_level_sups",
+    "scaled_level_bound",
     "decay_row",
-    "decay_profile",
     "verify_term_type_bound",
 ]
 
@@ -279,28 +280,27 @@ def covariant_level_sups(
     return levels
 
 
+def scaled_level_bound(certificate: AnalyticityCertificate, m: int) -> Fraction:
+    """U_m: a proved bound of (delta^m / m!) |any m-fold covariant derivative of f*phi_j|.
+
+    Equal to delta^m / m! * epsilon^-(m+1) * prod_{i=0..m} (M epsilon + i),
+    the certified term bounds summed over every splitting of {1..m}.
+    """
+    x = certificate.M * certificate.epsilon
+    shrink = math.prod((x + i) / (i * (1 + x)) for i in range(1, m + 1))
+    return certificate.M * Fraction(1, 2) ** m * shrink
+
+
 def decay_row(certificate: AnalyticityCertificate, m: int, sup: float) -> tuple[float, float, bool]:
     """Decay check of one level: (delta^m / m!) * sup against (m+1) M (1/2)^m.
 
-    Returns the scaled supremum, the bound and whether the first is at most
-    the second, with relative tolerance 1e-9.
+    Returns the scaled supremum, the bound and the verdict, decided exactly:
+    the scaled grid value (a lower bound of the level) must not exceed the
+    proved U_m, and U_m must not exceed the bound.
     """
     scaled = float(certificate.delta**m / math.factorial(m)) * sup
-    bound = float((m + 1) * certificate.M * Fraction(1, 2) ** m)
-    return scaled, bound, scaled <= bound * (1 + 1e-9)
-
-
-def decay_profile(
-    conn: Connection,
-    j: int,
-    f: WirtingerPolynomial,
-    certificate: AnalyticityCertificate,
-    m_max: int,
-    full_cap: int = 10,
-) -> list[float]:
-    """Scaled decay sequence (delta^m / m!) * level supremum, m = 0..m_max."""
-    levels = covariant_level_sups(conn, j, f, certificate.rectangle, m_max, full_cap)
-    return [decay_row(certificate, level.m, level.sup)[0] for level in levels]
+    bound = (m + 1) * certificate.M * Fraction(1, 2) ** m
+    return scaled, float(bound), Fraction(scaled) <= scaled_level_bound(certificate, m) <= bound
 
 
 def verify_term_type_bound(
@@ -311,17 +311,13 @@ def verify_term_type_bound(
     f: WirtingerPolynomial,
     certificate: AnalyticityCertificate,
 ) -> bool:
-    """Check one splitting term against its factorial bound.
+    """Exact check of one splitting term against its factorial bound.
 
-    A term whose block-size composition is (l_1, ..., l_k) is bounded by
-    M^k / epsilon^(m+1-k) * (l_1 - 1)! ... (l_k - 1)! on the certified
-    rectangle, with relative tolerance 1e-9.
+    A term whose block-size composition is (l_1, ..., l_k) must not exceed
+    M^k / epsilon^(m+1-k) * (l_1 - 1)! ... (l_k - 1)! on the whole certified
+    rectangle; the term's ``derivative_bound`` decides it.
     """
-    term = splitting_term(spl, dirs, conn, j, f)
-    sup = sup_norm_on_grid(term, certificate.rectangle)
-    composition = spl.term_type()
-    k = len(composition)
-    bound = certificate.M**k / certificate.epsilon ** (spl.m + 1 - k)
-    for part in composition:
-        bound *= math.factorial(part - 1)
-    return sup <= float(bound) * (1 + 1e-9)
+    k = spl.num_blocks
+    weight = math.prod(math.factorial(part - 1) for part in spl.term_type())
+    bound = certificate.M**k * weight / certificate.epsilon ** (spl.m + 1 - k)
+    return derivative_bound(splitting_term(spl, dirs, conn, j, f), 0, 0, certificate.rectangle) <= bound

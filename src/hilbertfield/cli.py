@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -39,7 +40,9 @@ from .splittings import (
 )
 from .symbolic import (
     Direction,
+    GaussianRational,
     WirtingerPolynomial,
+    json_int,
     laplacian,
     ONE,
     S,
@@ -115,9 +118,11 @@ _FIELD_TYPES = get_type_hints(RunConfig)
 
 def _complex(pair) -> complex:
     re, im = pair
-    # type(), not isinstance(): a JSON boolean is a Python int
-    if type(re) not in (int, float) or type(im) not in (int, float):
-        raise ValueError(f"expected [re, im] as two JSON numbers, got {pair!r}")
+    # type(), not isinstance(): a JSON boolean is a Python int; the growth
+    # flags read each coordinate as an exact rational, which needs it finite
+    numbers = type(re) in (int, float) and type(im) in (int, float)
+    if not (numbers and math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"expected [re, im] as two finite JSON numbers, got {pair!r}")
     return complex(re, im)
 
 
@@ -136,13 +141,13 @@ def _decode(name: str, kind, value):
         if not isinstance(value, list):
             raise ConfigError(f"{name}: expected a JSON list, got {value!r}")
         return tuple(_decode(name, get_args(kind)[0], item) for item in value)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{name}: expected a JSON integer, got {value!r}")
+    if kind is int:
+        return json_int(value, name, ConfigError)
     if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"{name}: expected a JSON boolean, got {value!r}")
     try:
         return _DECODERS.get(kind, kind)(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
@@ -291,6 +296,7 @@ def cmd_curvature(cfg: RunConfig) -> int:
     header = ("j", "eigenvalue", "matches_closed_form", *point_headers)
     all_pass = True
     rows = []
+    eigens = []
     for j in range(cfg.curvature_j_max + 1):
         # curvature_eigenvalue raises unless the eigenvalue is -(j+1)*laplacian(g)/2
         try:
@@ -300,18 +306,18 @@ def cmd_curvature(cfg: RunConfig) -> int:
             all_pass = False
             rows.append({**dict.fromkeys(header), "j": j, "matches_closed_form": False, "error": str(exc)})
             continue
+        eigens.append(eigen)
         magnitudes = [abs(eigen.evaluate(pt)) for pt in cfg.eval_points]
         rows.append(dict(zip(header, (j, str(eigen), True, *magnitudes))))
     growth = {}
-    for pt, column in zip(cfg.eval_points, point_headers):
-        values = [row[column] for row in rows if "error" not in row]
-        if abs(lap.evaluate(pt)) > 1e-12:
-            increasing = all(a < b for a, b in zip(values, values[1:]))
-            growth[_format_point(pt)] = increasing
-            all_pass = all_pass and increasing
-        else:
-            growth[_format_point(pt)] = False
-            all_pass = all_pass and all(v <= 1e-9 for v in values)
+    for pt in cfg.eval_points:
+        # a float is an exact binary rational, so the point converts without loss
+        exact = GaussianRational(Fraction(pt.real), Fraction(pt.imag))
+        squares = [v.re**2 + v.im**2 for v in (eigen.evaluate_exact(exact) for eigen in eigens)]
+        flat = not lap.evaluate_exact(exact)
+        grows = not flat and all(a < b for a, b in zip(squares, squares[1:]))
+        growth[_format_point(pt)] = grows
+        all_pass = all_pass and (not any(squares) if flat else grows)
     if "csv" in cfg.formats:
         _write_csv(
             cfg.out_dir / "curvature.csv", header, [[row[h] for h in header] for row in rows]
@@ -333,7 +339,7 @@ def cmd_curvature(cfg: RunConfig) -> int:
 
 
 def cmd_analyticity(cfg: RunConfig) -> int:
-    """Audited certificates plus decay profiles checked against their bounds."""
+    """Audited certificates plus decay rows proved from them."""
     conn = cfg.connection
     summary = []
     all_pass = True

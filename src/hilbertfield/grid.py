@@ -1,10 +1,9 @@
-"""Grid evaluation and suprema of polynomials over compact rectangles.
+"""Compact rectangles and vectorized polynomial evaluation on their grids.
 
-Suprema are taken over a regular grid that always contains the four
-corners, so they are lower bounds for the true supremum.  They estimate
-the decay profiles and the splitting-term sizes; the analyticity
-certificates do not use them, because those bound derivatives on the whole
-rectangle from the coefficients.
+The grid always contains the four corners.  Maxima over it are lower
+bounds of the true suprema: the decay report prints them next to the
+proved level bounds.  No verdict rests on a grid maximum; certificates,
+decay rows and splitting-term bounds are decided from the coefficients.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .symbolic import WirtingerPolynomial
 
-__all__ = ["CompactRectangle", "evaluate_on_grid", "sup_norm_on_grid"]
+__all__ = ["CompactRectangle", "evaluate_on_grid"]
 
 
 @dataclass(frozen=True)
@@ -49,13 +48,6 @@ class CompactRectangle:
         ys = np.linspace(float(self.im_min), float(self.im_max), self.grid_n)
         re, im = np.meshgrid(xs, ys, indexing="ij")
         return (re + 1j * im).ravel()
-
-    def corners(self) -> tuple[complex, ...]:
-        return tuple(
-            complex(float(x), float(y))
-            for x in (self.re_min, self.re_max)
-            for y in (self.im_min, self.im_max)
-        )
 
     def with_grid_n(self, grid_n: int) -> "CompactRectangle":
         return CompactRectangle(self.re_min, self.re_max, self.im_min, self.im_max, grid_n)
@@ -95,7 +87,3 @@ def evaluate_on_grid(poly: WirtingerPolynomial, points: np.ndarray) -> np.ndarra
         values += coeff.to_complex() * pow_s[p] * pow_sbar[q]
     return values
 
-
-def sup_norm_on_grid(poly: WirtingerPolynomial, rectangle: CompactRectangle) -> float:
-    """Maximum of |poly| over the rectangle's grid points."""
-    return float(np.max(np.abs(evaluate_on_grid(poly, rectangle.grid_points()))))

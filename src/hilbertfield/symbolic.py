@@ -10,12 +10,14 @@ under addition, multiplication, conjugation and the two coordinate
 derivations d/ds and d/dsbar, and polynomials are kept in canonical form
 (no zero coefficients stored), so algebraic identities can be decided by
 literal equality of term maps.  Floating point enters only through
-:meth:`WirtingerPolynomial.evaluate` and grid suprema built on top of it.
+:meth:`WirtingerPolynomial.evaluate` and the grid evaluation built on it;
+:meth:`WirtingerPolynomial.evaluate_exact` does not round.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
@@ -36,11 +38,11 @@ RationalLike = Union[Fraction, int, str]
 _F0 = Fraction(0)
 
 
-def json_int(value, name: str) -> int:
-    """``value`` when it is a JSON integer; a float, bool or string raises ValueError."""
+def json_int(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` when it is a JSON integer; a float, bool or string raises ``error``."""
     # type(), not isinstance(): a JSON boolean is a Python int
     if type(value) is not int:
-        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+        raise error(f"{name}: only JSON integers are accepted, got {value!r}")
     return value
 
 
@@ -371,6 +373,12 @@ class WirtingerPolynomial:
             total += coeff.to_complex() * s**p * sbar**q
         return total
 
+    def evaluate_exact(self, s: GaussianRational) -> GaussianRational:
+        """Exact value at a Gaussian-rational point s, with sbar = conj(s)."""
+        sbar = s.conjugate()
+        terms = (math.prod([s] * p + [sbar] * q, start=c) for (p, q), c in self._terms.items())
+        return sum(terms, _ZERO_COEFF)
+
     # -- serialization ---------------------------------------------------
 
     def to_json_terms(self) -> list[list]:
@@ -385,9 +393,8 @@ class WirtingerPolynomial:
         terms = {}
         for record in records:
             p, q, re, im = record
-            if type(p) is not int or type(q) is not int:
-                raise ValueError(f"term exponents must be JSON integers, got {record!r}")
-            terms[(p, q)] = GaussianRational(Fraction(str(re)), Fraction(str(im)))
+            key = (json_int(p, "term exponents"), json_int(q, "term exponents"))
+            terms[key] = GaussianRational(Fraction(str(re)), Fraction(str(im)))
         return cls(terms)
 
     # -- display ---------------------------------------------------------

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines and timings.  Everything symbolic is checked with zero tolerance;
-floating-point bound checks carry the stated relative tolerance 1e-9.
+lines and timings.  Every verdict is exact: identities by equality of
+term maps, certificates, decay rows and splitting-term bounds in rational
+arithmetic.  Criterion 6 also re-checks the reported float decay values
+against the float bound, with relative tolerance 1e-9.
 """
 
 import itertools
@@ -26,6 +28,7 @@ from hilbertfield import (
     check_splitting_recursion,
     count_splittings,
     covariant_level_sups,
+    decay_row,
     delta_from,
     direction_sequences,
     estimate_certificate,
@@ -159,6 +162,8 @@ def test_criterion_6_analyticity_decay():
         cert = estimate_certificate(ONE, conn, j, rect)
         ok = ok and audit_certificate(cert)
         levels = covariant_level_sups(conn, j, ONE, rect, 12, full_cap=10)
+        for level in levels:
+            ok = ok and decay_row(cert, level.m, level.sup)[2]
         for level in levels[:11]:
             ok = ok and level.exhaustive
             scaled = float(cert.delta**level.m / math.factorial(level.m)) * level.sup

@@ -1,8 +1,9 @@
-"""Certificates, the audit, the decay profile and the factorial bounds."""
+"""Certificates, the audit, the decay rows and the factorial bounds."""
 
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,16 +16,19 @@ from hilbertfield import (
     Direction,
     FieldSection,
     GaussianRational,
+    Splitting,
     WirtingerPolynomial,
+    all_splittings,
     audit_certificate,
     covariant_level_sups,
-    decay_profile,
     decay_row,
     delta_from,
     derivative_bound,
+    direction_sequences,
     estimate_certificate,
     evaluate_on_grid,
     metric_norm_at,
+    scaled_level_bound,
     verify_term_type_bound,
     ONE,
     S,
@@ -201,30 +205,40 @@ class TestCertificates:
         assert audit_certificate(again)
 
 
+def decay_rows(conn, j, f, cert, m_max, full_cap=10):
+    """``decay_row`` of every level of the covariant sweep, m = 0..m_max."""
+    levels = covariant_level_sups(conn, j, f, cert.rectangle, m_max, full_cap)
+    return [decay_row(cert, level.m, level.sup) for level in levels]
+
+
 class TestDecayProfile:
     def test_order_zero_entry_is_one(self):
         cert = estimate_certificate(ONE, CONN, 0, SQUARE)
-        profile = decay_profile(CONN, 0, ONE, cert, 0)
-        assert profile[0] == pytest.approx(1.0)
+        [(scaled, _, ok)] = decay_rows(CONN, 0, ONE, cert, 0)
+        assert scaled == pytest.approx(1.0)
+        assert ok
 
     def test_flat_connection_decays_to_zero_immediately(self):
         flat = Connection.flat()
         cert = estimate_certificate(ONE, flat, 0, SQUARE)
-        profile = decay_profile(flat, 0, ONE, cert, 6)
-        assert profile[0] == pytest.approx(1.0)
-        assert all(entry == 0.0 for entry in profile[1:])
+        rows = decay_rows(flat, 0, ONE, cert, 6)
+        assert rows[0][0] == pytest.approx(1.0)
+        assert all(scaled == 0.0 for scaled, _, _ in rows[1:])
+        assert all(ok for _, _, ok in rows)
 
     def test_profile_respects_final_bound(self):
         cert = hand_certificate(ONE, CONN, 0, SQUARE, Fraction(1, 2), Fraction(2))
-        profile = decay_profile(CONN, 0, ONE, cert, 12, full_cap=8)
-        for m, entry in enumerate(profile):
-            bound = float((m + 1) * cert.M * Fraction(1, 2) ** m)
-            assert entry <= bound * (1 + 1e-9), m
+        for m, (scaled, bound, ok) in enumerate(decay_rows(CONN, 0, ONE, cert, 12, full_cap=8)):
+            assert ok, m
+            assert Fraction(scaled) <= scaled_level_bound(cert, m) <= Fraction(bound), m
 
     def test_decay_row_against_hand_certificate(self):
-        # delta = 1/8: at m = 2 the scale is 1/128 and the bound 3 * 2 / 4
+        # delta = 1/8: at m = 2 the scale is 1/128, the bound 3 * 2 / 4 and
+        # U_2 = 2 / 4 * (2 / 2) * (3 / 4) = 3/8, so 64 scales to 1/2 > U_2
         cert = hand_certificate(ONE, CONN, 0, SQUARE, Fraction(1, 2), Fraction(2))
-        assert decay_row(cert, 2, 64.0) == (0.5, 1.5, True)
+        assert scaled_level_bound(cert, 2) == Fraction(3, 8)
+        assert decay_row(cert, 2, 48.0) == (0.375, 1.5, True)
+        assert decay_row(cert, 2, 64.0) == (0.5, 1.5, False)
         assert decay_row(cert, 2, 200.0) == (1.5625, 1.5, False)
 
     def test_level_sups_metadata(self):
@@ -293,17 +307,33 @@ class TestLevelSupOracle:
 
 
 
+class TestScaledLevelBound:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda e: 0 < e < 1),
+        st.fractions(min_value=1, max_value=200, max_denominator=60).filter(lambda M: M > 1),
+        st.integers(0, 40),
+    )
+    def test_tail_lemma(self, epsilon, M, m):
+        # U_m is the rising-factorial sum of the certified term bounds, and
+        # each of its factors is at most 1, so it never exceeds M (1/2)^m
+        cert = hand_certificate(ONE, CONN, 0, SQUARE, epsilon, M)
+        rising = Fraction(1)
+        for i in range(m + 1):
+            rising *= M * epsilon + i
+        expected = cert.delta**m / math.factorial(m) * epsilon ** -(m + 1) * rising
+        U = scaled_level_bound(cert, m)
+        assert U == expected
+        assert U <= M * Fraction(1, 2) ** m <= (m + 1) * M * Fraction(1, 2) ** m
+
+
 class TestTermTypeBound:
     def test_empty_ground_set(self):
         cert = estimate_certificate(ONE, CONN, 0, SQUARE)
-        from hilbertfield import Splitting
-
         assert verify_term_type_bound(Splitting(0, ((),), ()), (), CONN, 0, ONE, cert)
 
     def test_exhaustive_order_two(self):
         cert = estimate_certificate(ONE, CONN, 0, SQUARE)
-        from hilbertfield import all_splittings, direction_sequences
-
         for spl in all_splittings(2):
             for dirs in direction_sequences(2):
                 assert verify_term_type_bound(spl, dirs, CONN, 0, ONE, cert)
@@ -314,9 +344,17 @@ class TestTermTypeBound:
         conn = Connection(k=S * SBAR)
         cert = estimate_certificate(ONE, conn, 3, SQUARE.with_grid_n(17))
         rng = random.Random(425)
-        from hilbertfield import all_splittings
-
         pool = list(all_splittings(4))
         for spl in rng.sample(pool, 20):
             dirs = tuple(rng.choice((D, DBAR)) for _ in range(4))
             assert verify_term_type_bound(spl, dirs, conn, 3, ONE, cert)
+
+    def test_interior_peak_is_caught(self):
+        # the order-0 term is f = 2 - s*sbar itself: 0 at every corner, all a
+        # 2-point grid sees, but 2 > M = 9/8 at s = 0
+        flat = Connection.flat()
+        peak = WirtingerPolynomial.constant(2) - S * SBAR
+        corners = SQUARE.with_grid_n(2)
+        cert = hand_certificate(peak, flat, 0, corners, Fraction(1, 2), Fraction(9, 8))
+        assert np.max(np.abs(evaluate_on_grid(peak, corners.grid_points()))) == 0
+        assert not verify_term_type_bound(Splitting(0, ((),), ()), (), flat, 0, peak, cert)

@@ -141,6 +141,16 @@ class TestCurvature:
         assert all(row["abs_at_0+0i"] == 0.0 for row in rows)
         assert rows[0]["abs_at_1+0i"] == pytest.approx(8.0)
 
+    def test_tiny_laplacian_still_grows(self, tmp_path):
+        # laplacian 4e-13 is nonzero, so the spectrum grows at every point;
+        # the float magnitudes (below 1e-11) stay as report columns
+        config = write_config(tmp_path / "cfg.json", connection={"g": [[1, 1, "1/10000000000000", "0"]]})
+        out = tmp_path / "out"
+        assert main(["curvature", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "curvature.json").read_text())
+        assert report["growth"] == {"0+0i": True, "1+0i": True}
+        assert report["rows"][0]["abs_at_0+0i"] == pytest.approx(2e-13)
+
     def test_consistency_failure_writes_failing_row(self, tmp_path, monkeypatch):
         original = Connection.curvature_eigenvalue
 
@@ -287,6 +297,9 @@ class TestRunConfig:
             ({"eval_points": [[1, False]]}, "eval_points"),
             ({"eval_points": [5]}, "eval_points"),
             ({"safety": "2"}, "safety"),
+            ({"eval_points": [[float("nan"), 0]]}, "eval_points"),
+            ({"eval_points": [[0, float("inf")]]}, "eval_points"),
+            ({"eval_points": [[10**400, 0]]}, "eval_points"),
         ],
     )
     def test_silently_accepted_config_is_rejected(self, tmp_path, capsys, overrides, key):

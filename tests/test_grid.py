@@ -1,4 +1,4 @@
-"""Grid suprema over compact rectangles."""
+"""Compact rectangles and grid maxima built on ``evaluate_on_grid``."""
 
 import math
 from fractions import Fraction
@@ -6,17 +6,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hilbertfield import CompactRectangle, evaluate_on_grid, sup_norm_on_grid, ONE, S, SBAR
+from hilbertfield import CompactRectangle, evaluate_on_grid, ONE, S, SBAR
 
 SQUARE = CompactRectangle(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1), 17)
+
+
+def sup_norm_on_grid(poly, rectangle):
+    """Maximum of |poly| over the rectangle's grid points."""
+    return float(np.max(np.abs(evaluate_on_grid(poly, rectangle.grid_points()))))
 
 
 def test_corners_always_included():
     for n in (2, 3, 17, 64):
         rect = SQUARE.with_grid_n(n)
         pts = set(np.round(rect.grid_points(), 12))
-        for corner in rect.corners():
-            assert complex(np.round(corner, 12)) in pts
+        for x in (rect.re_min, rect.re_max):
+            for y in (rect.im_min, rect.im_max):
+                assert complex(np.round(complex(float(x), float(y)), 12)) in pts
 
 
 def test_sup_of_identity_map():

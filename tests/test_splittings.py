@@ -121,6 +121,35 @@ class TestCounts:
             assert row == [stirling2(m + 1, k) for k in range(m + 3)], m
             assert sum(row) == bell[m], m
 
+    @staticmethod
+    def rising_factorial(m: int) -> list[int]:
+        """Coefficients of x (x+1) ... (x+m) in x, lowest power first."""
+        coeffs = [0, 1]
+        for i in range(1, m + 1):
+            coeffs = [i * c + lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
+        return coeffs
+
+    @staticmethod
+    def weighted_count(splittings) -> dict[int, int]:
+        """Sum of prod |I_a|! per block count k."""
+        weights: dict[int, int] = {}
+        for spl in splittings:
+            weight = math.prod(math.factorial(len(block)) for block in spl.blocks)
+            weights[spl.num_blocks] = weights.get(spl.num_blocks, 0) + weight
+        return weights
+
+    def test_weighted_count_is_rising_factorial(self):
+        # sum over splittings of prod |I_a|! x^k = x (x+1) ... (x+m): unsigned
+        # Stirling numbers of the first kind c(m+1, k) (OEIS A132393)
+        assert self.rising_factorial(3) == [0, 6, 11, 6, 1]
+        for m in range(9):
+            weights = self.weighted_count(all_splittings(m))
+            assert [weights.get(k, 0) for k in range(m + 2)] == self.rising_factorial(m), m
+        for m in range(6):
+            brute = [s for k in range(1, m + 2) for s in brute_force_splittings(m, k)]
+            weights = self.weighted_count(brute)
+            assert [weights.get(k, 0) for k in range(m + 2)] == self.rising_factorial(m), m
+
 
 class TestClassification:
     def test_marker_only_splitting_is_type1(self):

@@ -164,6 +164,22 @@ class TestEvaluate:
             assert abs((a + b).evaluate(z) - (a.evaluate(z) + b.evaluate(z))) <= 1e-9 * scale
             assert abs((a * b).evaluate(z) - a.evaluate(z) * b.evaluate(z)) <= 1e-9 * scale**2
 
+    def test_exact_values(self):
+        assert (S * SBAR).evaluate_exact(GaussianRational(1, 1)) == 2
+        assert (S**2).evaluate_exact(I) == -1
+        assert (S - SBAR).evaluate_exact(GaussianRational("1/3", "-2/5")) == GaussianRational(0, "-4/5")
+        assert ZERO.evaluate_exact(I) == 0
+
+    @given(polynomials, polynomials)
+    def test_exact_evaluation_is_a_ring_morphism(self, a, b):
+        # the float path agrees up to rounding at the same (binary-exact) points
+        for z in SAMPLE_POINTS:
+            exact = GaussianRational(Fraction(z.real), Fraction(z.imag))
+            value = a.evaluate_exact(exact)
+            assert (a + b).evaluate_exact(exact) == value + b.evaluate_exact(exact)
+            assert (a * b).evaluate_exact(exact) == value * b.evaluate_exact(exact)
+            assert abs(value.to_complex() - a.evaluate(z)) <= 1e-9 * (1 + abs(a.evaluate(z)))
+
 
 class TestCanonicalForm:
     def test_no_zero_coefficients_stored(self):
