@@ -24,7 +24,6 @@ from .field import (
     Connection,
     CurvatureConsistencyError,
     metric_pair,
-    metric_norm_at,
     check_leibniz,
     check_metric_compat,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "Connection",
     "CurvatureConsistencyError",
     "metric_pair",
-    "metric_norm_at",
     "check_leibniz",
     "check_metric_compat",
     "Splitting",

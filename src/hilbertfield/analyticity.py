@@ -23,7 +23,10 @@ forces the scaled fiber norms of iterated covariant derivatives of f*phi_j
 down to zero.  Summed over all splittings, the certified term bounds give
 each scaled level the bound U_m = M (1/2)^m prod_{i=1..m} (x+i) / (i (1+x)),
 x = M epsilon, which is at most M (1/2)^m.  The decay rows are decided from
-U_m exactly; grid suprema are reported as lower bounds.
+U_m exactly.  Each level's grid supremum is reported beside it as a lower
+bound: the largest vectorized grid value over the level's sections, the
+first maximum winning.  The grid sums terms in sorted exponent order, so a
+section rebuilt from the reported directions gives the same value bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import Connection, FieldSection, metric_norm_at
+from .field import Connection, FieldSection
 from .grid import CompactRectangle, evaluate_on_grid
 from .splittings import Splitting, splitting_term
 from .symbolic import Direction, WirtingerPolynomial, json_int
@@ -225,13 +228,12 @@ class LevelSup:
     exhaustive: bool
 
 
-def _section_sup(section: FieldSection, points: np.ndarray) -> tuple[float, complex]:
-    """Vectorized grid max of the fiber norm and the first grid point attaining it."""
+def _section_sup(section: FieldSection, points: np.ndarray) -> float:
+    """Vectorized grid max of the fiber norm."""
     squares = np.zeros(points.shape, dtype=float)
     for index in section.support:
         squares += np.abs(evaluate_on_grid(section.coefficient(index), points)) ** 2
-    best = int(np.argmax(squares))
-    return math.sqrt(squares[best]), complex(points[best])
+    return math.sqrt(squares.max())
 
 
 def covariant_level_sups(
@@ -247,12 +249,8 @@ def covariant_level_sups(
     Levels up to ``full_cap`` enumerate all direction sequences; beyond
     that the single worst sequence is extended greedily (each step keeps
     the child direction with the larger supremum), giving a lower-bound
-    estimate of the level maximum.
-
-    Only sections whose grid max is within relative 1e-9 of the level's top
-    are confirmed through ``metric_norm_at``; the first largest confirmed
-    value wins.  The two paths differ by float rounding alone (under 3e-13
-    relative on the default data), so 1e-9 keeps every possible winner.
+    estimate of the level maximum.  Within a level the first section with
+    the largest grid maximum wins.
     """
     points = rectangle.grid_points()
     frontier: list[tuple[tuple[Direction, ...], FieldSection]] = [
@@ -260,15 +258,10 @@ def covariant_level_sups(
     ]
     levels: list[LevelSup] = []
     for m in range(m_max + 1):
-        grid_sups = [_section_sup(section, points) for _, section in frontier]
-        top = max(value for value, _ in grid_sups)
-        confirmed = [
-            (metric_norm_at(section, point), dirs, section)
-            for (dirs, section), (value, point) in zip(frontier, grid_sups)
-            if value >= top * (1 - 1e-9)
-        ]
-        best_sup, best_dirs, best_section = max(confirmed, key=lambda item: item[0])
-        levels.append(LevelSup(m, best_sup, best_dirs, exhaustive=len(frontier) == 2**m))
+        sups = [_section_sup(section, points) for _, section in frontier]
+        best = max(range(len(frontier)), key=sups.__getitem__)
+        best_dirs, best_section = frontier[best]
+        levels.append(LevelSup(m, sups[best], best_dirs, exhaustive=len(frontier) == 2**m))
         if m == m_max:
             break
         parents = frontier if m < full_cap else [(best_dirs, best_section)]

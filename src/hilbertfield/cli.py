@@ -98,6 +98,9 @@ class RunConfig:
             problems.append("formats must be a nonempty subset of {json, csv}")
         if not self.eval_points:
             problems.append("eval_points must not be empty")
+        labels = [_format_point(pt) for pt in self.eval_points]
+        if len(set(labels)) < len(labels):
+            problems.append(f"eval_points must have distinct labels, got {', '.join(labels)}")
         return problems
 
     @classmethod
@@ -294,9 +297,11 @@ def cmd_curvature(cfg: RunConfig) -> int:
     lap = laplacian(conn.potential)
     point_headers = tuple(f"abs_at_{_format_point(pt)}" for pt in cfg.eval_points)
     header = ("j", "eigenvalue", "matches_closed_form", *point_headers)
+    # a float is an exact binary rational, so each point converts without loss
+    points = [GaussianRational(Fraction(pt.real), Fraction(pt.imag)) for pt in cfg.eval_points]
     all_pass = True
     rows = []
-    eigens = []
+    spectrum = []
     for j in range(cfg.curvature_j_max + 1):
         # curvature_eigenvalue raises unless the eigenvalue is -(j+1)*laplacian(g)/2
         try:
@@ -306,15 +311,14 @@ def cmd_curvature(cfg: RunConfig) -> int:
             all_pass = False
             rows.append({**dict.fromkeys(header), "j": j, "matches_closed_form": False, "error": str(exc)})
             continue
-        eigens.append(eigen)
-        magnitudes = [abs(eigen.evaluate(pt)) for pt in cfg.eval_points]
+        values = [eigen.evaluate_exact(point) for point in points]
+        spectrum.append(values)
+        magnitudes = [abs(value.to_complex()) for value in values]
         rows.append(dict(zip(header, (j, str(eigen), True, *magnitudes))))
     growth = {}
-    for pt in cfg.eval_points:
-        # a float is an exact binary rational, so the point converts without loss
-        exact = GaussianRational(Fraction(pt.real), Fraction(pt.imag))
-        squares = [v.re**2 + v.im**2 for v in (eigen.evaluate_exact(exact) for eigen in eigens)]
-        flat = not lap.evaluate_exact(exact)
+    for i, (pt, point) in enumerate(zip(cfg.eval_points, points)):
+        squares = [values[i].re ** 2 + values[i].im ** 2 for values in spectrum]
+        flat = not lap.evaluate_exact(point)
         grows = not flat and all(a < b for a, b in zip(squares, squares[1:]))
         growth[_format_point(pt)] = grows
         all_pass = all_pass and (not any(squares) if flat else grows)

@@ -12,7 +12,6 @@ laplacian does not vanish.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -25,7 +24,6 @@ __all__ = [
     "Connection",
     "CurvatureConsistencyError",
     "metric_pair",
-    "metric_norm_at",
     "check_leibniz",
     "check_metric_compat",
 ]
@@ -60,10 +58,6 @@ class FieldSection:
     def basis(cls, j: int) -> "FieldSection":
         """The basis section phi_j."""
         return cls({j: WirtingerPolynomial.one()})
-
-    @classmethod
-    def zero(cls) -> "FieldSection":
-        return cls()
 
     @property
     def coeffs(self) -> Mapping[int, WirtingerPolynomial]:
@@ -249,20 +243,6 @@ def metric_pair(phi: FieldSection, psi: FieldSection) -> WirtingerPolynomial:
         if other is not None:
             total = total + poly * other.conjugate()
     return total
-
-
-def metric_norm_at(phi: FieldSection, s: complex) -> float:
-    """Fiber norm of phi at the point s.
-
-    The pairing of a section with itself is exactly real and nonnegative;
-    only the float conversion can perturb it, so tiny negative or imaginary
-    residues (relative 1e-9) are clamped and anything larger is an error.
-    """
-    value = metric_pair(phi, phi).evaluate(s)
-    tolerance = 1e-9 * max(1.0, abs(value))
-    if abs(value.imag) > tolerance or value.real < -tolerance:
-        raise ValueError(f"squared norm evaluated to non-real/negative value {value!r}")
-    return math.sqrt(max(value.real, 0.0))
 
 
 def check_leibniz(

@@ -4,6 +4,8 @@ The grid always contains the four corners.  Maxima over it are lower
 bounds of the true suprema: the decay report prints them next to the
 proved level bounds.  No verdict rests on a grid maximum; certificates,
 decay rows and splitting-term bounds are decided from the coefficients.
+Grid evaluation sums terms in sorted exponent order, so equal polynomials
+give bit-identical values.
 """
 
 from __future__ import annotations
@@ -70,7 +72,11 @@ class CompactRectangle:
 
 
 def evaluate_on_grid(poly: WirtingerPolynomial, points: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of ``poly`` at an array of complex points."""
+    """Vectorized evaluation of ``poly`` at an array of complex points.
+
+    Terms are summed in sorted exponent order, so equal polynomials evaluate
+    to bit-identical floats no matter how they were built.
+    """
     values = np.zeros(points.shape, dtype=np.complex128)
     if poly.is_zero:
         return values
@@ -83,7 +89,7 @@ def evaluate_on_grid(poly: WirtingerPolynomial, points: np.ndarray) -> np.ndarra
     pow_sbar = [np.ones_like(points)]
     for _ in range(max_q):
         pow_sbar.append(pow_sbar[-1] * conj)
-    for (p, q), coeff in poly.terms.items():
+    for (p, q), coeff in sorted(poly.terms.items()):
         values += coeff.to_complex() * pow_s[p] * pow_sbar[q]
     return values
 

@@ -9,9 +9,10 @@ sbar its conjugate treated as an independent symbol.  The ring is closed
 under addition, multiplication, conjugation and the two coordinate
 derivations d/ds and d/dsbar, and polynomials are kept in canonical form
 (no zero coefficients stored), so algebraic identities can be decided by
-literal equality of term maps.  Floating point enters only through
-:meth:`WirtingerPolynomial.evaluate` and the grid evaluation built on it;
-:meth:`WirtingerPolynomial.evaluate_exact` does not round.
+literal equality of term maps.  A value at a point is exact
+(:meth:`WirtingerPolynomial.evaluate_exact`) or that exact value rounded
+once to a float (:meth:`WirtingerPolynomial.evaluate`); the only other
+float path is the vectorized grid evaluation in :mod:`hilbertfield.grid`.
 """
 
 from __future__ import annotations
@@ -292,15 +293,7 @@ class WirtingerPolynomial:
     def __sub__(self, other):
         if not isinstance(other, WirtingerPolynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = out.get(key)
-            acc = -coeff if acc is None else acc - coeff
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-        return _raw(out)
+        return self + (-other)
 
     def __neg__(self):
         return _raw({key: -coeff for key, coeff in self._terms.items()})
@@ -361,17 +354,12 @@ class WirtingerPolynomial:
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, s: complex) -> complex:
-        """Numeric value at the point s, with sbar = conj(s).
+        """Value at the point s, with sbar = conj(s): the exact value rounded once.
 
-        Terms are summed in a fixed exponent order, so equal polynomials
-        evaluate to bit-identical floats no matter how they were built.
+        A float is an exact binary rational, so the point converts without loss.
         """
         s = complex(s)
-        sbar = s.conjugate()
-        total = 0j
-        for (p, q), coeff in sorted(self._terms.items()):
-            total += coeff.to_complex() * s**p * sbar**q
-        return total
+        return self.evaluate_exact(GaussianRational(Fraction(s.real), Fraction(s.imag))).to_complex()
 
     def evaluate_exact(self, s: GaussianRational) -> GaussianRational:
         """Exact value at a Gaussian-rational point s, with sbar = conj(s)."""

@@ -300,6 +300,8 @@ class TestRunConfig:
             ({"eval_points": [[float("nan"), 0]]}, "eval_points"),
             ({"eval_points": [[0, float("inf")]]}, "eval_points"),
             ({"eval_points": [[10**400, 0]]}, "eval_points"),
+            ({"eval_points": [[0.1234567, 0], [0.1234568, 0]]}, "eval_points"),
+            ({"eval_points": [[1, 0], [1, 0]]}, "eval_points"),
         ],
     )
     def test_silently_accepted_config_is_rejected(self, tmp_path, capsys, overrides, key):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hilbertfield import CompactRectangle, evaluate_on_grid, ONE, S, SBAR
+from hilbertfield import CompactRectangle, WirtingerPolynomial, evaluate_on_grid, ONE, S, SBAR
 
 SQUARE = CompactRectangle(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1), 17)
 
@@ -79,6 +79,17 @@ def test_vectorized_matches_scalar():
     vals = evaluate_on_grid(poly, pts)
     for idx in (0, 57, len(pts) - 1):
         assert vals[idx] == pytest.approx(poly.evaluate(complex(pts[idx])))
+
+
+def test_equal_polynomials_give_identical_values():
+    # the same terms inserted in opposite orders: float sums in insertion
+    # order differ at 55 of these 81 points
+    terms = [((0, 0), Fraction(1, 3)), ((1, 0), Fraction(-2, 7)), ((0, 1), Fraction(5, 11)),
+             ((1, 1), Fraction(1, 13)), ((2, 0), Fraction(-3, 5))]
+    forward, backward = WirtingerPolynomial(dict(terms)), WirtingerPolynomial(dict(reversed(terms)))
+    pts = SQUARE.with_grid_n(9).grid_points()
+    assert forward == backward
+    assert np.array_equal(evaluate_on_grid(forward, pts), evaluate_on_grid(backward, pts))
 
 
 def test_json_round_trip():
