@@ -41,6 +41,7 @@ from .splittings import (
     splitting_term,
     splitting_expansion,
     verify_expansion_identity,
+    identity_witness,
     check_splitting_recursion,
     direction_sequences,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "splitting_term",
     "splitting_expansion",
     "verify_expansion_identity",
+    "identity_witness",
     "check_splitting_recursion",
     "direction_sequences",
     "AnalyticityCertificate",

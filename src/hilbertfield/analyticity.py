@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .field import Connection, FieldSection
-from .grid import CompactRectangle, evaluate_on_grid
+from .grid import CompactRectangle, PowerTables, evaluate_on_grid
 from .splittings import Splitting, splitting_term
 from .symbolic import Direction, WirtingerPolynomial, json_int
 
@@ -228,11 +228,12 @@ class LevelSup:
     exhaustive: bool
 
 
-def _section_sup(section: FieldSection, points: np.ndarray) -> float:
+def _section_sup(section: FieldSection, tables: PowerTables) -> float:
     """Vectorized grid max of the fiber norm."""
+    points = tables.points
     squares = np.zeros(points.shape, dtype=float)
     for index in section.support:
-        squares += np.abs(evaluate_on_grid(section.coefficient(index), points)) ** 2
+        squares += np.abs(evaluate_on_grid(section.coefficient(index), points, tables)) ** 2
     return math.sqrt(squares.max())
 
 
@@ -252,13 +253,13 @@ def covariant_level_sups(
     estimate of the level maximum.  Within a level the first section with
     the largest grid maximum wins.
     """
-    points = rectangle.grid_points()
+    tables = PowerTables(rectangle.grid_points())
     frontier: list[tuple[tuple[Direction, ...], FieldSection]] = [
         ((), f * FieldSection.basis(j))
     ]
     levels: list[LevelSup] = []
     for m in range(m_max + 1):
-        sups = [_section_sup(section, points) for _, section in frontier]
+        sups = [_section_sup(section, tables) for _, section in frontier]
         best = max(range(len(frontier)), key=sups.__getitem__)
         best_dirs, best_section = frontier[best]
         levels.append(LevelSup(m, sups[best], best_dirs, exhaustive=len(frontier) == 2**m))

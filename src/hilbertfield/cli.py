@@ -34,6 +34,7 @@ from .splittings import (
     count_splittings,
     direction_sequences,
     enumerate_splittings,
+    identity_witness,
     type1_bijection,
     type2_correspondence,
     verify_expansion_identity,
@@ -193,16 +194,19 @@ def cmd_verify_identity(cfg: RunConfig) -> int:
                         m, dirs, cfg.connection, j, f, corrupt=cfg.corrupt_expansion
                     )
                     all_pass = all_pass and ok
-                    cells.append(
-                        {
-                            "m": m,
-                            "dirs": _format_dirs(dirs),
-                            "j": j,
-                            "f": str(f),
-                            "f_index": f_index,
-                            "ok": ok,
-                        }
-                    )
+                    cell = {
+                        "m": m,
+                        "dirs": _format_dirs(dirs),
+                        "j": j,
+                        "f": str(f),
+                        "f_index": f_index,
+                        "ok": ok,
+                    }
+                    if not ok:
+                        cell["witness"] = identity_witness(
+                            m, dirs, cfg.connection, j, f, corrupt=cfg.corrupt_expansion
+                        )
+                    cells.append(cell)
     report = {
         "check": "expansion-identity",
         "connection": cfg.connection.to_json(),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .symbolic import WirtingerPolynomial
 
-__all__ = ["CompactRectangle", "evaluate_on_grid"]
+__all__ = ["CompactRectangle", "PowerTables", "evaluate_on_grid"]
 
 
 @dataclass(frozen=True)
@@ -71,25 +71,47 @@ class CompactRectangle:
         return cls(**data)
 
 
-def evaluate_on_grid(poly: WirtingerPolynomial, points: np.ndarray) -> np.ndarray:
+class _Powers:
+    """Powers base^0, base^1, ... of an array, extended by repeated multiplication on demand."""
+
+    def __init__(self, base: np.ndarray):
+        self._base = base
+        self._table = [np.ones_like(base)]
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        table = self._table
+        while len(table) <= n:
+            table.append(table[-1] * self._base)
+        return table[n]
+
+
+class PowerTables:
+    """Powers of an array of grid points (``s``) and of their conjugates (``sbar``).
+
+    Built on demand, so one instance serves every polynomial evaluated on
+    the same points.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self.s = _Powers(points)
+        self.sbar = _Powers(np.conj(points))
+
+
+def evaluate_on_grid(
+    poly: WirtingerPolynomial, points: np.ndarray, tables: PowerTables | None = None
+) -> np.ndarray:
     """Vectorized evaluation of ``poly`` at an array of complex points.
 
     Terms are summed in sorted exponent order, so equal polynomials evaluate
-    to bit-identical floats no matter how they were built.
+    to bit-identical floats no matter how they were built.  ``tables``, the
+    power tables of the same ``points``, lets many calls share the powers.
     """
+    if tables is None:
+        tables = PowerTables(points)
+    elif tables.points is not points:
+        raise ValueError("power tables were built for other points")
     values = np.zeros(points.shape, dtype=np.complex128)
-    if poly.is_zero:
-        return values
-    conj = np.conj(points)
-    max_p = max(p for p, _ in poly.terms)
-    max_q = max(q for _, q in poly.terms)
-    pow_s = [np.ones_like(points)]
-    for _ in range(max_p):
-        pow_s.append(pow_s[-1] * points)
-    pow_sbar = [np.ones_like(points)]
-    for _ in range(max_q):
-        pow_sbar.append(pow_sbar[-1] * conj)
     for (p, q), coeff in sorted(poly.terms.items()):
-        values += coeff.to_complex() * pow_s[p] * pow_sbar[q]
+        values += coeff.to_complex() * tables.s[p] * tables.sbar[q]
     return values
-

@@ -24,6 +24,13 @@ contain m+1 ("type 2", a k-to-1 cover of the splittings of {1, ..., m}
 obtained by dropping m+1).  Both correspondences are verified here by
 explicit construction, and the enumerator is cross-checked against a
 brute-force generator that filters raw assignments by the invariants.
+
+The expansion sums walk the same growth tree depth first and cut every
+branch in which a factor vanishes.  Whether eta_I x vanishes is read off
+the support of x alone, so the expansion route never consults the direct
+route (``Connection.iterated``); on the default model only about 6 % of
+the level-6 terms are nonzero.  Leaves whose terms are equal for a
+structural reason (the same factors up to order) share one product.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .field import Connection, FieldSection
 from .symbolic import Direction, WirtingerPolynomial, json_int
@@ -51,6 +58,7 @@ __all__ = [
     "splitting_term",
     "splitting_expansion",
     "verify_expansion_identity",
+    "identity_witness",
     "check_splitting_recursion",
 ]
 
@@ -130,22 +138,47 @@ class Splitting:
 
 @lru_cache(maxsize=None)
 def all_splittings(m: int) -> tuple[Splitting, ...]:
-    """Every splitting of {1, ..., m}, built by the two growth moves.
-
-    From each splitting of {1, ..., m-1}: insert m into each block in turn
-    (the images with m inside a block), and adjoin a fresh empty leading
-    block with marker m (the image with m as leading marker).
-    """
+    """Every splitting of {1, ..., m}, in the order of the growth tree's leaves."""
     if m < 0:
         raise ValueError("ground-set size must be nonnegative")
-    if m == 0:
-        return (Splitting(0, ((),), ()),)
-    out: list[Splitting] = []
-    for spl in all_splittings(m - 1):
-        for position in range(spl.num_blocks):
-            out.append(_insert_top_element(spl, position))
-        out.append(_adjoin_leading_marker(spl))
-    return tuple(out)
+    return tuple(Splitting(m, blocks, markers) for blocks, markers in _grow(m))
+
+
+def _grow(
+    m: int, keep: Callable[[int, tuple[int, ...]], bool] | None = None
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """Depth-first walk of the growth tree, yielding raw (blocks, markers) leaves.
+
+    A node at depth t is a splitting of {1, ..., t}.  Its children insert t+1
+    into each block in turn (the type-2 moves), then adjoin a fresh empty
+    leading block with marker t+1 (the type-1 move); the root is the
+    splitting of the empty set.  The leaves of depth m are every splitting
+    of {1, ..., m}, each once.
+
+    ``keep(base, block)`` is asked about each factor a move creates or
+    grows, with ``base`` the block's marker, or 0 for the last block (the
+    root asks about (0, ())).  A false answer cuts the move and its whole
+    subtree, which is sound when it means "this factor vanishes": blocks
+    only grow, so a vanishing factor vanishes in every descendant.
+    """
+    if keep is not None and not keep(0, ()):
+        return
+    # explicit stack, children pushed in reverse so that they pop in order
+    stack = [(1, ((),), ())]
+    while stack:
+        top, blocks, markers = stack.pop()
+        if top > m:
+            yield blocks, markers
+            continue
+        children = []
+        last = len(markers)
+        for position, block in enumerate(blocks):
+            grown = block + (top,)
+            if keep is None or keep(markers[position] if position < last else 0, grown):
+                children.append((top + 1, blocks[:position] + (grown,) + blocks[position + 1 :], markers))
+        if keep is None or keep(top, ()):
+            children.append((top + 1, ((),) + blocks, (top,) + markers))
+        stack.extend(reversed(children))
 
 
 def _insert_top_element(spl: Splitting, position: int) -> Splitting:
@@ -293,8 +326,80 @@ def _apply_indexed_derivatives(
     return poly
 
 
+def _support_test(
+    dirs: Sequence[Direction],
+    multipliers: Sequence[WirtingerPolynomial],
+    f: WirtingerPolynomial,
+) -> Callable[[int, tuple[int, ...]], bool]:
+    """The walk's ``keep``: whether eta_I of a base can be nonzero, read off supports.
+
+    With nd D and nb DBAR directions in I, eta_I maps s^p sbar^q to a
+    nonzero multiple of s^(p-nd) sbar^(q-nb) when p >= nd and q >= nb and
+    to zero otherwise, and distinct monomials to distinct ones; so eta_I x
+    vanishes exactly when no term of x has p >= nd and q >= nb.  (Separate
+    maxima of p and q cannot decide it: d dbar (s^2 + sbar^2) = 0.)
+    """
+    supports = [tuple(f.terms)] + [tuple(a.terms) for a in multipliers]
+    is_d = [d is Direction.D for d in dirs]
+    verdicts: dict = {}
+
+    def keep(base: int, block: tuple[int, ...]) -> bool:
+        key = (base, block)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            nd, nb = _direction_counts(block, is_d)
+            verdict = verdicts[key] = any(p >= nd and q >= nb for p, q in supports[base])
+        return verdict
+
+    return keep
+
+
+def _direction_counts(block: tuple[int, ...], is_d: Sequence[bool]) -> tuple[int, int]:
+    """Numbers of D and of DBAR directions among the indices in ``block``."""
+    nd = sum(is_d[index - 1] for index in block)
+    return nd, len(block) - nd
+
+
+def _sum_terms(
+    leaves: Iterable[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]],
+    dirs: Sequence[Direction],
+    multipliers: Sequence[WirtingerPolynomial],
+    f: WirtingerPolynomial,
+    cache: dict,
+) -> WirtingerPolynomial:
+    """Sum of the leaves' terms, each distinct term computed once times its multiplicity.
+
+    A term depends on its splitting only through the multiset of its
+    factors' signatures (base kind, D count, DBAR count): eta_I depends on I
+    only through its direction counts, because the derivations commute, and
+    a_i only through the direction of eta_i.  The base kind is 0 for f, 1
+    for a DBAR multiplier and 2 for a D multiplier.
+    """
+    is_d = [d is Direction.D for d in dirs]
+    factor_signatures: dict = {}
+    groups: dict = {}
+    for blocks, markers in leaves:
+        signature = []
+        for key in zip(markers + (0,), blocks):
+            factor = factor_signatures.get(key)
+            if factor is None:
+                base, block = key
+                factor = factor_signatures[key] = (
+                    1 + is_d[base - 1] if base else 0, *_direction_counts(block, is_d)
+                )
+            signature.append(factor)
+        signature.sort()
+        group = groups.setdefault(tuple(signature), [0, blocks, markers])
+        group[0] += 1
+    total = WirtingerPolynomial.zero()
+    for count, blocks, markers in groups.values():
+        total = total + count * _term_for(blocks, markers, dirs, multipliers, f, cache)
+    return total
+
+
 def _term_for(
-    spl: Splitting,
+    blocks: tuple[tuple[int, ...], ...],
+    markers: tuple[int, ...],
     dirs: Sequence[Direction],
     multipliers: Sequence[WirtingerPolynomial],
     f: WirtingerPolynomial,
@@ -306,19 +411,14 @@ def _term_for(
     keys are (base, block) where base is a marker index or 0 for f.
     """
     term = None
-    for block, marker in zip(spl.blocks, spl.markers):
-        key = (marker, block)
+    for block, base in zip(blocks, markers + (0,)):
+        key = (base, block)
         factor = cache.get(key)
         if factor is None:
-            factor = _apply_indexed_derivatives(multipliers[marker - 1], block, dirs)
+            factor = _apply_indexed_derivatives(multipliers[base - 1] if base else f, block, dirs)
             cache[key] = factor
         term = factor if term is None else term * factor
-    last_key = (0, spl.blocks[-1])
-    factor = cache.get(last_key)
-    if factor is None:
-        factor = _apply_indexed_derivatives(f, spl.blocks[-1], dirs)
-        cache[last_key] = factor
-    return factor if term is None else term * factor
+    return term
 
 
 def splitting_term(
@@ -332,7 +432,7 @@ def splitting_term(
     if len(dirs) != spl.m:
         raise ValueError(f"direction sequence has length {len(dirs)}, splitting needs {spl.m}")
     multipliers = [conn.coefficient(j, d) for d in dirs]
-    return _term_for(spl, dirs, multipliers, f, {})
+    return _term_for(spl.blocks, spl.markers, dirs, multipliers, f, {})
 
 
 def splitting_expansion(
@@ -344,17 +444,31 @@ def splitting_expansion(
 ) -> WirtingerPolynomial:
     """Closed-form scalar coefficient of the m-fold covariant derivative of f*phi_j.
 
-    Sums the splitting terms over every splitting of {1, ..., m} of every
-    block count.
+    Sums the splitting terms over the splittings of {1, ..., m} of every
+    block count, walking the growth tree and cutting every branch in which
+    a factor vanishes (read off the supports of f and the multipliers).
+    Only zero terms are skipped, and equal terms are computed once: the
+    result equals the sum over ``all_splittings(m)``.
     """
     if len(dirs) != m:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
     multipliers = [conn.coefficient(j, d) for d in dirs]
-    cache: dict = {}
-    total = WirtingerPolynomial.zero()
-    for spl in all_splittings(m):
-        total = total + _term_for(spl, dirs, multipliers, f, cache)
-    return total
+    leaves = _grow(m, _support_test(dirs, multipliers, f))
+    return _sum_terms(leaves, dirs, multipliers, f, {})
+
+
+def _identity_sides(
+    m: int,
+    dirs: Sequence[Direction],
+    conn: Connection,
+    j: int,
+    f: WirtingerPolynomial,
+    corrupt: bool,
+) -> tuple[FieldSection, FieldSection]:
+    # (direct route, expansion route), the expansion negated when corrupt
+    direct = conn.iterated(f * FieldSection.basis(j), dirs)
+    expanded = splitting_expansion(m, dirs, conn, j, f)
+    return direct, (-expanded if corrupt else expanded) * FieldSection.basis(j)
 
 
 def verify_expansion_identity(
@@ -371,9 +485,38 @@ def verify_expansion_identity(
     ``corrupt=True`` is the negative control: the expansion is negated
     before the comparison, so a working check must report a failure.
     """
-    direct = conn.iterated(f * FieldSection.basis(j), dirs)
-    expanded = splitting_expansion(m, dirs, conn, j, f)
-    return direct == (-expanded if corrupt else expanded) * FieldSection.basis(j)
+    direct, expanded = _identity_sides(m, dirs, conn, j, f, corrupt)
+    return direct == expanded
+
+
+def identity_witness(
+    m: int,
+    dirs: Sequence[Direction],
+    conn: Connection,
+    j: int,
+    f: WirtingerPolynomial,
+    *,
+    corrupt: bool = False,
+) -> dict | None:
+    """First coefficient where the two sides of the expansion identity differ.
+
+    None when they agree.  Otherwise the basis index, the exponent pair
+    (p, q) and both coefficients as exact strings, scanning basis indices
+    and then exponent pairs in increasing order.
+    """
+    direct, expanded = _identity_sides(m, dirs, conn, j, f, corrupt)
+    for index in sorted(set(direct.support) | set(expanded.support)):
+        left, right = direct.coefficient(index), expanded.coefficient(index)
+        for p, q in sorted(set(left.terms) | set(right.terms)):
+            if left.coefficient(p, q) != right.coefficient(p, q):
+                return {
+                    "basis_index": index,
+                    "p": p,
+                    "q": q,
+                    "direct": str(left.coefficient(p, q)),
+                    "expansion": str(right.coefficient(p, q)),
+                }
+    return None
 
 
 def check_splitting_recursion(
@@ -389,24 +532,25 @@ def check_splitting_recursion(
 
     With dirs of length m+1: the type-1 part of the level-(m+1) sum equals
     the new multiplier times the level-m sum, and the type-2 part equals
-    the new derivative of the level-m sum.  The full level-(m+1) sum is not
-    compared with their total: both would sum the same terms of
-    ``all_splittings(m + 1)``, so that comparison could never fail.
+    the new derivative of the level-m sum.  Both parts come from one pruned
+    walk of the level-(m+1) tree: a leaf is type 1 when its last move
+    adjoined m+1 as the leading marker.  The full level-(m+1) sum is not
+    compared with their total: both would sum the same leaves, so that
+    comparison could never fail.
     ``corrupt=True`` is the negative control: the level-m sum is negated,
     so a working check must fail.
     """
     if len(dirs) != m + 1:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m + 1}")
     multipliers = [conn.coefficient(j, d) for d in dirs]
+    type1_leaves, type2_leaves = [], []
+    for blocks, markers in _grow(m + 1, _support_test(dirs, multipliers, f)):
+        # type 1 exactly when the leaf's last move adjoined m+1 as the leading marker
+        leaves = type1_leaves if markers and markers[0] == m + 1 else type2_leaves
+        leaves.append((blocks, markers))
     cache: dict = {}
-    type1_sum = WirtingerPolynomial.zero()
-    type2_sum = WirtingerPolynomial.zero()
-    for spl in all_splittings(m + 1):
-        term = _term_for(spl, dirs, multipliers, f, cache)
-        if classify(spl) is SplittingKind.TYPE1:
-            type1_sum = type1_sum + term
-        else:
-            type2_sum = type2_sum + term
+    type1_sum = _sum_terms(type1_leaves, dirs, multipliers, f, cache)
+    type2_sum = _sum_terms(type2_leaves, dirs, multipliers, f, cache)
     level_m = splitting_expansion(m, dirs[:m], conn, j, f)
     if corrupt:
         level_m = -level_m

@@ -12,6 +12,8 @@ import hilbertfield.cli
 from hilbertfield import (
     AnalyticityCertificate,
     Connection,
+    Direction,
+    FieldSection,
     audit_certificate,
     ONE,
     S,
@@ -59,6 +61,27 @@ class TestVerifyIdentity:
         assert code == 1
         report = json.loads((out / "verify_identity.json").read_text())
         assert report["all_pass"] is False
+
+    def test_failed_cells_carry_witnesses(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json", m_identity=2)
+        out = tmp_path / "out"
+        assert main(["verify-identity", "--config", str(config), "--out", str(out), "--corrupt-expansion"]) == 1
+        report = json.loads((out / "verify_identity.json").read_text())
+        conn = Connection.from_potential(S * SBAR)
+        functions = (ONE, S)
+        failed = [cell for cell in report["cells"] if not cell["ok"]]
+        assert failed
+        for cell in report["cells"]:
+            if cell["ok"]:
+                assert "witness" not in cell
+                continue
+            witness = cell["witness"]
+            dirs = tuple(Direction(name) for name in cell["dirs"].split() if name != "-")
+            section = conn.iterated(functions[cell["f_index"]] * FieldSection.basis(cell["j"]), dirs)
+            coeff = section.coefficient(witness["basis_index"]).coefficient(witness["p"], witness["q"])
+            # the corrupted expansion is the negated one
+            assert (witness["direct"], witness["expansion"]) == (str(coeff), str(-coeff))
+            assert coeff
 
     def test_hook_state_is_restored_after_corrupt_run(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", m_identity=1)

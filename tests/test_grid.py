@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hilbertfield import CompactRectangle, WirtingerPolynomial, evaluate_on_grid, ONE, S, SBAR
+from hilbertfield.grid import PowerTables
 
 SQUARE = CompactRectangle(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1), 17)
 
@@ -90,6 +91,39 @@ def test_equal_polynomials_give_identical_values():
     pts = SQUARE.with_grid_n(9).grid_points()
     assert forward == backward
     assert np.array_equal(evaluate_on_grid(forward, pts), evaluate_on_grid(backward, pts))
+
+
+def per_call_evaluation(poly, points):
+    """Grid evaluation building its own power tables, one multiply per exponent step."""
+    values = np.zeros(points.shape, dtype=np.complex128)
+    if poly.is_zero:
+        return values
+    pow_s = [np.ones_like(points)]
+    for _ in range(max(p for p, _ in poly.terms)):
+        pow_s.append(pow_s[-1] * points)
+    pow_sbar = [np.ones_like(points)]
+    for _ in range(max(q for _, q in poly.terms)):
+        pow_sbar.append(pow_sbar[-1] * np.conj(points))
+    for (p, q), coeff in sorted(poly.terms.items()):
+        values += coeff.to_complex() * pow_s[p] * pow_sbar[q]
+    return values
+
+
+def test_shared_tables_are_bit_identical_to_per_call_tables():
+    # rising and falling degrees, so the shared tables are extended between calls
+    third = WirtingerPolynomial({(0, 0): Fraction(1, 3), (2, 1): Fraction(-5, 7)})
+    polys = [S, third, (S + 2 * SBAR) ** 5, ONE, SBAR**7 * S, WirtingerPolynomial(), (ONE + S * SBAR) ** 4]
+    pts = CompactRectangle(Fraction(-3, 2), Fraction(1, 3), Fraction(-1, 5), Fraction(2), 13).grid_points()
+    tables = PowerTables(pts)
+    for poly in polys:
+        assert np.array_equal(evaluate_on_grid(poly, pts, tables), per_call_evaluation(poly, pts))
+        assert np.array_equal(evaluate_on_grid(poly, pts), per_call_evaluation(poly, pts))
+
+
+def test_tables_of_other_points_rejected():
+    tables = PowerTables(SQUARE.grid_points())
+    with pytest.raises(ValueError):
+        evaluate_on_grid(S, SQUARE.grid_points(), tables)
 
 
 def test_json_round_trip():

@@ -18,6 +18,7 @@ from hilbertfield import (
     brute_force_splittings,
     check_splitting_recursion,
     classify,
+    identity_witness,
     count_splittings,
     direction_sequences,
     enumerate_splittings,
@@ -29,8 +30,11 @@ from hilbertfield import (
     ONE,
     S,
     SBAR,
+    ZERO,
 )
 from hilbertfield import splittings as splittings_mod
+
+from conftest import polynomials
 
 D, DBAR = Direction.D, Direction.DBAR
 CONN = Connection(k=SBAR)
@@ -334,6 +338,83 @@ class TestExpansionIdentity:
         assert verify_expansion_identity(m, dirs, Connection(k=k), j, f)
 
 
+def growth_reference(m: int) -> list[tuple]:
+    """Level-by-level growth: from each splitting of m-1 in order, insert m into
+    each block in turn, then adjoin m as the leading marker."""
+    if m == 0:
+        return [(((),), ())]
+    out = []
+    for blocks, markers in growth_reference(m - 1):
+        for position in range(len(blocks)):
+            out.append((blocks[:position] + (blocks[position] + (m,),) + blocks[position + 1 :], markers))
+        out.append((((),) + blocks, (m,) + markers))
+    return out
+
+
+def unpruned_expansion(m, dirs, conn, j, f):
+    total = ZERO
+    for spl in all_splittings(m):
+        total = total + splitting_term(spl, dirs, conn, j, f)
+    return total
+
+
+def walk_leaves(m, dirs, conn, j, f) -> list[Splitting]:
+    multipliers = [conn.coefficient(j, d) for d in dirs]
+    keep = splittings_mod._support_test(dirs, multipliers, f)
+    return [Splitting(m, blocks, markers) for blocks, markers in splittings_mod._grow(m, keep)]
+
+
+class TestPrunedWalk:
+    def test_unpruned_walk_reproduces_all_splittings_in_order(self):
+        for m in range(8):
+            reference = growth_reference(m)
+            assert list(splittings_mod._grow(m)) == reference, m
+            assert [(s.blocks, s.markers) for s in all_splittings(m)] == reference, m
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 5),
+        st.integers(0, 3),
+        st.one_of(st.just(ZERO), polynomials),
+        st.one_of(st.just(ZERO), polynomials),
+        st.data(),
+    )
+    def test_pruned_sum_against_unpruned_oracle(self, m, j, k, f, data):
+        # complex k with multi-term supports; k = 0 (flat) and f = 0 included
+        conn = Connection(k=k)
+        dirs = tuple(data.draw(st.sampled_from([D, DBAR])) for _ in range(m))
+        assert splitting_expansion(m, dirs, conn, j, f) == unpruned_expansion(m, dirs, conn, j, f)
+        # the walk keeps exactly the splittings with a nonzero term: every cut
+        # one vanishes, and a product of nonzero polynomials is nonzero
+        kept = set(walk_leaves(m, dirs, conn, j, f))
+        for spl in all_splittings(m):
+            assert (spl in kept) == (not splitting_term(spl, dirs, conn, j, f).is_zero), spl
+        # the recursion splits the level-m leaves by type; its negative
+        # control must fail whenever their sum is nonzero
+        if m >= 1:
+            assert check_splitting_recursion(m - 1, dirs, conn, j, f)
+            if not unpruned_expansion(m, dirs, conn, j, f).is_zero:
+                assert not check_splitting_recursion(m - 1, dirs, conn, j, f, corrupt=True)
+
+    def test_support_test_cuts_what_degree_maxima_keep(self):
+        # d dbar (s^2 + sbar^2) = 0, although both separate degrees are 2
+        f = S**2 + SBAR**2
+        assert max(p for p, _ in f.terms) >= 1 and max(q for _, q in f.terms) >= 1
+        single_block = Splitting(2, ((1, 2),), ())
+        assert splitting_term(single_block, (D, DBAR), CONN, 0, f).is_zero
+        assert single_block not in walk_leaves(2, (D, DBAR), CONN, 0, f)
+        assert splitting_expansion(2, (D, DBAR), CONN, 0, f) == unpruned_expansion(2, (D, DBAR), CONN, 0, f)
+
+    def test_flat_connection_cuts_every_marker(self):
+        flat = Connection.flat()
+        for dirs in direction_sequences(4):
+            assert [spl.markers for spl in walk_leaves(4, dirs, flat, 1, S**2 * SBAR**2)] in ([()], [])
+
+    def test_zero_function_cuts_the_root(self):
+        assert walk_leaves(3, (D, D, DBAR), CONN, 0, ZERO) == []
+        assert splitting_expansion(3, (D, D, DBAR), CONN, 0, ZERO).is_zero
+
+
 class TestRecursion:
     def test_base_case(self):
         # level-1 sums: type-1 part a_1 f, type-2 part eta_1 f
@@ -365,6 +446,23 @@ class TestRecursion:
         )
         assert check_splitting_recursion(2, (D, DBAR, D), CONN, 1, S)
         assert [args[0] for args in calls] == [2]
+
+
+class TestWitness:
+    def test_passing_cell_has_no_witness(self):
+        assert identity_witness(3, (D, DBAR, D), CONN2, 2, S * SBAR) is None
+
+    def test_corrupt_cell_names_first_difference(self):
+        witness = identity_witness(2, (D, DBAR), CONN, 1, S, corrupt=True)
+        direct = CONN.iterated(S * FieldSection.basis(1), (D, DBAR)).coefficient(1)
+        p, q = min(direct.terms)
+        assert witness == {
+            "basis_index": 1,
+            "p": p,
+            "q": q,
+            "direct": str(direct.coefficient(p, q)),
+            "expansion": str(-direct.coefficient(p, q)),
+        }
 
 
 class TestNegativeControl:
