@@ -55,6 +55,7 @@ from .analyticity import (
     covariant_level_sups,
     scaled_level_bound,
     decay_row,
+    decay_witness,
     verify_term_type_bound,
 )
 
@@ -102,6 +103,7 @@ __all__ = [
     "covariant_level_sups",
     "scaled_level_bound",
     "decay_row",
+    "decay_witness",
     "verify_term_type_bound",
     "__version__",
 ]

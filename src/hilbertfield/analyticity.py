@@ -53,6 +53,7 @@ __all__ = [
     "covariant_level_sups",
     "scaled_level_bound",
     "decay_row",
+    "decay_witness",
     "verify_term_type_bound",
 ]
 
@@ -157,8 +158,12 @@ def derivative_bound(h: WirtingerPolynomial, a: int, b: int, rectangle: CompactR
     radius = _sqrt_up(
         max(rectangle.re_min**2, rectangle.re_max**2) + max(rectangle.im_min**2, rectangle.im_max**2)
     )
+    den_squared = poly.denominator**2
     return sum(
-        (_sqrt_up(c.re**2 + c.im**2) * radius ** (p + q) for (p, q), c in poly.terms.items()),
+        (
+            _sqrt_up(Fraction(re * re + im * im, den_squared)) * radius ** (p + q)
+            for (p, q), (re, im) in poly.numerators.items()
+        ),
         Fraction(0),
     )
 
@@ -285,6 +290,11 @@ def scaled_level_bound(certificate: AnalyticityCertificate, m: int) -> Fraction:
     return certificate.M * Fraction(1, 2) ** m * shrink
 
 
+def _decay_bound(certificate: AnalyticityCertificate, m: int) -> Fraction:
+    """(m+1) M (1/2)^m, the bound a decay row holds U_m to."""
+    return (m + 1) * certificate.M * Fraction(1, 2) ** m
+
+
 def decay_row(certificate: AnalyticityCertificate, m: int, sup: float) -> tuple[float, float, bool]:
     """Decay check of one level: (delta^m / m!) * sup against (m+1) M (1/2)^m.
 
@@ -293,8 +303,18 @@ def decay_row(certificate: AnalyticityCertificate, m: int, sup: float) -> tuple[
     proved U_m, and U_m must not exceed the bound.
     """
     scaled = float(certificate.delta**m / math.factorial(m)) * sup
-    bound = (m + 1) * certificate.M * Fraction(1, 2) ** m
+    bound = _decay_bound(certificate, m)
     return scaled, float(bound), Fraction(scaled) <= scaled_level_bound(certificate, m) <= bound
+
+
+def decay_witness(certificate: AnalyticityCertificate, m: int, scaled: float) -> dict:
+    """What decided a failed decay row: its level, scaled value, U_m and bound as exact strings."""
+    return {
+        "m": m,
+        "delta_scaled": scaled,
+        "U_m": str(scaled_level_bound(certificate, m)),
+        "decay_bound": str(_decay_bound(certificate, m)),
+    }
 
 
 def verify_term_type_bound(

@@ -23,6 +23,7 @@ from .analyticity import (
     audit_certificate,
     covariant_level_sups,
     decay_row,
+    decay_witness,
     estimate_certificate,
 )
 from .field import Connection, CurvatureConsistencyError
@@ -363,11 +364,13 @@ def cmd_analyticity(cfg: RunConfig) -> int:
                 conn, j, f, cfg.rectangle, cfg.m_greedy, full_cap=cfg.m_decay
             )
             decay_rows = []
-            cell_pass = audited
+            witness = None
             for level in levels:
                 scaled, bound, row_ok = decay_row(certificate, level.m, level.sup)
-                cell_pass = cell_pass and row_ok
+                if not row_ok and witness is None:
+                    witness = decay_witness(certificate, level.m, scaled)
                 decay_rows.append((level.m, level.sup, scaled, bound, row_ok))
+            cell_pass = audited and witness is None
             _write_csv(
                 cfg.out_dir / f"decay_j{j}_f{f_index}.csv",
                 ("m", "sup_norm", "delta_scaled", "decay_bound", "pass"),
@@ -386,6 +389,8 @@ def cmd_analyticity(cfg: RunConfig) -> int:
                     "all_rows_pass": cell_pass,
                 }
             )
+            if witness is not None:
+                summary[-1]["witness"] = witness
             print(
                 f"analyticity j={j} f={f}: epsilon={certificate.epsilon} "
                 f"M~{float(certificate.M):.6g} audited={audited} pass={cell_pass}"

@@ -17,7 +17,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from .symbolic import Direction, GaussianRational, WirtingerPolynomial, json_int, laplacian
+from .symbolic import ZERO, Direction, GaussianRational, WirtingerPolynomial, json_int, laplacian
 
 __all__ = [
     "FieldSection",
@@ -72,7 +72,7 @@ class FieldSection:
         return not self._coeffs
 
     def coefficient(self, index: int) -> WirtingerPolynomial:
-        return self._coeffs.get(index, WirtingerPolynomial.zero())
+        return self._coeffs.get(index, ZERO)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldSection):

@@ -112,6 +112,8 @@ def evaluate_on_grid(
     elif tables.points is not points:
         raise ValueError("power tables were built for other points")
     values = np.zeros(points.shape, dtype=np.complex128)
-    for (p, q), coeff in sorted(poly.terms.items()):
-        values += coeff.to_complex() * tables.s[p] * tables.sbar[q]
+    den = poly.denominator
+    # int true division is correctly rounded, as float(Fraction(re, den)) is
+    for (p, q), (re, im) in sorted(poly.numerators.items()):
+        values += complex(re / den, im / den) * tables.s[p] * tables.sbar[q]
     return values

@@ -339,7 +339,7 @@ def _support_test(
     vanishes exactly when no term of x has p >= nd and q >= nb.  (Separate
     maxima of p and q cannot decide it: d dbar (s^2 + sbar^2) = 0.)
     """
-    supports = [tuple(f.terms)] + [tuple(a.terms) for a in multipliers]
+    supports = [tuple(f.numerators)] + [tuple(a.numerators) for a in multipliers]
     is_d = [d is Direction.D for d in dirs]
     verdicts: dict = {}
 

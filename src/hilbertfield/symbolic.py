@@ -7,9 +7,13 @@ All scalar functions of the model live in the ring of finite sums
 with Gaussian-rational coefficients, where s is the complex coordinate and
 sbar its conjugate treated as an independent symbol.  The ring is closed
 under addition, multiplication, conjugation and the two coordinate
-derivations d/ds and d/dsbar, and polynomials are kept in canonical form
-(no zero coefficients stored), so algebraic identities can be decided by
-literal equality of term maps.  A value at a point is exact
+derivations d/ds and d/dsbar.  A :class:`WirtingerPolynomial` stores one
+positive integer denominator and, per exponent pair, the Gaussian-integer
+numerator of its coefficient; every ring operation runs on Python ints and
+reduces to canonical form once (no zero numerator stored, no factor common
+to the denominator and all numerators), so algebraic identities are decided
+by literal equality.  :class:`GaussianRational` is the public scalar type
+for single coefficients, points and values.  A value at a point is exact
 (:meth:`WirtingerPolynomial.evaluate_exact`) or that exact value rounded
 once to a float (:meth:`WirtingerPolynomial.evaluate`); the only other
 float path is the vectorized grid evaluation in :mod:`hilbertfield.grid`.
@@ -18,6 +22,7 @@ float path is the vectorized grid evaluation in :mod:`hilbertfield.grid`.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -36,8 +41,6 @@ __all__ = [
 
 RationalLike = Union[Fraction, int, str]
 
-_F0 = Fraction(0)
-
 
 def json_int(value, name: str, error: type[ValueError] = ValueError) -> int:
     """``value`` when it is a JSON integer; a float, bool or string raises ``error``."""
@@ -50,9 +53,11 @@ def json_int(value, name: str, error: type[ValueError] = ValueError) -> int:
 class GaussianRational:
     """Exact complex number re + im*i with rational components.
 
+    The public scalar type: coefficients, points and values of the model.
     Immutable; arithmetic is closed under +, -, * and division by a
-    nonzero value, and equality is decidable.  Purely real values take
-    fast paths, since those dominate the expansion sweeps.
+    nonzero value, and equality is decidable.  Polynomial arithmetic does
+    not run through this class (see :class:`WirtingerPolynomial`), so it
+    keeps no fast paths.
     """
 
     __slots__ = ("re", "im")
@@ -60,14 +65,6 @@ class GaussianRational:
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         self.re: Fraction = re if type(re) is Fraction else Fraction(re)
         self.im: Fraction = im if type(im) is Fraction else Fraction(im)
-
-    @staticmethod
-    def _make(re: Fraction, im: Fraction) -> "GaussianRational":
-        # internal fast constructor: arguments are already Fractions
-        out = object.__new__(GaussianRational)
-        out.re = re
-        out.im = im
-        return out
 
     @staticmethod
     def _coerce(value) -> "GaussianRational":
@@ -78,26 +75,18 @@ class GaussianRational:
         return NotImplemented
 
     def __add__(self, other):
-        tp = type(other)
-        if tp is GaussianRational:
-            return GaussianRational._make(self.re + other.re, self.im + other.im)
-        if tp is int or tp is Fraction:
-            return GaussianRational._make(self.re + other, self.im)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational._make(self.re + other.re, self.im + other.im)
+        return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        tp = type(other)
-        if tp is GaussianRational:
-            return GaussianRational._make(self.re - other.re, self.im - other.im)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational._make(self.re - other.re, self.im - other.im)
+        return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -106,23 +95,16 @@ class GaussianRational:
         return other - self
 
     def __neg__(self):
-        return GaussianRational._make(-self.re, -self.im)
+        return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        tp = type(other)
-        if tp is GaussianRational:
-            if not self.im and not other.im:
-                return GaussianRational._make(self.re * other.re, _F0)
-            return GaussianRational._make(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if tp is int or tp is Fraction:
-            return GaussianRational._make(self.re * other, self.im * other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self * other
+        return GaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
 
     __rmul__ = __mul__
 
@@ -133,7 +115,7 @@ class GaussianRational:
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational._make(
+        return GaussianRational(
             (self.re * other.re + self.im * other.im) / norm,
             (self.im * other.re - self.re * other.im) / norm,
         )
@@ -145,9 +127,7 @@ class GaussianRational:
         return other / self
 
     def conjugate(self) -> "GaussianRational":
-        if not self.im:
-            return self
-        return GaussianRational._make(self.re, -self.im)
+        return GaussianRational(self.re, -self.im)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -192,23 +172,35 @@ class Direction(enum.Enum):
         return self.value
 
 
-_ZERO_COEFF = GaussianRational(0)
-_ONE_COEFF = GaussianRational(1)
-
 CoeffLike = Union[GaussianRational, Fraction, int]
 
 
-class WirtingerPolynomial:
-    """Canonical term map (p, q) -> coefficient, denoting sum c s^p sbar^q.
+def _numerators(value: CoeffLike) -> tuple[int, int, int]:
+    """(re, im, den) with value = (re + im*i) / den and den the least positive denominator."""
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    re, im = value.re, value.im
+    den = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
-    Instances are immutable; all operations return new polynomials in
-    canonical form, so ``a == b`` iff the two denote the same function.
+
+class WirtingerPolynomial:
+    """Polynomial sum c_{p,q} s^p sbar^q, stored as integer numerators over one denominator.
+
+    The coefficient of s^p sbar^q is (re + im*i) / den for the pair
+    ``(re, im)`` stored under ``(p, q)``.  Canonical form: ``den`` is
+    positive, no stored pair is (0, 0), and gcd(den, every numerator) is 1,
+    so ``a == b`` iff the two denote the same function.  Every operation
+    works on Python ints and divides the common factor out once at the end.
+    Instances are immutable.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_den", "_num", "_hash")
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
-        canonical: dict[tuple[int, int], GaussianRational] = {}
+        coeffs: dict[tuple[int, int], GaussianRational] = {}
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         for key, coeff in items:
             p, q = key
@@ -216,13 +208,12 @@ class WirtingerPolynomial:
                 raise ValueError(f"exponent pair must be nonnegative integers, got {key!r}")
             if not isinstance(coeff, GaussianRational):
                 coeff = GaussianRational(coeff)
-            if (p, q) in canonical:
-                coeff = canonical[(p, q)] + coeff
-            if coeff:
-                canonical[(p, q)] = coeff
-            else:
-                canonical.pop((p, q), None)
-        self._terms = canonical
+            coeffs[(p, q)] = coeffs[(p, q)] + coeff if (p, q) in coeffs else coeff
+        scaled = {key: _numerators(coeff) for key, coeff in coeffs.items() if coeff}
+        # over the least common denominator of reduced fractions the gcd is already 1
+        den = math.lcm(*(d for _, _, d in scaled.values()))
+        self._den = den
+        self._num = {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in scaled.items()}
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------
@@ -233,7 +224,7 @@ class WirtingerPolynomial:
 
     @classmethod
     def one(cls) -> "WirtingerPolynomial":
-        return cls({(0, 0): _ONE_COEFF})
+        return cls({(0, 0): 1})
 
     @classmethod
     def constant(cls, value: CoeffLike) -> "WirtingerPolynomial":
@@ -250,45 +241,75 @@ class WirtingerPolynomial:
         return MappingProxyType(self._terms)
 
     @property
+    def _terms(self) -> dict[tuple[int, int], GaussianRational]:
+        # the coefficients as Gaussian rationals, built on each access
+        den = self._den
+        return {
+            key: GaussianRational(Fraction(re, den), Fraction(im, den))
+            for key, (re, im) in self._num.items()
+        }
+
+    @property
+    def denominator(self) -> int:
+        """The common positive denominator of the canonical form."""
+        return self._den
+
+    @property
+    def numerators(self) -> Mapping[tuple[int, int], tuple[int, int]]:
+        """(p, q) -> (re, im): the coefficient of s^p sbar^q is (re + im*i) / denominator."""
+        return MappingProxyType(self._num)
+
+    @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def coefficient(self, p: int, q: int) -> GaussianRational:
-        return self._terms.get((p, q), _ZERO_COEFF)
+        re, im = self._num.get((p, q), (0, 0))
+        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
 
     def total_degree(self) -> int:
         """Max p+q over stored terms; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(p + q for p, q in self._terms)
+        return max(p + q for p, q in self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WirtingerPolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, WirtingerPolynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
+        a_den, b_den = self._den, other._den
+        # scale both sides to the least common denominator
+        g = math.gcd(a_den, b_den)
+        a_scale, b_scale = b_den // g, a_den // g
+        if a_scale == 1:
+            out = dict(self._num)
+        else:
+            out = {key: (re * a_scale, im * a_scale) for key, (re, im) in self._num.items()}
+        for key, (re, im) in other._num.items():
+            if b_scale != 1:
+                re, im = re * b_scale, im * b_scale
             acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-        return _raw(out)
+            if acc is not None:
+                re, im = acc[0] + re, acc[1] + im
+                if not (re or im):
+                    del out[key]
+                    continue
+            out[key] = (re, im)
+        return _canonical(a_den * a_scale, out)
 
     def __sub__(self, other):
         if not isinstance(other, WirtingerPolynomial):
@@ -296,27 +317,34 @@ class WirtingerPolynomial:
         return self + (-other)
 
     def __neg__(self):
-        return _raw({key: -coeff for key, coeff in self._terms.items()})
+        return _raw(self._den, {key: (-re, -im) for key, (re, im) in self._num.items()})
 
     def __mul__(self, other):
         if isinstance(other, WirtingerPolynomial):
-            out: dict[tuple[int, int], GaussianRational] = {}
-            for (p1, q1), c1 in self._terms.items():
-                for (p2, q2), c2 in other._terms.items():
+            out: dict[tuple[int, int], tuple[int, int]] = {}
+            get = out.get
+            for (p1, q1), (re1, im1) in self._num.items():
+                for (p2, q2), (re2, im2) in other._num.items():
                     key = (p1 + p2, q1 + q2)
-                    acc = out.get(key)
-                    prod = c1 * c2
-                    acc = prod if acc is None else acc + prod
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-            return _raw(out)
+                    re = re1 * re2 - im1 * im2
+                    im = re1 * im2 + im1 * re2
+                    acc = get(key)
+                    if acc is not None:
+                        re += acc[0]
+                        im += acc[1]
+                    out[key] = (re, im)
+            # a product of nonzero Gaussian integers is nonzero: only sums cancel
+            out = {key: pair for key, pair in out.items() if pair[0] or pair[1]}
+            return _canonical(self._den * other._den, out)
         if isinstance(other, (int, Fraction, GaussianRational)):
-            scalar = other if isinstance(other, GaussianRational) else GaussianRational(other)
-            if not scalar:
+            s_re, s_im, s_den = _numerators(other)
+            if not (s_re or s_im):
                 return WirtingerPolynomial()
-            return _raw({key: coeff * scalar for key, coeff in self._terms.items()})
+            out = {
+                key: (re * s_re - im * s_im, re * s_im + im * s_re)
+                for key, (re, im) in self._num.items()
+            }
+            return _canonical(self._den * s_den, out)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -333,23 +361,18 @@ class WirtingerPolynomial:
 
     def conjugate(self) -> "WirtingerPolynomial":
         """Pointwise complex conjugate: swaps exponents, conjugates coefficients."""
-        return _raw({(q, p): coeff.conjugate() for (p, q), coeff in self._terms.items()})
+        return _raw(self._den, {(q, p): (re, -im) for (p, q), (re, im) in self._num.items()})
 
     def is_real_valued(self) -> bool:
         return self.conjugate() == self
 
     def derivative(self, d: Direction) -> "WirtingerPolynomial":
         """Coordinate Wirtinger derivative along ``d``."""
-        out: dict[tuple[int, int], GaussianRational] = {}
         if d is Direction.D:
-            for (p, q), coeff in self._terms.items():
-                if p > 0:
-                    out[(p - 1, q)] = coeff * p
+            out = {(p - 1, q): (re * p, im * p) for (p, q), (re, im) in self._num.items() if p}
         else:
-            for (p, q), coeff in self._terms.items():
-                if q > 0:
-                    out[(p, q - 1)] = coeff * q
-        return _raw(out)
+            out = {(p, q - 1): (re * q, im * q) for (p, q), (re, im) in self._num.items() if q}
+        return _canonical(self._den, out)
 
     # -- evaluation ----------------------------------------------------
 
@@ -362,18 +385,39 @@ class WirtingerPolynomial:
         return self.evaluate_exact(GaussianRational(Fraction(s.real), Fraction(s.imag))).to_complex()
 
     def evaluate_exact(self, s: GaussianRational) -> GaussianRational:
-        """Exact value at a Gaussian-rational point s, with sbar = conj(s)."""
-        sbar = s.conjugate()
-        terms = (math.prod([s] * p + [sbar] * q, start=c) for (p, q), c in self._terms.items())
-        return sum(terms, _ZERO_COEFF)
+        """Exact value at a Gaussian-rational point s, with sbar = conj(s).
+
+        With s = z / t for a Gaussian integer z and a positive integer t,
+        every term is brought over the denominator den * t^degree.
+        """
+        z_re, z_im, t = _numerators(s)
+        degree = max(self.total_degree(), 0)
+        powers = [(1, 0)]  # z^0, z^1, ... as Gaussian-integer pairs
+        t_powers = [1]
+        for _ in range(degree):
+            a, b = powers[-1]
+            powers.append((a * z_re - b * z_im, a * z_im + b * z_re))
+            t_powers.append(t_powers[-1] * t)
+        total_re = total_im = 0
+        for (p, q), (re, im) in self._num.items():
+            a, b = powers[p]
+            c, e = powers[q]
+            # z^p * conj(z)^q = (a + bi)(c - ei)
+            x_re, x_im = a * c + b * e, b * c - a * e
+            scale = t_powers[degree - p - q]
+            total_re += (re * x_re - im * x_im) * scale
+            total_im += (re * x_im + im * x_re) * scale
+        den = self._den * t_powers[degree]
+        return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
 
     # -- serialization ---------------------------------------------------
 
     def to_json_terms(self) -> list[list]:
         """Records [p, q, re, im] with exact fraction strings, sorted by exponent."""
+        den = self._den
         return [
-            [p, q, str(coeff.re), str(coeff.im)]
-            for (p, q), coeff in sorted(self._terms.items())
+            [p, q, str(Fraction(re, den)), str(Fraction(im, den))]
+            for (p, q), (re, im) in sorted(self._num.items())
         ]
 
     @classmethod
@@ -388,7 +432,7 @@ class WirtingerPolynomial:
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
         for (p, q), coeff in sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0])):
@@ -400,9 +444,9 @@ class WirtingerPolynomial:
             mono = "*".join(factors)
             if not mono:
                 parts.append(str(coeff))
-            elif coeff == _ONE_COEFF:
+            elif coeff == 1:
                 parts.append(mono)
-            elif coeff == GaussianRational(-1):
+            elif coeff == -1:
                 parts.append(f"-{mono}")
             else:
                 text = str(coeff)
@@ -415,12 +459,23 @@ class WirtingerPolynomial:
         return f"WirtingerPolynomial({self._terms!r})"
 
 
-def _raw(terms: dict[tuple[int, int], GaussianRational]) -> WirtingerPolynomial:
-    # internal fast path: terms already canonical (no zeros, valid exponents)
+def _raw(den: int, num: dict[tuple[int, int], tuple[int, int]]) -> WirtingerPolynomial:
+    # internal constructor: (den, num) already canonical
     poly = WirtingerPolynomial.__new__(WirtingerPolynomial)
-    poly._terms = terms
+    poly._den = den
+    poly._num = num
     poly._hash = None
     return poly
+
+
+def _canonical(den: int, num: dict[tuple[int, int], tuple[int, int]]) -> WirtingerPolynomial:
+    # num holds no (0, 0) pair; divide out gcd(den, every numerator)
+    if den != 1:
+        g = math.gcd(den, *itertools.chain.from_iterable(num.values()))
+        if g != 1:
+            den //= g
+            num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+    return _raw(den, num)
 
 
 def laplacian(g: WirtingerPolynomial) -> WirtingerPolynomial:

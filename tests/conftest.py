@@ -36,3 +36,22 @@ directions = st.sampled_from([Direction.D, Direction.DBAR])
 sections = st.dictionaries(st.integers(0, 6), polynomials, max_size=3).map(FieldSection)
 
 connections = polynomials.map(lambda k: Connection(k=k))
+
+# rational inputs as a caller writes them: ints, Fractions and unreduced strings such as "2/4"
+small_ints = st.integers(-12, 12)
+raw_rationals = st.one_of(
+    small_ints,
+    st.builds(Fraction, small_ints, st.integers(1, 12)),
+    st.builds("{}/{}".format, small_ints, st.integers(1, 12)),
+)
+# (exponent pair, re, im or None for a real coefficient); repeated pairs add up
+raw_records = st.lists(
+    st.tuples(exponent_pairs, raw_rationals, st.one_of(st.none(), raw_rationals)), max_size=5
+)
+gaussian_points = st.builds(GaussianRational, raw_rationals, raw_rationals)
+
+
+def from_records(records) -> WirtingerPolynomial:
+    return WirtingerPolynomial(
+        [(key, re if im is None else GaussianRational(re, im)) for key, re, im in records]
+    )

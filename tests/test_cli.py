@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,36 @@ class TestAnalyticity:
         assert [cell["all_rows_pass"] for cell in summary["cells"]] == [False]
         assert json.loads((out / "certificate_j0_f0.json").read_text())["audited"] is False
         assert (out / "decay_j0_f0.csv").exists()
+
+    def test_failed_decay_row_leaves_a_witness(self, tmp_path, monkeypatch):
+        # U_m is pushed past (m+1) M (1/2)^m at m = 2 of the cell j = 1, f = s only
+        original = hilbertfield.analyticity.scaled_level_bound
+        target = (S, 2 * SBAR)  # (f, multiplier along d/ds) of that cell, k = sbar
+
+        def patched(certificate, m):
+            if certificate.h_polys[:2] == target and m == 2:
+                return 3 * certificate.M
+            return original(certificate, m)
+
+        monkeypatch.setattr(hilbertfield.analyticity, "scaled_level_bound", patched)
+        config = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["analyticity", "--config", str(config), "--out", str(out)]) == 1
+        summary = json.loads((out / "analyticity.json").read_text())
+        assert summary["all_pass"] is False
+        failed = [cell for cell in summary["cells"] if "witness" in cell]
+        assert [(cell["j"], cell["f_index"]) for cell in failed] == [(1, 1)]
+        assert [cell["all_rows_pass"] for cell in summary["cells"]] == [True, True, True, False]
+        M = Fraction(failed[0]["M"])
+        with (out / "decay_j1_f1.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["pass"] for row in rows].count("False") == 1 and rows[2]["pass"] == "False"
+        assert failed[0]["witness"] == {
+            "m": 2,
+            "delta_scaled": float(rows[2]["delta_scaled"]),
+            "U_m": str(3 * M),
+            "decay_bound": str(3 * M / 4),
+        }
 
 
 class TestAll:

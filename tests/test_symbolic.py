@@ -1,11 +1,20 @@
 """Exact arithmetic, derivatives and evaluation of Wirtinger polynomials."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from conftest import coefficients, directions, polynomials
+from conftest import (
+    coefficients,
+    directions,
+    from_records,
+    gaussian_points,
+    polynomials,
+    raw_rationals,
+    raw_records,
+)
 from hilbertfield import (
     AnalyticityCertificate,
     CompactRectangle,
@@ -26,7 +35,6 @@ I = GaussianRational(0, 1)
 
 # five fixed sample points for evaluation cross-checks
 SAMPLE_POINTS = [0.3 + 0.7j, -1.1 + 0.2j, 2.0 - 1.5j, -0.4 - 0.9j, 1.0 + 1.0j]
-
 
 class TestGaussianRational:
     def test_exact_division(self):
@@ -203,6 +211,55 @@ class TestCanonicalForm:
     @given(polynomials, polynomials)
     def test_equality_is_term_map_equality(self, a, b):
         assert (a == b) == (a.terms == b.terms)
+
+    @staticmethod
+    def assert_canonical(poly):
+        den, numerators = poly.denominator, poly.numerators
+        assert den > 0
+        assert all(pair != (0, 0) for pair in numerators.values())
+        assert math.gcd(den, *(part for pair in numerators.values() for part in pair)) == 1
+
+    @given(raw_records, raw_records, raw_rationals, gaussian_points, directions)
+    def test_every_operation_returns_canonical_form(self, a_records, b_records, r, z, d):
+        a, b = from_records(a_records), from_records(b_records)
+        results = [a, b, a + b, a - b, a * b, -a, a.conjugate(), a.derivative(d), laplacian(a)]
+        results += [6 * a, a * Fraction(r), a * z, a * 0]
+        for poly in results:
+            self.assert_canonical(poly)
+
+    @given(raw_records, raw_records, raw_records)
+    def test_equal_by_different_routes(self, a_records, b_records, c_records):
+        a, b, c = (from_records(records) for records in (a_records, b_records, c_records))
+        left, right = (a + b) * c, a * c + b * c
+        assert left == right and hash(left) == hash(right)
+        assert (a - b) + b == a and hash((a - b) + b) == hash(a)
+
+    def test_unreduced_input_is_equal(self):
+        half, unreduced = WirtingerPolynomial({(1, 0): "1/2"}), WirtingerPolynomial({(1, 0): "2/4"})
+        assert half == unreduced and hash(half) == hash(unreduced)
+        assert (half.denominator, dict(half.numerators)) == (2, {(1, 0): (1, 0)})
+        assert half * 2 == S and (half * 2).denominator == 1
+
+    @given(raw_records, raw_records)
+    def test_json_terms_match_a_fraction_reference(self, a_records, b_records):
+        # a + a*b computed term by term in Fractions, independently of the kernel
+        def reference_terms(records):
+            out = {}
+            for key, re, im in records:
+                old = out.get(key, (Fraction(0), Fraction(0)))
+                out[key] = (old[0] + Fraction(re), old[1] + Fraction(0 if im is None else im))
+            return out
+
+        ref_a, ref_b = reference_terms(a_records), reference_terms(b_records)
+        expected = dict(ref_a)
+        for (p1, q1), (re1, im1) in ref_a.items():
+            for (p2, q2), (re2, im2) in ref_b.items():
+                key = (p1 + p2, q1 + q2)
+                old = expected.get(key, (Fraction(0), Fraction(0)))
+                expected[key] = (old[0] + re1 * re2 - im1 * im2, old[1] + re1 * im2 + im1 * re2)
+        records = [[p, q, str(re), str(im)] for (p, q), (re, im) in sorted(expected.items()) if re or im]
+        a, b = from_records(a_records), from_records(b_records)
+        assert (a + a * b).to_json_terms() == records
 
 
 class TestSerialization:
