@@ -239,7 +239,10 @@ def _section_sup(section: FieldSection, tables: PowerTables) -> float:
     squares = np.zeros(points.shape, dtype=float)
     for index in section.support:
         squares += np.abs(evaluate_on_grid(section.coefficient(index), points, tables)) ** 2
-    return math.sqrt(squares.max())
+    top = squares.max()
+    if not math.isfinite(top):
+        raise OverflowError("the squared fiber norm of a section on the grid does not fit a float")
+    return math.sqrt(top)
 
 
 def covariant_level_sups(

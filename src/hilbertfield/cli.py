@@ -294,6 +294,13 @@ def cmd_splittings(cfg: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
+def _magnitude(value: GaussianRational, name: str) -> float:
+    try:
+        return abs(value.to_complex())
+    except OverflowError:
+        raise OverflowError(f"{name} does not fit a float") from None
+
+
 def cmd_curvature(cfg: RunConfig) -> int:
     """Eigenvalue spectrum of the curvature with growth flags at sample points."""
     conn = cfg.connection
@@ -318,7 +325,10 @@ def cmd_curvature(cfg: RunConfig) -> int:
             continue
         values = [eigen.evaluate_exact(point) for point in points]
         spectrum.append(values)
-        magnitudes = [abs(value.to_complex()) for value in values]
+        magnitudes = [
+            _magnitude(value, f"the eigenvalue for j={j} at {_format_point(pt)}")
+            for pt, value in zip(cfg.eval_points, values)
+        ]
         rows.append(dict(zip(header, (j, str(eigen), True, *magnitudes))))
     growth = {}
     for i, (pt, point) in enumerate(zip(cfg.eval_points, points)):
@@ -491,7 +501,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    # an OverflowError names a value, given in the config or derived from it, beyond the float range
+    except (ConfigError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

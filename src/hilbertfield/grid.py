@@ -115,5 +115,9 @@ def evaluate_on_grid(
     den = poly.denominator
     # int true division is correctly rounded, as float(Fraction(re, den)) is
     for (p, q), (re, im) in sorted(poly.numerators.items()):
-        values += complex(re / den, im / den) * tables.s[p] * tables.sbar[q]
+        try:
+            coefficient = complex(re / den, im / den)
+        except OverflowError:
+            raise OverflowError(f"the coefficient of s^{p} sbar^{q} does not fit a float") from None
+        values += coefficient * tables.s[p] * tables.sbar[q]
     return values

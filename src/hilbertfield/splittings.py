@@ -14,8 +14,8 @@ Each splitting contributes the product
     (eta_{I_1} a_{i_1}) * ... * (eta_{I_{k-1}} a_{i_{k-1}}) * eta_{I_k} f
 
 where a_i is the connection multiplier picked up along eta_i and eta_I
-applies the derivatives with indices in I (decreasing order; they commute,
-the order is fixed for determinism).  Summing over all splittings of all
+applies the derivatives with indices in I (they commute, so their order
+does not matter).  Summing over all splittings of all
 sizes reproduces the iterated covariant derivative exactly; the recursion
 that proves it splits the structures on {1, ..., m+1} into those whose
 blocks miss m+1 (so m+1 is the leading marker: "type 1", in bijection with
@@ -26,11 +26,12 @@ explicit construction, and the enumerator is cross-checked against a
 brute-force generator that filters raw assignments by the invariants.
 
 The expansion sums walk the same growth tree depth first and cut every
-branch in which a factor vanishes.  Whether eta_I x vanishes is read off
-the support of x alone, so the expansion route never consults the direct
-route (``Connection.iterated``); on the default model only about 6 % of
-the level-6 terms are nonzero.  Leaves whose terms are equal for a
-structural reason (the same factors up to order) share one product.
+branch in which a factor vanishes.  One factor table per sum holds every
+factor eta_I h: it decides the cuts, groups the leaves whose terms have
+the same factors up to order, and supplies the factors of each group's
+single product.  It only differentiates f and the multipliers, so the
+expansion route never consults the direct route (``Connection.iterated``);
+on the default model only about 6 % of the level-6 terms are nonzero.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .field import Connection, FieldSection
 from .symbolic import Direction, WirtingerPolynomial, json_int
@@ -60,6 +61,7 @@ __all__ = [
     "verify_expansion_identity",
     "identity_witness",
     "check_splitting_recursion",
+    "direction_sequences",
 ]
 
 
@@ -145,7 +147,7 @@ def all_splittings(m: int) -> tuple[Splitting, ...]:
 
 
 def _grow(
-    m: int, keep: Callable[[int, tuple[int, ...]], bool] | None = None
+    m: int, table: _FactorTable | None = None
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
     """Depth-first walk of the growth tree, yielding raw (blocks, markers) leaves.
 
@@ -155,13 +157,13 @@ def _grow(
     splitting of the empty set.  The leaves of depth m are every splitting
     of {1, ..., m}, each once.
 
-    ``keep(base, block)`` is asked about each factor a move creates or
-    grows, with ``base`` the block's marker, or 0 for the last block (the
-    root asks about (0, ())).  A false answer cuts the move and its whole
-    subtree, which is sound when it means "this factor vanishes": blocks
-    only grow, so a vanishing factor vanishes in every descendant.
+    With a factor ``table``, each factor a move creates or grows is looked
+    up under (base, block), with ``base`` the block's marker, or 0 for the
+    last block (the root looks up (0, ())).  A None entry, a vanishing
+    factor, cuts the move and its whole subtree: blocks only grow, so a
+    vanishing factor vanishes in every descendant.
     """
-    if keep is not None and not keep(0, ()):
+    if table is not None and table[0, ()] is None:
         return
     # explicit stack, children pushed in reverse so that they pop in order
     stack = [(1, ((),), ())]
@@ -174,9 +176,9 @@ def _grow(
         last = len(markers)
         for position, block in enumerate(blocks):
             grown = block + (top,)
-            if keep is None or keep(markers[position] if position < last else 0, grown):
+            if table is None or table[markers[position] if position < last else 0, grown] is not None:
                 children.append((top + 1, blocks[:position] + (grown,) + blocks[position + 1 :], markers))
-        if keep is None or keep(top, ()):
+        if table is None or table[top, ()] is not None:
             children.append((top + 1, ((),) + blocks, (top,) + markers))
         stack.extend(reversed(children))
 
@@ -316,109 +318,74 @@ def type2_correspondence(m: int, k: int) -> tuple[tuple[Splitting, tuple[Splitti
 
 # --- expansion of iterated covariant derivatives -------------------------
 
-def _apply_indexed_derivatives(
-    poly: WirtingerPolynomial, block: tuple[int, ...], dirs: Sequence[Direction]
-) -> WirtingerPolynomial:
-    # indices applied in decreasing order; coordinate derivatives commute,
-    # the order is fixed for determinism only
-    for index in reversed(block):
-        poly = poly.derivative(dirs[index - 1])
-    return poly
+class _FactorTable(dict):
+    """The factors eta_I h of one expansion, keyed by (base, block), each computed on first lookup.
 
-
-def _support_test(
-    dirs: Sequence[Direction],
-    multipliers: Sequence[WirtingerPolynomial],
-    f: WirtingerPolynomial,
-) -> Callable[[int, tuple[int, ...]], bool]:
-    """The walk's ``keep``: whether eta_I of a base can be nonzero, read off supports.
-
-    With nd D and nb DBAR directions in I, eta_I maps s^p sbar^q to a
-    nonzero multiple of s^(p-nd) sbar^(q-nb) when p >= nd and q >= nb and
-    to zero otherwise, and distinct monomials to distinct ones; so eta_I x
-    vanishes exactly when no term of x has p >= nd and q >= nb.  (Separate
-    maxima of p and q cannot decide it: d dbar (s^2 + sbar^2) = 0.)
+    ``base`` is a marker i, for h = a_i, or 0 for h = f.  An entry is
+    (signature, eta_I h), or None when eta_I h = 0.  The signature is (base
+    kind, D count, DBAR count), the kind 0 for f, 1 for a DBAR multiplier
+    and 2 for a D multiplier, and it determines the factor: the derivations
+    commute, so eta_I depends on I only through its direction counts, and
+    a_i depends only on the direction of eta_i.  Each signature's factor
+    is computed once.
     """
-    supports = [tuple(f.numerators)] + [tuple(a.numerators) for a in multipliers]
-    is_d = [d is Direction.D for d in dirs]
-    verdicts: dict = {}
 
-    def keep(base: int, block: tuple[int, ...]) -> bool:
-        key = (base, block)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            nd, nb = _direction_counts(block, is_d)
-            verdict = verdicts[key] = any(p >= nd and q >= nb for p, q in supports[base])
-        return verdict
+    def __init__(
+        self, dirs: Sequence[Direction], conn: Connection, j: int, f: WirtingerPolynomial
+    ):
+        super().__init__()
+        self.dirs = dirs
+        # is_d[i]: whether eta_i is a D direction (index 0 unused)
+        self.is_d = [False] + [d is Direction.D for d in dirs]
+        # h by base: f, then the multiplier a_i picked up along eta_i
+        self.bases = [f] + [conn.coefficient(j, d) for d in dirs]
+        self.by_signature: dict = {}
 
-    return keep
+    def __missing__(self, key: tuple[int, tuple[int, ...]]):
+        base, block = key
+        nd = sum(map(self.is_d.__getitem__, block))
+        kind = 1 + self.is_d[base] if base else 0
+        signature = (kind, nd, len(block) - nd)
+        if signature not in self.by_signature:
+            if block:
+                # one derivation more than the factor of the block without its last index
+                parent = self[base, block[:-1]]
+                factor = None if parent is None else parent[1].derivative(self.dirs[block[-1] - 1])
+            else:
+                factor = self.bases[base]
+            self.by_signature[signature] = None if factor is None or factor.is_zero else (signature, factor)
+        entry = self[key] = self.by_signature[signature]
+        return entry
 
 
-def _direction_counts(block: tuple[int, ...], is_d: Sequence[bool]) -> tuple[int, int]:
-    """Numbers of D and of DBAR directions among the indices in ``block``."""
-    nd = sum(is_d[index - 1] for index in block)
-    return nd, len(block) - nd
+def _product(entries: Sequence) -> WirtingerPolynomial:
+    """The term whose factors have these table entries; zero if one of them is None."""
+    if None in entries:
+        return WirtingerPolynomial.zero()
+    term = entries[0][1]
+    for _, factor in entries[1:]:
+        term = term * factor
+    return term
 
 
 def _sum_terms(
-    leaves: Iterable[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]],
-    dirs: Sequence[Direction],
-    multipliers: Sequence[WirtingerPolynomial],
-    f: WirtingerPolynomial,
-    cache: dict,
+    leaves: Iterable[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]], table: _FactorTable
 ) -> WirtingerPolynomial:
     """Sum of the leaves' terms, each distinct term computed once times its multiplicity.
 
     A term depends on its splitting only through the multiset of its
-    factors' signatures (base kind, D count, DBAR count): eta_I depends on I
-    only through its direction counts, because the derivations commute, and
-    a_i only through the direction of eta_i.  The base kind is 0 for f, 1
-    for a DBAR multiplier and 2 for a D multiplier.
+    factors' signatures, so leaves are grouped by that multiset and each
+    group's product is formed once, from the factors of its first leaf.
     """
-    is_d = [d is Direction.D for d in dirs]
-    factor_signatures: dict = {}
     groups: dict = {}
     for blocks, markers in leaves:
-        signature = []
-        for key in zip(markers + (0,), blocks):
-            factor = factor_signatures.get(key)
-            if factor is None:
-                base, block = key
-                factor = factor_signatures[key] = (
-                    1 + is_d[base - 1] if base else 0, *_direction_counts(block, is_d)
-                )
-            signature.append(factor)
-        signature.sort()
-        group = groups.setdefault(tuple(signature), [0, blocks, markers])
+        entries = [table[key] for key in zip(markers + (0,), blocks)]
+        group = groups.setdefault(tuple(sorted([entry[0] for entry in entries])), [0, entries])
         group[0] += 1
     total = WirtingerPolynomial.zero()
-    for count, blocks, markers in groups.values():
-        total = total + count * _term_for(blocks, markers, dirs, multipliers, f, cache)
+    for count, entries in groups.values():
+        total = total + count * _product(entries)
     return total
-
-
-def _term_for(
-    blocks: tuple[tuple[int, ...], ...],
-    markers: tuple[int, ...],
-    dirs: Sequence[Direction],
-    multipliers: Sequence[WirtingerPolynomial],
-    f: WirtingerPolynomial,
-    cache: dict,
-) -> WirtingerPolynomial:
-    """Product contributed by one splitting; factor results are memoized per sweep.
-
-    ``multipliers[i-1]`` is the connection multiplier a_i for eta_i; cache
-    keys are (base, block) where base is a marker index or 0 for f.
-    """
-    term = None
-    for block, base in zip(blocks, markers + (0,)):
-        key = (base, block)
-        factor = cache.get(key)
-        if factor is None:
-            factor = _apply_indexed_derivatives(multipliers[base - 1] if base else f, block, dirs)
-            cache[key] = factor
-        term = factor if term is None else term * factor
-    return term
 
 
 def splitting_term(
@@ -431,8 +398,8 @@ def splitting_term(
     """The scalar product contributed by one splitting to the expansion."""
     if len(dirs) != spl.m:
         raise ValueError(f"direction sequence has length {len(dirs)}, splitting needs {spl.m}")
-    multipliers = [conn.coefficient(j, d) for d in dirs]
-    return _term_for(spl.blocks, spl.markers, dirs, multipliers, f, {})
+    table = _FactorTable(dirs, conn, j, f)
+    return _product([table[key] for key in zip(spl.markers + (0,), spl.blocks)])
 
 
 def splitting_expansion(
@@ -446,15 +413,14 @@ def splitting_expansion(
 
     Sums the splitting terms over the splittings of {1, ..., m} of every
     block count, walking the growth tree and cutting every branch in which
-    a factor vanishes (read off the supports of f and the multipliers).
+    a factor vanishes (a None entry of the sum's factor table).
     Only zero terms are skipped, and equal terms are computed once: the
     result equals the sum over ``all_splittings(m)``.
     """
     if len(dirs) != m:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
-    multipliers = [conn.coefficient(j, d) for d in dirs]
-    leaves = _grow(m, _support_test(dirs, multipliers, f))
-    return _sum_terms(leaves, dirs, multipliers, f, {})
+    table = _FactorTable(dirs, conn, j, f)
+    return _sum_terms(_grow(m, table), table)
 
 
 def _identity_sides(
@@ -542,19 +508,18 @@ def check_splitting_recursion(
     """
     if len(dirs) != m + 1:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m + 1}")
-    multipliers = [conn.coefficient(j, d) for d in dirs]
+    table = _FactorTable(dirs, conn, j, f)
     type1_leaves, type2_leaves = [], []
-    for blocks, markers in _grow(m + 1, _support_test(dirs, multipliers, f)):
+    for blocks, markers in _grow(m + 1, table):
         # type 1 exactly when the leaf's last move adjoined m+1 as the leading marker
         leaves = type1_leaves if markers and markers[0] == m + 1 else type2_leaves
         leaves.append((blocks, markers))
-    cache: dict = {}
-    type1_sum = _sum_terms(type1_leaves, dirs, multipliers, f, cache)
-    type2_sum = _sum_terms(type2_leaves, dirs, multipliers, f, cache)
+    type1_sum = _sum_terms(type1_leaves, table)
+    type2_sum = _sum_terms(type2_leaves, table)
     level_m = splitting_expansion(m, dirs[:m], conn, j, f)
     if corrupt:
         level_m = -level_m
-    return type1_sum == multipliers[m] * level_m and type2_sum == level_m.derivative(dirs[m])
+    return type1_sum == table.bases[m + 1] * level_m and type2_sum == level_m.derivative(dirs[m])
 
 
 def direction_sequences(m: int) -> Iterable[tuple[Direction, ...]]:

@@ -365,6 +365,34 @@ class TestRunConfig:
         assert not (tmp_path / "out").exists()
 
 
+class TestFloatOverflow:
+    @pytest.mark.parametrize(
+        "command, config, value",
+        [
+            (
+                "analyticity",
+                {"functions": [[[0, 0, "1" + "0" * 200, "0"]]], "indices": [0]},
+                "the squared fiber norm of a section on the grid",
+            ),
+            (
+                "analyticity",
+                {"functions": [[[0, 0, str(10**400), "0"]]], "indices": [0]},
+                "the coefficient of s^0 sbar^0",
+            ),
+            (
+                "curvature",
+                {"connection": {"g": [[1, 1, str(10**400), "0"]]}},
+                "the eigenvalue for j=0 at 0+0i",
+            ),
+        ],
+    )
+    def test_value_beyond_float_range_is_config_error(self, tmp_path, capsys, command, config, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {value} does not fit a float" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:

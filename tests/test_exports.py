@@ -1,0 +1,22 @@
+"""The package's public names and the modules that define them."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import hilbertfield
+
+
+def test_every_package_export_is_listed_by_its_module():
+    tree = ast.parse(Path(hilbertfield.__file__).read_text())
+    defining_module = {
+        alias.asname or alias.name: node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    for name in hilbertfield.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"hilbertfield.{defining_module[name]}")
+        assert name in module.__all__, f"{name} is missing from {module.__name__}.__all__"

@@ -359,9 +359,8 @@ def unpruned_expansion(m, dirs, conn, j, f):
 
 
 def walk_leaves(m, dirs, conn, j, f) -> list[Splitting]:
-    multipliers = [conn.coefficient(j, d) for d in dirs]
-    keep = splittings_mod._support_test(dirs, multipliers, f)
-    return [Splitting(m, blocks, markers) for blocks, markers in splittings_mod._grow(m, keep)]
+    table = splittings_mod._FactorTable(dirs, conn, j, f)
+    return [Splitting(m, blocks, markers) for blocks, markers in splittings_mod._grow(m, table)]
 
 
 class TestPrunedWalk:
@@ -396,7 +395,7 @@ class TestPrunedWalk:
             if not unpruned_expansion(m, dirs, conn, j, f).is_zero:
                 assert not check_splitting_recursion(m - 1, dirs, conn, j, f, corrupt=True)
 
-    def test_support_test_cuts_what_degree_maxima_keep(self):
+    def test_cuts_d_dbar_of_s_squared_plus_sbar_squared(self):
         # d dbar (s^2 + sbar^2) = 0, although both separate degrees are 2
         f = S**2 + SBAR**2
         assert max(p for p, _ in f.terms) >= 1 and max(q for _, q in f.terms) >= 1
@@ -413,6 +412,43 @@ class TestPrunedWalk:
     def test_zero_function_cuts_the_root(self):
         assert walk_leaves(3, (D, D, DBAR), CONN, 0, ZERO) == []
         assert splitting_expansion(3, (D, D, DBAR), CONN, 0, ZERO).is_zero
+
+
+class TestFactorTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 5),
+        st.integers(0, 3),
+        st.one_of(st.just(ZERO), polynomials),
+        st.one_of(st.just(ZERO), polynomials),
+        st.data(),
+    )
+    def test_entries_against_indexed_derivatives(self, m, j, k, f, data):
+        # the table derives each factor from its signature alone; the reference
+        # applies eta_i for every i in the block, in decreasing and in increasing order
+        conn = Connection(k=k)
+        dirs = tuple(data.draw(st.sampled_from([D, DBAR])) for _ in range(m))
+        table = splittings_mod._FactorTable(dirs, conn, j, f)
+        # the factors of the nodes at every depth of the unpruned walk
+        reached = {
+            key
+            for depth in range(m + 1)
+            for spl in all_splittings(depth)
+            for key in zip(spl.markers + (0,), spl.blocks)
+        }
+        for base, block in sorted(reached):
+            h = conn.coefficient(j, dirs[base - 1]) if base else f
+            decreasing = increasing = h
+            for index in reversed(block):
+                decreasing = decreasing.derivative(dirs[index - 1])
+            for index in block:
+                increasing = increasing.derivative(dirs[index - 1])
+            assert decreasing == increasing
+            entry = table[base, block]
+            if decreasing.is_zero:
+                assert entry is None, (base, block)
+            else:
+                assert entry is not None and entry[1] == decreasing, (base, block)
 
 
 class TestRecursion:
