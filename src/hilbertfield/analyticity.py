@@ -266,19 +266,21 @@ def covariant_level_sups(
         ((), f * FieldSection.basis(j))
     ]
     levels: list[LevelSup] = []
-    for m in range(m_max + 1):
-        sups = [_section_sup(section, tables) for _, section in frontier]
-        best = max(range(len(frontier)), key=sups.__getitem__)
-        best_dirs, best_section = frontier[best]
-        levels.append(LevelSup(m, sups[best], best_dirs, exhaustive=len(frontier) == 2**m))
-        if m == m_max:
-            break
-        parents = frontier if m < full_cap else [(best_dirs, best_section)]
-        frontier = [
-            (dirs + (d,), conn.covariant_derivative(section, d))
-            for dirs, section in parents
-            for d in (Direction.D, Direction.DBAR)
-        ]
+    # a squared norm beyond the float range becomes inf, which _section_sup reports
+    with np.errstate(over="ignore"):
+        for m in range(m_max + 1):
+            sups = [_section_sup(section, tables) for _, section in frontier]
+            best = max(range(len(frontier)), key=sups.__getitem__)
+            best_dirs, best_section = frontier[best]
+            levels.append(LevelSup(m, sups[best], best_dirs, exhaustive=len(frontier) == 2**m))
+            if m == m_max:
+                break
+            parents = frontier if m < full_cap else [(best_dirs, best_section)]
+            frontier = [
+                (dirs + (d,), conn.covariant_derivative(section, d))
+                for dirs, section in parents
+                for d in (Direction.D, Direction.DBAR)
+            ]
     return levels
 
 

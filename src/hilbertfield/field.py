@@ -12,7 +12,7 @@ laplacian does not vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -143,6 +143,8 @@ class Connection:
 
     k: WirtingerPolynomial
     potential: WirtingerPolynomial | None = None
+    # the multiplier of each (j, d), built on first use; not part of the value
+    _multipliers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.potential is not None:
@@ -161,11 +163,13 @@ class Connection:
 
     def coefficient(self, j: int, d: Direction) -> WirtingerPolynomial:
         """Scalar multiplier picked up by phi_j under the derivation d."""
-        if j < 0:
-            raise ValueError("basis index must be nonnegative")
-        if d is Direction.D:
-            return (j + 1) * self.k
-        return (-(j + 1)) * self.k.conjugate()
+        multiplier = self._multipliers.get((j, d))
+        if multiplier is None:
+            if j < 0:
+                raise ValueError("basis index must be nonnegative")
+            multiplier = (j + 1) * self.k if d is Direction.D else (-(j + 1)) * self.k.conjugate()
+            self._multipliers[j, d] = multiplier
+        return multiplier
 
     def covariant_derivative(self, phi: FieldSection, d: Direction) -> FieldSection:
         """Single covariant derivative: index by index, a_l -> da_l + A(d, l) a_l."""

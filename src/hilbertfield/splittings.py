@@ -25,19 +25,22 @@ obtained by dropping m+1).  Both correspondences are verified here by
 explicit construction, and the enumerator is cross-checked against a
 brute-force generator that filters raw assignments by the invariants.
 
-The expansion sums walk the same growth tree depth first and cut every
-branch in which a factor vanishes.  One factor table per sum holds every
-factor eta_I h: it decides the cuts, groups the leaves whose terms have
-the same factors up to order, and supplies the factors of each group's
-single product.  It only differentiates f and the multipliers, so the
-expansion route never consults the direct route (``Connection.iterated``);
-on the default model only about 6 % of the level-6 terms are nonzero.
+The expansion sums never visit a splitting.  A term depends only on the
+multiset of its factors' signatures (base, D count, DBAR count), and a
+growth move acts on that multiset alone, so each sum advances a dictionary
+{signature state: number of splittings} one direction at a time, dropping
+every state with a vanishing factor.  ``splittings`` sweeps every direction
+sequence up to a length for one (j, f), each level advancing its prefixes'
+states.  Only f and the multipliers are differentiated: the expansion route
+never takes the direct route (``Connection.iterated``).  ``all_splittings``,
+``brute_force_splittings`` and ``splitting_term`` remain as small-m oracles.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -58,6 +61,7 @@ __all__ = [
     "type2_correspondence",
     "splitting_term",
     "splitting_expansion",
+    "splittings",
     "verify_expansion_identity",
     "identity_witness",
     "check_splitting_recursion",
@@ -123,11 +127,7 @@ class Splitting:
         return tuple(len(block) + 1 for block in self.blocks)
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "blocks": [list(block) for block in self.blocks],
-            "markers": list(self.markers),
-        }
+        return {"m": self.m, "blocks": [list(block) for block in self.blocks], "markers": list(self.markers)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Splitting":
@@ -146,9 +146,7 @@ def all_splittings(m: int) -> tuple[Splitting, ...]:
     return tuple(Splitting(m, blocks, markers) for blocks, markers in _grow(m))
 
 
-def _grow(
-    m: int, table: _FactorTable | None = None
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+def _grow(m: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
     """Depth-first walk of the growth tree, yielding raw (blocks, markers) leaves.
 
     A node at depth t is a splitting of {1, ..., t}.  Its children insert t+1
@@ -156,15 +154,7 @@ def _grow(
     leading block with marker t+1 (the type-1 move); the root is the
     splitting of the empty set.  The leaves of depth m are every splitting
     of {1, ..., m}, each once.
-
-    With a factor ``table``, each factor a move creates or grows is looked
-    up under (base, block), with ``base`` the block's marker, or 0 for the
-    last block (the root looks up (0, ())).  A None entry, a vanishing
-    factor, cuts the move and its whole subtree: blocks only grow, so a
-    vanishing factor vanishes in every descendant.
     """
-    if table is not None and table[0, ()] is None:
-        return
     # explicit stack, children pushed in reverse so that they pop in order
     stack = [(1, ((),), ())]
     while stack:
@@ -172,25 +162,12 @@ def _grow(
         if top > m:
             yield blocks, markers
             continue
-        children = []
-        last = len(markers)
-        for position, block in enumerate(blocks):
-            grown = block + (top,)
-            if table is None or table[markers[position] if position < last else 0, grown] is not None:
-                children.append((top + 1, blocks[:position] + (grown,) + blocks[position + 1 :], markers))
-        if table is None or table[top, ()] is not None:
-            children.append((top + 1, ((),) + blocks, (top,) + markers))
+        children = [
+            (top + 1, blocks[:position] + (block + (top,),) + blocks[position + 1 :], markers)
+            for position, block in enumerate(blocks)
+        ]
+        children.append((top + 1, ((),) + blocks, (top,) + markers))
         stack.extend(reversed(children))
-
-
-def _insert_top_element(spl: Splitting, position: int) -> Splitting:
-    blocks = list(spl.blocks)
-    blocks[position] = blocks[position] + (spl.m + 1,)
-    return Splitting(spl.m + 1, tuple(blocks), spl.markers)
-
-
-def _adjoin_leading_marker(spl: Splitting) -> Splitting:
-    return Splitting(spl.m + 1, ((),) + spl.blocks, (spl.m + 1,) + spl.markers)
 
 
 def enumerate_splittings(m: int, k: int) -> tuple[Splitting, ...]:
@@ -275,7 +252,7 @@ def type1_bijection(m: int, k: int) -> tuple[tuple[Splitting, Splitting], ...]:
             raise CorrespondenceError(f"image {image} reached twice; map is not injective")
         if image not in targets:
             raise CorrespondenceError(f"image {image} is not a valid splitting of {m}")
-        if _adjoin_leading_marker(image) != source:
+        if Splitting(m + 1, ((),) + image.blocks, (m + 1,) + image.markers) != source:
             raise CorrespondenceError(f"round trip failed for {source}")
         images.add(image)
         pairs.append((source, image))
@@ -299,7 +276,11 @@ def type2_correspondence(m: int, k: int) -> tuple[tuple[Splitting, tuple[Splitti
     mapping: list[tuple[Splitting, tuple[Splitting, ...]]] = []
     covered: set[Splitting] = set()
     for source in enumerate_splittings(m, k):
-        images = tuple(_insert_top_element(source, position) for position in range(k))
+        blocks = source.blocks
+        images = tuple(
+            Splitting(m + 1, blocks[:i] + (block + (m + 1,),) + blocks[i + 1 :], source.markers)
+            for i, block in enumerate(blocks)
+        )
         if len(set(images)) != k:
             raise CorrespondenceError(f"insertions into {source} collided")
         for image in images:
@@ -318,109 +299,134 @@ def type2_correspondence(m: int, k: int) -> tuple[tuple[Splitting, tuple[Splitti
 
 # --- expansion of iterated covariant derivatives -------------------------
 
-class _FactorTable(dict):
-    """The factors eta_I h of one expansion, keyed by (base, block), each computed on first lookup.
 
-    ``base`` is a marker i, for h = a_i, or 0 for h = f.  An entry is
-    (signature, eta_I h), or None when eta_I h = 0.  The signature is (base
-    kind, D count, DBAR count), the kind 0 for f, 1 for a DBAR multiplier
-    and 2 for a D multiplier, and it determines the factor: the derivations
-    commute, so eta_I depends on I only through its direction counts, and
-    a_i depends only on the direction of eta_i.  Each signature's factor
-    is computed once.
+class _Terms(dict):
+    """The term of each signature state for one (j, f), computed on first lookup; None if zero.
+
+    A factor eta_I h has the signature (kind, nd, nb): the kind of h (0 for
+    f, 1 for a multiplier along DBAR, 2 along D) and the D and DBAR counts
+    of I, which fix eta_I, as the derivations commute.  A state is the
+    sorted tuple of a term's factor signatures.  A one-signature state's
+    term is one derivation of a factor with one count lower; a longer
+    state's is its prefix's term times its last factor.
     """
 
-    def __init__(
-        self, dirs: Sequence[Direction], conn: Connection, j: int, f: WirtingerPolynomial
-    ):
+    def __init__(self, conn: Connection, j: int, f: WirtingerPolynomial):
         super().__init__()
-        self.dirs = dirs
-        # is_d[i]: whether eta_i is a D direction (index 0 unused)
-        self.is_d = [False] + [d is Direction.D for d in dirs]
-        # h by base: f, then the multiplier a_i picked up along eta_i
-        self.bases = [f] + [conn.coefficient(j, d) for d in dirs]
-        self.by_signature: dict = {}
+        self.bases = (f, conn.coefficient(j, Direction.DBAR), conn.coefficient(j, Direction.D))
 
-    def __missing__(self, key: tuple[int, tuple[int, ...]]):
-        base, block = key
-        nd = sum(map(self.is_d.__getitem__, block))
-        kind = 1 + self.is_d[base] if base else 0
-        signature = (kind, nd, len(block) - nd)
-        if signature not in self.by_signature:
-            if block:
-                # one derivation more than the factor of the block without its last index
-                parent = self[base, block[:-1]]
-                factor = None if parent is None else parent[1].derivative(self.dirs[block[-1] - 1])
+    def __missing__(self, state: tuple[tuple[int, int, int], ...]):
+        if len(state) > 1:
+            prefix, last = self[state[:-1]], self[state[-1:]]
+            term = prefix and last and prefix * last
+        else:
+            (kind, nd, nb), = state
+            if nd or nb:
+                parent = self[((kind, nd - 1, nb) if nd else (kind, nd, nb - 1),)]
+                term = parent and parent.derivative(Direction.D if nd else Direction.DBAR)
             else:
-                factor = self.bases[base]
-            self.by_signature[signature] = None if factor is None or factor.is_zero else (signature, factor)
-        entry = self[key] = self.by_signature[signature]
-        return entry
+                term = self.bases[kind]
+        self[state] = term = term or None
+        return term
 
 
-def _product(entries: Sequence) -> WirtingerPolynomial:
-    """The term whose factors have these table entries; zero if one of them is None."""
-    if None in entries:
-        return WirtingerPolynomial.zero()
-    term = entries[0][1]
-    for _, factor in entries[1:]:
-        term = term * factor
-    return term
+def _step(states: dict, d: Direction, terms, type1: dict, type2: dict) -> None:
+    """Add to type1 and type2 the states of the splittings one direction d further.
 
-
-def _sum_terms(
-    leaves: Iterable[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]], table: _FactorTable
-) -> WirtingerPolynomial:
-    """Sum of the leaves' terms, each distinct term computed once times its multiplicity.
-
-    A term depends on its splitting only through the multiset of its
-    factors' signatures, so leaves are grouped by that multiset and each
-    group's product is formed once, from the factors of its first leaf.
+    A splitting's type-1 child adjoins the new element as the leading
+    marker, a factor (kind of d, 0, 0); its type-2 children insert it into
+    each block in turn, bumping that factor's count of d, once per factor
+    that carries the signature.  A child with a vanishing factor is
+    dropped: blocks only grow, so it vanishes in every descendant.
     """
-    groups: dict = {}
-    for blocks, markers in leaves:
-        entries = [table[key] for key in zip(markers + (0,), blocks)]
-        group = groups.setdefault(tuple(sorted([entry[0] for entry in entries])), [0, entries])
-        group[0] += 1
+    marker = (2 if d is Direction.D else 1, 0, 0)
+    for state, count in states.items():
+        if terms[(marker,)] is not None:
+            child = tuple(sorted(state + (marker,)))
+            type1[child] = type1.get(child, 0) + count
+        for signature, multiplicity in Counter(state).items():
+            kind, nd, nb = signature
+            bumped = (kind, nd + 1, nb) if d is Direction.D else (kind, nd, nb + 1)
+            if terms[(bumped,)] is not None:
+                i = state.index(signature)
+                child = tuple(sorted(state[:i] + (bumped,) + state[i + 1 :]))
+                type2[child] = type2.get(child, 0) + count * multiplicity
+
+
+def _advance(states: dict, d: Direction, terms) -> dict:
+    children: dict = {}
+    _step(states, d, terms, children, children)
+    return children
+
+
+def _fold(dirs: Sequence[Direction], terms: _Terms) -> dict:
+    """The states, with counts, of the splittings of {1, ..., len(dirs)} whose term is nonzero."""
+    # the root, the splitting of the empty set, has the one factor f
+    states = {} if terms[((0, 0, 0),)] is None else {((0, 0, 0),): 1}
+    for d in dirs:
+        states = _advance(states, d, terms)
+    return states
+
+
+def _sum_states(states: dict, terms: _Terms) -> WirtingerPolynomial:
     total = WirtingerPolynomial.zero()
-    for count, entries in groups.values():
-        total = total + count * _product(entries)
+    for state, count in states.items():
+        total = total + (terms[state] if count == 1 else count * terms[state])
     return total
 
 
 def splitting_term(
-    spl: Splitting,
-    dirs: Sequence[Direction],
-    conn: Connection,
-    j: int,
-    f: WirtingerPolynomial,
+    spl: Splitting, dirs: Sequence[Direction], conn: Connection, j: int, f: WirtingerPolynomial
 ) -> WirtingerPolynomial:
-    """The scalar product contributed by one splitting to the expansion."""
+    """The scalar product contributed by one splitting to the expansion, factor by factor."""
     if len(dirs) != spl.m:
         raise ValueError(f"direction sequence has length {len(dirs)}, splitting needs {spl.m}")
-    table = _FactorTable(dirs, conn, j, f)
-    return _product([table[key] for key in zip(spl.markers + (0,), spl.blocks)])
+    term = WirtingerPolynomial.one()
+    for base, block in zip(spl.markers + (0,), spl.blocks):
+        factor = conn.coefficient(j, dirs[base - 1]) if base else f
+        for index in block:
+            factor = factor.derivative(dirs[index - 1])
+        term = term * factor
+    return term
 
 
 def splitting_expansion(
-    m: int,
-    dirs: Sequence[Direction],
-    conn: Connection,
-    j: int,
-    f: WirtingerPolynomial,
+    m: int, dirs: Sequence[Direction], conn: Connection, j: int, f: WirtingerPolynomial
 ) -> WirtingerPolynomial:
     """Closed-form scalar coefficient of the m-fold covariant derivative of f*phi_j.
 
-    Sums the splitting terms over the splittings of {1, ..., m} of every
-    block count, walking the growth tree and cutting every branch in which
-    a factor vanishes (a None entry of the sum's factor table).
-    Only zero terms are skipped, and equal terms are computed once: the
-    result equals the sum over ``all_splittings(m)``.
+    Folds the signature states along ``dirs`` and sums each state's term
+    times its count.  Only zero terms are dropped: the result equals the
+    sum of ``splitting_term`` over ``all_splittings(m)``.
     """
     if len(dirs) != m:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
-    table = _FactorTable(dirs, conn, j, f)
-    return _sum_terms(_grow(m, table), table)
+    terms = _Terms(conn, j, f)
+    return _sum_states(_fold(dirs, terms), terms)
+
+
+def splittings(
+    m_max: int, conn: Connection, j: int, f: WirtingerPolynomial
+) -> list[dict[tuple[Direction, ...], WirtingerPolynomial]]:
+    """Every level's expansions up to m_max: entry m maps each dirs of length m to its sum.
+
+    The sums equal ``splitting_expansion(m, dirs, conn, j, f)``, with the
+    sequences in ``direction_sequences`` order.  Each level advances the
+    states of its sequences' prefixes by one direction, and each factor
+    and each state's term is computed once for the whole sweep.
+    """
+    terms = _Terms(conn, j, f)
+    frontier = {(): _fold((), terms)}
+    levels = []
+    for m in range(m_max + 1):
+        levels.append({dirs: _sum_states(states, terms) for dirs, states in frontier.items()})
+        if m < m_max:
+            frontier = {
+                dirs + (d,): _advance(states, d, terms)
+                for dirs, states in frontier.items()
+                for d in (Direction.D, Direction.DBAR)
+            }
+    return levels
 
 
 def _identity_sides(
@@ -474,14 +480,9 @@ def identity_witness(
     for index in sorted(set(direct.support) | set(expanded.support)):
         left, right = direct.coefficient(index), expanded.coefficient(index)
         for p, q in sorted(set(left.terms) | set(right.terms)):
-            if left.coefficient(p, q) != right.coefficient(p, q):
-                return {
-                    "basis_index": index,
-                    "p": p,
-                    "q": q,
-                    "direct": str(left.coefficient(p, q)),
-                    "expansion": str(right.coefficient(p, q)),
-                }
+            a, b = left.coefficient(p, q), right.coefficient(p, q)
+            if a != b:
+                return {"basis_index": index, "p": p, "q": q, "direct": str(a), "expansion": str(b)}
     return None
 
 
@@ -498,28 +499,24 @@ def check_splitting_recursion(
 
     With dirs of length m+1: the type-1 part of the level-(m+1) sum equals
     the new multiplier times the level-m sum, and the type-2 part equals
-    the new derivative of the level-m sum.  Both parts come from one pruned
-    walk of the level-(m+1) tree: a leaf is type 1 when its last move
-    adjoined m+1 as the leading marker.  The full level-(m+1) sum is not
-    compared with their total: both would sum the same leaves, so that
+    the new derivative of the level-m sum.  Both parts come from the last
+    step of one fold of the signature states.  The full level-(m+1) sum is
+    not compared with their total: both would sum the same states, so that
     comparison could never fail.
     ``corrupt=True`` is the negative control: the level-m sum is negated,
     so a working check must fail.
     """
     if len(dirs) != m + 1:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m + 1}")
-    table = _FactorTable(dirs, conn, j, f)
-    type1_leaves, type2_leaves = [], []
-    for blocks, markers in _grow(m + 1, table):
-        # type 1 exactly when the leaf's last move adjoined m+1 as the leading marker
-        leaves = type1_leaves if markers and markers[0] == m + 1 else type2_leaves
-        leaves.append((blocks, markers))
-    type1_sum = _sum_terms(type1_leaves, table)
-    type2_sum = _sum_terms(type2_leaves, table)
-    level_m = splitting_expansion(m, dirs[:m], conn, j, f)
+    terms = _Terms(conn, j, f)
+    states = _fold(dirs[:m], terms)
+    type1, type2 = {}, {}
+    _step(states, dirs[m], terms, type1, type2)
+    level_m = _sum_states(states, terms)
     if corrupt:
         level_m = -level_m
-    return type1_sum == table.bases[m + 1] * level_m and type2_sum == level_m.derivative(dirs[m])
+    type1_ok = _sum_states(type1, terms) == conn.coefficient(j, dirs[m]) * level_m
+    return type1_ok and _sum_states(type2, terms) == level_m.derivative(dirs[m])
 
 
 def direction_sequences(m: int) -> Iterable[tuple[Direction, ...]]:

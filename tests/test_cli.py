@@ -386,11 +386,23 @@ class TestFloatOverflow:
             ),
         ],
     )
-    def test_value_beyond_float_range_is_config_error(self, tmp_path, capsys, command, config, value):
+    def test_value_beyond_float_range_is_config_error(
+        self, tmp_path, capsys, recwarn, command, config, value
+    ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {value} does not fit a float" in capsys.readouterr().err
+        # the overflow is reported once, as the config error, and not also by numpy
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_stopped_run_leaves_no_certificate(self, tmp_path):
+        # the cell stops in its level suprema, after its certificate was estimated and audited
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"functions": [[[0, 0, "1" + "0" * 200, "0"]]], "indices": [0]}))
+        out = tmp_path / "out"
+        assert main(["analyticity", "--config", str(path), "--out", str(out)]) == 2
+        assert not list(out.glob("certificate_*.json"))
 
 
 class TestUsageErrors:

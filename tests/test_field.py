@@ -61,6 +61,22 @@ class TestConnection:
             for d in (D, DBAR):
                 assert FLAT.coefficient(j, d).is_zero
 
+    def test_each_multiplier_built_once(self):
+        conn = Connection(k=S * SBAR + SBAR)
+        for j in (0, 3):
+            for d in (D, DBAR):
+                assert conn.coefficient(j, d) is conn.coefficient(j, d)
+        assert conn.coefficient(3, DBAR) == -4 * (S * SBAR + S)
+        with pytest.raises(ValueError):
+            conn.coefficient(-1, D)
+
+    def test_multiplier_cache_is_not_part_of_the_value(self):
+        used, fresh = Connection(k=SBAR), Connection(k=SBAR)
+        used.coefficient(2, DBAR)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert used != Connection(k=S)
+
     def test_potential_must_be_real(self):
         with pytest.raises(ValueError):
             Connection(k=ONE, potential=S)  # s is not real-valued

@@ -1,6 +1,7 @@
 """Splitting enumeration, the two correspondences, and the expansion identity."""
 
 import math
+from collections import Counter, defaultdict
 
 import hypothesis.strategies as st
 import pytest
@@ -358,9 +359,21 @@ def unpruned_expansion(m, dirs, conn, j, f):
     return total
 
 
-def walk_leaves(m, dirs, conn, j, f) -> list[Splitting]:
-    table = splittings_mod._FactorTable(dirs, conn, j, f)
-    return [Splitting(m, blocks, markers) for blocks, markers in splittings_mod._grow(m, table)]
+def signature(dirs, base, block) -> tuple[int, int, int]:
+    """(kind, D count, DBAR count) of the factor eta_block h: kind 0 for h = f,
+    1 for a_base along DBAR, 2 for a_base along D."""
+    kind = 0 if base == 0 else 2 if dirs[base - 1] is D else 1
+    nd = sum(dirs[index - 1] is D for index in block)
+    return kind, nd, len(block) - nd
+
+
+def signatures(spl, dirs) -> tuple:
+    """The sorted factor signatures of one splitting's term: its state."""
+    return tuple(sorted(signature(dirs, base, block) for base, block in zip(spl.markers + (0,), spl.blocks)))
+
+
+def kept_states(dirs, conn, j, f) -> dict:
+    return splittings_mod._fold(dirs, splittings_mod._Terms(conn, j, f))
 
 
 class TestPrunedWalk:
@@ -383,17 +396,49 @@ class TestPrunedWalk:
         conn = Connection(k=k)
         dirs = tuple(data.draw(st.sampled_from([D, DBAR])) for _ in range(m))
         assert splitting_expansion(m, dirs, conn, j, f) == unpruned_expansion(m, dirs, conn, j, f)
-        # the walk keeps exactly the splittings with a nonzero term: every cut
-        # one vanishes, and a product of nonzero polynomials is nonzero
-        kept = set(walk_leaves(m, dirs, conn, j, f))
-        for spl in all_splittings(m):
-            assert (spl in kept) == (not splitting_term(spl, dirs, conn, j, f).is_zero), spl
-        # the recursion splits the level-m leaves by type; its negative
-        # control must fail whenever their sum is nonzero
+        # the kept states are exactly those of the splittings with a nonzero
+        # term: every dropped state has a vanishing factor, and a product of
+        # nonzero polynomials is nonzero
+        nonzero = {
+            signatures(spl, dirs) for spl in all_splittings(m) if not splitting_term(spl, dirs, conn, j, f).is_zero
+        }
+        assert set(kept_states(dirs, conn, j, f)) == nonzero
+        # the recursion splits the last step by type; its negative control
+        # must fail whenever the level's sum is nonzero
         if m >= 1:
             assert check_splitting_recursion(m - 1, dirs, conn, j, f)
             if not unpruned_expansion(m, dirs, conn, j, f).is_zero:
                 assert not check_splitting_recursion(m - 1, dirs, conn, j, f, corrupt=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 5),
+        st.integers(0, 3),
+        st.one_of(st.just(ZERO), polynomials),
+        st.one_of(st.just(ZERO), polynomials),
+    )
+    def test_sweep_against_unpruned_oracle(self, m_max, j, k, f):
+        # every cell of the prefix-sharing sweep, in direction_sequences order
+        conn = Connection(k=k)
+        levels = splittings_mod.splittings(m_max, conn, j, f)
+        assert len(levels) == m_max + 1
+        for m, expansions in enumerate(levels):
+            assert list(expansions) == list(direction_sequences(m))
+            for dirs, expanded in expansions.items():
+                assert expanded == splitting_expansion(m, dirs, conn, j, f), dirs
+                assert expanded == unpruned_expansion(m, dirs, conn, j, f), dirs
+
+    def test_unpruned_state_counts_are_signature_multisets(self):
+        # with a term table in which no factor vanishes, no state is dropped
+        # and a state's count is the number of splittings whose factors carry
+        # its signatures
+        never_zero = defaultdict(lambda: ONE)
+        samples = {m: list(direction_sequences(m)) for m in range(6)}
+        samples.update({m: [(D,) * m, (DBAR,) * m, (D, DBAR) * (m // 2) + (D,) * (m % 2)] for m in (6, 7)})
+        for m, sequences in samples.items():
+            for dirs in sequences:
+                expected = Counter(signatures(spl, dirs) for spl in all_splittings(m))
+                assert splittings_mod._fold(dirs, never_zero) == expected, dirs
 
     def test_cuts_d_dbar_of_s_squared_plus_sbar_squared(self):
         # d dbar (s^2 + sbar^2) = 0, although both separate degrees are 2
@@ -401,17 +446,32 @@ class TestPrunedWalk:
         assert max(p for p, _ in f.terms) >= 1 and max(q for _, q in f.terms) >= 1
         single_block = Splitting(2, ((1, 2),), ())
         assert splitting_term(single_block, (D, DBAR), CONN, 0, f).is_zero
-        assert single_block not in walk_leaves(2, (D, DBAR), CONN, 0, f)
+        assert signatures(single_block, (D, DBAR)) not in kept_states((D, DBAR), CONN, 0, f)
         assert splitting_expansion(2, (D, DBAR), CONN, 0, f) == unpruned_expansion(2, (D, DBAR), CONN, 0, f)
 
     def test_flat_connection_cuts_every_marker(self):
+        # only the single-block splitting can survive: its one factor is f's
         flat = Connection.flat()
         for dirs in direction_sequences(4):
-            assert [spl.markers for spl in walk_leaves(4, dirs, flat, 1, S**2 * SBAR**2)] in ([()], [])
+            states = kept_states(dirs, flat, 1, S**2 * SBAR**2)
+            assert states in ({}, {(signature(dirs, 0, (1, 2, 3, 4)),): 1})
 
     def test_zero_function_cuts_the_root(self):
-        assert walk_leaves(3, (D, D, DBAR), CONN, 0, ZERO) == []
+        assert kept_states((D, D, DBAR), CONN, 0, ZERO) == {}
         assert splitting_expansion(3, (D, D, DBAR), CONN, 0, ZERO).is_zero
+        assert splittings_mod.splittings(3, CONN, 0, ZERO)[3][D, D, DBAR].is_zero
+
+    def test_expansion_route_never_takes_the_direct_route(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the expansion route called the direct route")
+
+        monkeypatch.setattr(Connection, "iterated", refuse)
+        monkeypatch.setattr(Connection, "covariant_derivative", refuse)
+        dirs = (D, DBAR, D)
+        levels = splittings_mod.splittings(3, CONN2, 1, S * SBAR)
+        assert levels[3][dirs] == splitting_expansion(3, dirs, CONN2, 1, S * SBAR)
+        assert levels[3][dirs] == unpruned_expansion(3, dirs, CONN2, 1, S * SBAR)
+        assert check_splitting_recursion(2, dirs, CONN2, 1, S * SBAR)
 
 
 class TestFactorTable:
@@ -428,8 +488,8 @@ class TestFactorTable:
         # applies eta_i for every i in the block, in decreasing and in increasing order
         conn = Connection(k=k)
         dirs = tuple(data.draw(st.sampled_from([D, DBAR])) for _ in range(m))
-        table = splittings_mod._FactorTable(dirs, conn, j, f)
-        # the factors of the nodes at every depth of the unpruned walk
+        terms = splittings_mod._Terms(conn, j, f)
+        # the factors of the splittings of every prefix of dirs
         reached = {
             key
             for depth in range(m + 1)
@@ -444,11 +504,11 @@ class TestFactorTable:
             for index in block:
                 increasing = increasing.derivative(dirs[index - 1])
             assert decreasing == increasing
-            entry = table[base, block]
+            entry = terms[(signature(dirs, base, block),)]
             if decreasing.is_zero:
                 assert entry is None, (base, block)
             else:
-                assert entry is not None and entry[1] == decreasing, (base, block)
+                assert entry == decreasing, (base, block)
 
 
 class TestRecursion:
@@ -474,14 +534,13 @@ class TestRecursion:
                     assert not check_splitting_recursion(m, dirs, CONN, j, S, corrupt=True)
 
     def test_one_expansion_per_check(self, monkeypatch):
-        # only the level-m sum is expanded; the level-(m+1) terms are summed once, by type
-        calls = []
-        expand = splittings_mod.splitting_expansion
-        monkeypatch.setattr(
-            splittings_mod, "splitting_expansion", lambda *args: calls.append(args) or expand(*args)
-        )
+        # one fold of the states: m steps to level m, then one step split by
+        # type; the level-(m+1) states are summed once, by type
+        steps = []
+        step = splittings_mod._step
+        monkeypatch.setattr(splittings_mod, "_step", lambda *args: steps.append(args[1]) or step(*args))
         assert check_splitting_recursion(2, (D, DBAR, D), CONN, 1, S)
-        assert [args[0] for args in calls] == [2]
+        assert steps == [D, DBAR, D]
 
 
 class TestWitness:
