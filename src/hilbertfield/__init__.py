@@ -40,6 +40,7 @@ from .splittings import (
     type2_correspondence,
     splitting_term,
     splitting_expansion,
+    IdentitySweep,
     verify_expansion_identity,
     identity_witness,
     check_splitting_recursion,
@@ -90,6 +91,7 @@ __all__ = [
     "type2_correspondence",
     "splitting_term",
     "splitting_expansion",
+    "IdentitySweep",
     "verify_expansion_identity",
     "identity_witness",
     "check_splitting_recursion",

@@ -26,20 +26,20 @@ from .analyticity import (
     decay_witness,
     estimate_certificate,
 )
-from .field import Connection, CurvatureConsistencyError, FieldSection
+from .field import Connection, CurvatureConsistencyError
 from .grid import CompactRectangle
 from .splittings import (
     CorrespondenceError,
+    IdentitySweep,
     SplittingKind,
     classify,
     count_splittings,
     direction_sequences,
     enumerate_splittings,
     identity_witness,
-    splittings,
     type1_bijection,
     type2_correspondence,
-    verify_expansion_identity,  # noqa: F401  the per-cell check, still looked up here by perfbench
+    verify_expansion_identity,
 )
 from .symbolic import (
     Direction,
@@ -187,34 +187,31 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 def cmd_verify_identity(cfg: RunConfig) -> int:
     """Sweep the expansion identity and report every cell.
 
-    One (j, f) pair at a time: its expansions come from one ``splittings``
-    sweep, and each cell's direct side is one covariant derivative of its
-    prefix's section.  Cells are reported level by level, then by
-    direction sequence, index and function.
+    One (j, f) pair at a time, so that only one pair's prefixes are held:
+    its cells share one :class:`IdentitySweep`, which gives each failed
+    cell's witness from the same states and sections as its verdict.
+    Cells are reported level by level, then by direction sequence, index
+    and function.
     """
     conn = cfg.connection
     verdicts = {}
     for j_position, j in enumerate(cfg.indices):
-        basis = FieldSection.basis(j)
         for f_index, f in enumerate(cfg.functions):
-            direct = {(): f * basis}
-            for m, expansions in enumerate(splittings(cfg.m_identity, conn, j, f)):
-                if m:
-                    direct = {
-                        dirs: conn.covariant_derivative(direct[dirs[:-1]], dirs[-1])
-                        for dirs in expansions
-                    }
-                for dirs, expanded in expansions.items():
-                    if cfg.corrupt_expansion:
-                        expanded = -expanded
-                    verdicts[dirs, j_position, f_index] = direct[dirs] == expanded * basis
+            sweep = IdentitySweep(conn, j, f)
+            for m in range(cfg.m_identity + 1):
+                for dirs in direction_sequences(m):
+                    args = (m, dirs, conn, j, f)
+                    options = {"corrupt": cfg.corrupt_expansion, "sweep": sweep}
+                    ok = verify_expansion_identity(*args, **options)
+                    witness = None if ok else identity_witness(*args, **options)
+                    verdicts[dirs, j_position, f_index] = ok, witness
     cells = []
     all_pass = True
     for m in range(cfg.m_identity + 1):
         for dirs in direction_sequences(m):
             for j_position, j in enumerate(cfg.indices):
                 for f_index, f in enumerate(cfg.functions):
-                    ok = verdicts[dirs, j_position, f_index]
+                    ok, witness = verdicts[dirs, j_position, f_index]
                     all_pass = all_pass and ok
                     cell = {
                         "m": m,
@@ -225,9 +222,7 @@ def cmd_verify_identity(cfg: RunConfig) -> int:
                         "ok": ok,
                     }
                     if not ok:
-                        cell["witness"] = identity_witness(
-                            m, dirs, conn, j, f, corrupt=cfg.corrupt_expansion
-                        )
+                        cell["witness"] = witness
                     cells.append(cell)
     report = {
         "check": "expansion-identity",

@@ -29,10 +29,13 @@ The expansion sums never visit a splitting.  A term depends only on the
 multiset of its factors' signatures (base, D count, DBAR count), and a
 growth move acts on that multiset alone, so each sum advances a dictionary
 {signature state: number of splittings} one direction at a time, dropping
-every state with a vanishing factor.  ``splittings`` sweeps every direction
-sequence up to a length for one (j, f), each level advancing its prefixes'
-states.  Only f and the multipliers are differentiated: the expansion route
-never takes the direct route (``Connection.iterated``).  ``all_splittings``,
+every state with a vanishing factor.  A direction sequence's states are
+its prefix's advanced by one step, so ``splittings`` (the expansions of
+every sequence up to a length for one (j, f)) and ``IdentitySweep`` (both
+sides of the identity for those cells, the direct side also taken from
+its prefix's) share each prefix's work.  Only f and the multipliers are
+differentiated: the expansion route never takes the direct route
+(``Connection.covariant_derivative``).  ``all_splittings``,
 ``brute_force_splittings`` and ``splitting_term`` remain as small-m oracles.
 """
 
@@ -62,6 +65,7 @@ __all__ = [
     "splitting_term",
     "splitting_expansion",
     "splittings",
+    "IdentitySweep",
     "verify_expansion_identity",
     "identity_witness",
     "check_splitting_recursion",
@@ -127,7 +131,11 @@ class Splitting:
         return tuple(len(block) + 1 for block in self.blocks)
 
     def to_json(self) -> dict:
-        return {"m": self.m, "blocks": [list(block) for block in self.blocks], "markers": list(self.markers)}
+        return {
+            "m": self.m,
+            "blocks": [list(block) for block in self.blocks],
+            "markers": list(self.markers),
+        }
 
     @classmethod
     def from_json(cls, data: dict) -> "Splitting":
@@ -168,6 +176,16 @@ def _grow(m: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
         ]
         children.append((top + 1, ((),) + blocks, (top,) + markers))
         stack.extend(reversed(children))
+
+
+def _insert_top_element(spl: Splitting, position: int) -> Splitting:
+    blocks = list(spl.blocks)
+    blocks[position] = blocks[position] + (spl.m + 1,)
+    return Splitting(spl.m + 1, tuple(blocks), spl.markers)
+
+
+def _adjoin_leading_marker(spl: Splitting) -> Splitting:
+    return Splitting(spl.m + 1, ((),) + spl.blocks, (spl.m + 1,) + spl.markers)
 
 
 def enumerate_splittings(m: int, k: int) -> tuple[Splitting, ...]:
@@ -252,7 +270,7 @@ def type1_bijection(m: int, k: int) -> tuple[tuple[Splitting, Splitting], ...]:
             raise CorrespondenceError(f"image {image} reached twice; map is not injective")
         if image not in targets:
             raise CorrespondenceError(f"image {image} is not a valid splitting of {m}")
-        if Splitting(m + 1, ((),) + image.blocks, (m + 1,) + image.markers) != source:
+        if _adjoin_leading_marker(image) != source:
             raise CorrespondenceError(f"round trip failed for {source}")
         images.add(image)
         pairs.append((source, image))
@@ -276,11 +294,7 @@ def type2_correspondence(m: int, k: int) -> tuple[tuple[Splitting, tuple[Splitti
     mapping: list[tuple[Splitting, tuple[Splitting, ...]]] = []
     covered: set[Splitting] = set()
     for source in enumerate_splittings(m, k):
-        blocks = source.blocks
-        images = tuple(
-            Splitting(m + 1, blocks[:i] + (block + (m + 1,),) + blocks[i + 1 :], source.markers)
-            for i, block in enumerate(blocks)
-        )
+        images = tuple(_insert_top_element(source, position) for position in range(k))
         if len(set(images)) != k:
             raise CorrespondenceError(f"insertions into {source} collided")
         for image in images:
@@ -359,13 +373,23 @@ def _advance(states: dict, d: Direction, terms) -> dict:
     return children
 
 
-def _fold(dirs: Sequence[Direction], terms: _Terms) -> dict:
-    """The states, with counts, of the splittings of {1, ..., len(dirs)} whose term is nonzero."""
+class _Prefixes(dict):
+    """A value per direction sequence, one step from its prefix's value, computed on first lookup."""
+
+    def __init__(self, root, step):
+        super().__init__({(): root})
+        self.step = step
+
+    def __missing__(self, dirs: tuple[Direction, ...]):
+        self[dirs] = value = self.step(self[dirs[:-1]], dirs[-1])
+        return value
+
+
+def _kept_states(terms: _Terms) -> _Prefixes:
+    """By direction sequence, the states, with counts, of its splittings whose term is nonzero."""
     # the root, the splitting of the empty set, has the one factor f
-    states = {} if terms[((0, 0, 0),)] is None else {((0, 0, 0),): 1}
-    for d in dirs:
-        states = _advance(states, d, terms)
-    return states
+    root = {} if terms[((0, 0, 0),)] is None else {((0, 0, 0),): 1}
+    return _Prefixes(root, lambda states, d: _advance(states, d, terms))
 
 
 def _sum_states(states: dict, terms: _Terms) -> WirtingerPolynomial:
@@ -376,7 +400,11 @@ def _sum_states(states: dict, terms: _Terms) -> WirtingerPolynomial:
 
 
 def splitting_term(
-    spl: Splitting, dirs: Sequence[Direction], conn: Connection, j: int, f: WirtingerPolynomial
+    spl: Splitting,
+    dirs: Sequence[Direction],
+    conn: Connection,
+    j: int,
+    f: WirtingerPolynomial,
 ) -> WirtingerPolynomial:
     """The scalar product contributed by one splitting to the expansion, factor by factor."""
     if len(dirs) != spl.m:
@@ -391,7 +419,11 @@ def splitting_term(
 
 
 def splitting_expansion(
-    m: int, dirs: Sequence[Direction], conn: Connection, j: int, f: WirtingerPolynomial
+    m: int,
+    dirs: Sequence[Direction],
+    conn: Connection,
+    j: int,
+    f: WirtingerPolynomial,
 ) -> WirtingerPolynomial:
     """Closed-form scalar coefficient of the m-fold covariant derivative of f*phi_j.
 
@@ -402,7 +434,7 @@ def splitting_expansion(
     if len(dirs) != m:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
     terms = _Terms(conn, j, f)
-    return _sum_states(_fold(dirs, terms), terms)
+    return _sum_states(_kept_states(terms)[tuple(dirs)], terms)
 
 
 def splittings(
@@ -411,22 +443,43 @@ def splittings(
     """Every level's expansions up to m_max: entry m maps each dirs of length m to its sum.
 
     The sums equal ``splitting_expansion(m, dirs, conn, j, f)``, with the
-    sequences in ``direction_sequences`` order.  Each level advances the
-    states of its sequences' prefixes by one direction, and each factor
-    and each state's term is computed once for the whole sweep.
+    sequences in ``direction_sequences`` order.  Each sequence's states
+    advance its prefix's by one direction, and each factor and each
+    state's term is computed once for the whole sweep.
     """
     terms = _Terms(conn, j, f)
-    frontier = {(): _fold((), terms)}
-    levels = []
-    for m in range(m_max + 1):
-        levels.append({dirs: _sum_states(states, terms) for dirs, states in frontier.items()})
-        if m < m_max:
-            frontier = {
-                dirs + (d,): _advance(states, d, terms)
-                for dirs, states in frontier.items()
-                for d in (Direction.D, Direction.DBAR)
-            }
-    return levels
+    states = _kept_states(terms)
+    return [
+        {dirs: _sum_states(states[dirs], terms) for dirs in direction_sequences(m)}
+        for m in range(m_max + 1)
+    ]
+
+
+class IdentitySweep:
+    """Both sides of the expansion identity for the cells of one (j, f), shared along prefixes.
+
+    At each direction sequence looked up, the expansion route advances its
+    prefix's signature states by one direction and the direct route takes
+    one covariant derivative of its prefix's section.  Both are kept, so
+    sweeping every sequence up to a length computes each factor, each
+    state's term and each covariant derivative once.  The expansion route
+    never reads the direct one.
+    """
+
+    def __init__(self, conn: Connection, j: int, f: WirtingerPolynomial):
+        self.key = (conn, j, f)
+        self.basis = FieldSection.basis(j)
+        self.terms = _Terms(conn, j, f)
+        self.states = _kept_states(self.terms)
+        self.direct = _Prefixes(f * self.basis, conn.covariant_derivative)
+
+    def sides(
+        self, dirs: Sequence[Direction], corrupt: bool = False
+    ) -> tuple[FieldSection, FieldSection]:
+        """(direct route, expansion route) at dirs, the expansion negated when corrupt."""
+        dirs = tuple(dirs)
+        expanded = _sum_states(self.states[dirs], self.terms)
+        return self.direct[dirs], (-expanded if corrupt else expanded) * self.basis
 
 
 def _identity_sides(
@@ -436,11 +489,15 @@ def _identity_sides(
     j: int,
     f: WirtingerPolynomial,
     corrupt: bool,
+    sweep: IdentitySweep | None,
 ) -> tuple[FieldSection, FieldSection]:
-    # (direct route, expansion route), the expansion negated when corrupt
-    direct = conn.iterated(f * FieldSection.basis(j), dirs)
-    expanded = splitting_expansion(m, dirs, conn, j, f)
-    return direct, (-expanded if corrupt else expanded) * FieldSection.basis(j)
+    if len(dirs) != m:
+        raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
+    if sweep is None:
+        sweep = IdentitySweep(conn, j, f)
+    elif sweep.key != (conn, j, f):
+        raise ValueError("the sweep was built for another (connection, j, f)")
+    return sweep.sides(dirs, corrupt)
 
 
 def verify_expansion_identity(
@@ -451,13 +508,16 @@ def verify_expansion_identity(
     f: WirtingerPolynomial,
     *,
     corrupt: bool = False,
+    sweep: IdentitySweep | None = None,
 ) -> bool:
     """Exact check: the splitting expansion equals the iterated covariant derivative.
 
     ``corrupt=True`` is the negative control: the expansion is negated
     before the comparison, so a working check must report a failure.
+    ``sweep``, an :class:`IdentitySweep` of the same (conn, j, f), shares
+    both routes' work with the other cells it has seen.
     """
-    direct, expanded = _identity_sides(m, dirs, conn, j, f, corrupt)
+    direct, expanded = _identity_sides(m, dirs, conn, j, f, corrupt, sweep)
     return direct == expanded
 
 
@@ -469,20 +529,27 @@ def identity_witness(
     f: WirtingerPolynomial,
     *,
     corrupt: bool = False,
+    sweep: IdentitySweep | None = None,
 ) -> dict | None:
     """First coefficient where the two sides of the expansion identity differ.
 
     None when they agree.  Otherwise the basis index, the exponent pair
     (p, q) and both coefficients as exact strings, scanning basis indices
-    and then exponent pairs in increasing order.
+    and then exponent pairs in increasing order.  ``sweep`` is as for
+    :func:`verify_expansion_identity`.
     """
-    direct, expanded = _identity_sides(m, dirs, conn, j, f, corrupt)
+    direct, expanded = _identity_sides(m, dirs, conn, j, f, corrupt, sweep)
     for index in sorted(set(direct.support) | set(expanded.support)):
         left, right = direct.coefficient(index), expanded.coefficient(index)
         for p, q in sorted(set(left.terms) | set(right.terms)):
-            a, b = left.coefficient(p, q), right.coefficient(p, q)
-            if a != b:
-                return {"basis_index": index, "p": p, "q": q, "direct": str(a), "expansion": str(b)}
+            if left.coefficient(p, q) != right.coefficient(p, q):
+                return {
+                    "basis_index": index,
+                    "p": p,
+                    "q": q,
+                    "direct": str(left.coefficient(p, q)),
+                    "expansion": str(right.coefficient(p, q)),
+                }
     return None
 
 
@@ -509,7 +576,7 @@ def check_splitting_recursion(
     if len(dirs) != m + 1:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m + 1}")
     terms = _Terms(conn, j, f)
-    states = _fold(dirs[:m], terms)
+    states = _kept_states(terms)[tuple(dirs[:m])]
     type1, type2 = {}, {}
     _step(states, dirs[m], terms, type1, type2)
     level_m = _sum_states(states, terms)

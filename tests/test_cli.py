@@ -94,6 +94,21 @@ class TestVerifyIdentity:
         config = write_config(tmp_path / "cfg.json", m_identity=1, corrupt_expansion=True)
         assert main(["verify-identity", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
 
+    def test_one_sweep_per_pair_and_one_covariant_derivative_per_cell(self, tmp_path, monkeypatch):
+        calls, sweeps = [], []
+        derivative, sweep = Connection.covariant_derivative, hilbertfield.cli.IdentitySweep
+        monkeypatch.setattr(
+            Connection, "covariant_derivative", lambda *args: calls.append(args[2]) or derivative(*args)
+        )
+        monkeypatch.setattr(
+            hilbertfield.cli, "IdentitySweep", lambda *args: sweeps.append(args) or sweep(*args)
+        )
+        config = write_config(tmp_path / "cfg.json")
+        assert main(["verify-identity", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        # two indices times two functions; every cell of order m >= 1 derives its prefix's section once
+        assert len(sweeps) == 2 * 2
+        assert len(calls) == (2 + 4 + 8) * 2 * 2
+
     def test_empty_index_list_is_config_error(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", indices=[])
         assert main(["verify-identity", "--config", str(config)]) == 2

@@ -12,6 +12,7 @@ from hilbertfield import (
     CorrespondenceError,
     Direction,
     FieldSection,
+    IdentitySweep,
     Splitting,
     SplittingKind,
     WirtingerPolynomial,
@@ -373,7 +374,7 @@ def signatures(spl, dirs) -> tuple:
 
 
 def kept_states(dirs, conn, j, f) -> dict:
-    return splittings_mod._fold(dirs, splittings_mod._Terms(conn, j, f))
+    return splittings_mod._kept_states(splittings_mod._Terms(conn, j, f))[dirs]
 
 
 class TestPrunedWalk:
@@ -397,12 +398,12 @@ class TestPrunedWalk:
         dirs = tuple(data.draw(st.sampled_from([D, DBAR])) for _ in range(m))
         assert splitting_expansion(m, dirs, conn, j, f) == unpruned_expansion(m, dirs, conn, j, f)
         # the kept states are exactly those of the splittings with a nonzero
-        # term: every dropped state has a vanishing factor, and a product of
-        # nonzero polynomials is nonzero
-        nonzero = {
+        # term, each counted once per such splitting: every dropped state has
+        # a vanishing factor, and a product of nonzero polynomials is nonzero
+        nonzero = Counter(
             signatures(spl, dirs) for spl in all_splittings(m) if not splitting_term(spl, dirs, conn, j, f).is_zero
-        }
-        assert set(kept_states(dirs, conn, j, f)) == nonzero
+        )
+        assert kept_states(dirs, conn, j, f) == nonzero
         # the recursion splits the last step by type; its negative control
         # must fail whenever the level's sum is nonzero
         if m >= 1:
@@ -438,7 +439,7 @@ class TestPrunedWalk:
         for m, sequences in samples.items():
             for dirs in sequences:
                 expected = Counter(signatures(spl, dirs) for spl in all_splittings(m))
-                assert splittings_mod._fold(dirs, never_zero) == expected, dirs
+                assert splittings_mod._kept_states(never_zero)[dirs] == expected, dirs
 
     def test_cuts_d_dbar_of_s_squared_plus_sbar_squared(self):
         # d dbar (s^2 + sbar^2) = 0, although both separate degrees are 2
@@ -558,6 +559,57 @@ class TestWitness:
             "direct": str(direct.coefficient(p, q)),
             "expansion": str(-direct.coefficient(p, q)),
         }
+
+
+class TestIdentitySweep:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.integers(0, 3),
+        st.one_of(st.just(ZERO), polynomials),
+        st.one_of(st.just(ZERO), polynomials),
+    )
+    def test_sides_against_both_routes(self, m_max, j, k, f):
+        conn = Connection(k=k)
+        sweep = IdentitySweep(conn, j, f)
+        basis = FieldSection.basis(j)
+        for m in range(m_max + 1):
+            for dirs in direction_sequences(m):
+                direct, expanded = sweep.sides(dirs)
+                assert direct == conn.iterated(f * basis, dirs), dirs
+                assert expanded == splitting_expansion(m, dirs, conn, j, f) * basis, dirs
+                assert sweep.sides(dirs, corrupt=True) == (direct, -expanded)
+                for corrupt in (False, True):
+                    shared = {"corrupt": corrupt, "sweep": sweep}
+                    alone = verify_expansion_identity(m, dirs, conn, j, f, corrupt=corrupt)
+                    assert verify_expansion_identity(m, dirs, conn, j, f, **shared) == alone
+                    alone = identity_witness(m, dirs, conn, j, f, corrupt=corrupt)
+                    assert identity_witness(m, dirs, conn, j, f, **shared) == alone
+
+    def test_one_covariant_derivative_per_sequence(self, monkeypatch):
+        calls = []
+        derivative = Connection.covariant_derivative
+        monkeypatch.setattr(
+            Connection, "covariant_derivative", lambda *args: calls.append(args[2]) or derivative(*args)
+        )
+        sweep = IdentitySweep(CONN2, 1, S * SBAR)
+        for m in range(5):
+            for dirs in direction_sequences(m):
+                assert verify_expansion_identity(m, dirs, CONN2, 1, S * SBAR, sweep=sweep)
+        assert len(calls) == 2 + 4 + 8 + 16
+
+    def test_sweep_of_another_cell_family_is_refused(self):
+        sweep = IdentitySweep(CONN, 0, S)
+        for conn, j, f in ((CONN2, 0, S), (CONN, 1, S), (CONN, 0, SBAR)):
+            with pytest.raises(ValueError):
+                verify_expansion_identity(1, (D,), conn, j, f, sweep=sweep)
+        assert verify_expansion_identity(1, (D,), Connection(k=SBAR), 0, S + ZERO, sweep=sweep)
+
+    def test_length_mismatch_is_refused(self):
+        with pytest.raises(ValueError):
+            verify_expansion_identity(2, (D,), CONN, 0, S)
+        with pytest.raises(ValueError):
+            identity_witness(1, (D, D), CONN, 0, S, sweep=IdentitySweep(CONN, 0, S))
 
 
 class TestNegativeControl:
