@@ -27,6 +27,12 @@ U_m exactly.  Each level's grid supremum is reported beside it as a lower
 bound: the largest vectorized grid value over the level's sections, the
 first maximum winning.  The grid sums terms in sorted exponent order, so a
 section rebuilt from the reported directions gives the same value bit for bit.
+
+The level sweep merges direction sequences whose sections are exactly
+equal, and evaluates and differentiates each distinct section once.  That
+saves work where the curvature is constant (on g = s*sbar the levels 0..10
+hold 1 094 distinct sections among 2 047 sequences); for a complex
+multi-term k every section is distinct and nothing merges.
 """
 
 from __future__ import annotations
@@ -258,28 +264,46 @@ def covariant_level_sups(
     Levels up to ``full_cap`` enumerate all direction sequences; beyond
     that the single worst sequence is extended greedily (each step keeps
     the child direction with the larger supremum), giving a lower-bound
-    estimate of the level maximum.  Within a level the first section with
-    the largest grid maximum wins.
+    estimate of the level maximum.  Within a level the first sequence, in
+    ``direction_sequences`` order, whose section has the largest grid
+    maximum wins.
+
+    A level is carried as its distinct sections, merged by exact
+    ``FieldSection`` equality, and one index per direction sequence into
+    them.  Each distinct section is evaluated on the grid once, and each
+    (distinct parent, direction) pair is differentiated once.  Equal
+    sections give bit-identical grid values, so merging changes no result.
+    Where the curvature is constant, as for g = s*sbar, D and Dbar form a
+    Heisenberg pair and the levels 0..10 hold 1, 2, 4, 8, 15, 28, 50, 90,
+    156, 274 and 466 distinct sections: 1 094 grid evaluations and 1 256
+    covariant derivatives per (j, f) instead of 2 047 and 2 046.  For a
+    complex multi-term k nothing merges and the work is that of the
+    unmerged sweep.
     """
     tables = PowerTables(rectangle.grid_points())
-    frontier: list[tuple[tuple[Direction, ...], FieldSection]] = [
-        ((), f * FieldSection.basis(j))
-    ]
+    sections = [f * FieldSection.basis(j)]
+    # each direction sequence of the level, in enumeration order, with its section's index
+    frontier: list[tuple[tuple[Direction, ...], int]] = [((), 0)]
     levels: list[LevelSup] = []
     # a squared norm beyond the float range becomes inf, which _section_sup reports
     with np.errstate(over="ignore"):
         for m in range(m_max + 1):
-            sups = [_section_sup(section, tables) for _, section in frontier]
-            best = max(range(len(frontier)), key=sups.__getitem__)
-            best_dirs, best_section = frontier[best]
-            levels.append(LevelSup(m, sups[best], best_dirs, exhaustive=len(frontier) == 2**m))
+            sups = [_section_sup(section, tables) for section in sections]
+            top = max(sups)
+            best_dirs, best = next((dirs, i) for dirs, i in frontier if sups[i] == top)
+            levels.append(LevelSup(m, top, best_dirs, exhaustive=len(frontier) == 2**m))
             if m == m_max:
                 break
-            parents = frontier if m < full_cap else [(best_dirs, best_section)]
+            parents = frontier if m < full_cap else [(best_dirs, best)]
+            merged: dict[FieldSection, int] = {}
+            child: dict[tuple[int, Direction], int] = {}
+            for i in dict.fromkeys(i for _, i in parents):
+                for d in (Direction.D, Direction.DBAR):
+                    section = conn.covariant_derivative(sections[i], d)
+                    child[i, d] = merged.setdefault(section, len(merged))
+            sections = list(merged)
             frontier = [
-                (dirs + (d,), conn.covariant_derivative(section, d))
-                for dirs, section in parents
-                for d in (Direction.D, Direction.DBAR)
+                (dirs + (d,), child[i, d]) for dirs, i in parents for d in (Direction.D, Direction.DBAR)
             ]
     return levels
 

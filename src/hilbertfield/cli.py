@@ -260,34 +260,33 @@ def cmd_splittings(cfg: RunConfig) -> int:
                 rows.append((m, k, total, type1, type2, recursion_ok))
             else:
                 rows.append((m, k, total, "", "", ""))
-    correspondence_rows = []
+    correspondences = []
     for m in range(cfg.m_bijection + 1):
-        for k in range(2, m + 3):
-            try:
-                pairs = type1_bijection(m, k)
-                correspondence_rows.append(("type1", m, k, len(pairs), True))
-            except CorrespondenceError as exc:
-                correspondence_rows.append(("type1", m, k, 0, False))
-                print(f"type-1 correspondence failed at (m={m}, k={k}): {exc}", file=sys.stderr)
-                all_pass = False
-        for k in range(1, m + 2):
-            try:
-                cover = type2_correspondence(m, k)
-                correspondence_rows.append(("type2", m, k, len(cover), True))
-            except CorrespondenceError as exc:
-                correspondence_rows.append(("type2", m, k, 0, False))
-                print(f"type-2 correspondence failed at (m={m}, k={k}): {exc}", file=sys.stderr)
-                all_pass = False
+        for kind, verify, ks in (
+            ("type1", type1_bijection, range(2, m + 3)),
+            ("type2", type2_correspondence, range(1, m + 2)),
+        ):
+            for k in ks:
+                row = {"kind": kind, "m": m, "k": k}
+                try:
+                    row.update(pairings=len(verify(m, k)), ok=True)
+                except CorrespondenceError as exc:
+                    # the failed row carries the splitting the check stopped at
+                    row.update(pairings=0, ok=False, witness=exc.splitting.to_json())
+                    print(f"type-{kind[-1]} correspondence failed at (m={m}, k={k}): {exc}", file=sys.stderr)
+                    all_pass = False
+                correspondences.append(row)
     if "csv" in cfg.formats:
         _write_csv(
             cfg.out_dir / "splittings.csv",
             ("m", "k", "total", "type1", "type2", "recursion_ok"),
             rows,
         )
+        header = ("kind", "m", "k", "pairings", "ok")
         _write_csv(
             cfg.out_dir / "correspondences.csv",
-            ("kind", "m", "k", "pairings", "ok"),
-            correspondence_rows,
+            header,
+            [[row[key] for key in header] for row in correspondences],
         )
     if "json" in cfg.formats:
         _write_json(
@@ -298,10 +297,7 @@ def cmd_splittings(cfg: RunConfig) -> int:
                     dict(zip(("m", "k", "total", "type1", "type2", "recursion_ok"), row))
                     for row in rows
                 ],
-                "correspondences": [
-                    dict(zip(("kind", "m", "k", "pairings", "ok"), row))
-                    for row in correspondence_rows
-                ],
+                "correspondences": correspondences,
                 "all_pass": all_pass,
             },
         )

@@ -74,7 +74,11 @@ __all__ = [
 
 
 class CorrespondenceError(RuntimeError):
-    """A claimed splitting correspondence failed to verify."""
+    """A claimed splitting correspondence failed to verify; ``splitting`` is where."""
+
+    def __init__(self, message: str, splitting: "Splitting"):
+        super().__init__(message)
+        self.splitting = splitting
 
 
 class SplittingKind(enum.Enum):
@@ -261,22 +265,23 @@ def type1_bijection(m: int, k: int) -> tuple[tuple[Splitting, Splitting], ...]:
     images: set[Splitting] = set()
     for source in sources:
         if source.blocks[0] != () or source.markers[0] != m + 1:
-            raise CorrespondenceError(f"type-1 splitting {source} lacks empty leading block/marker")
+            raise CorrespondenceError(f"type-1 splitting {source} lacks empty leading block/marker", source)
         try:
             image = Splitting(m, source.blocks[1:], source.markers[1:])
         except ValueError as exc:
-            raise CorrespondenceError(f"dropping the leading pair broke invariants: {exc}") from exc
+            raise CorrespondenceError(f"dropping the leading pair broke invariants: {exc}", source) from exc
         if image in images:
-            raise CorrespondenceError(f"image {image} reached twice; map is not injective")
+            raise CorrespondenceError(f"image {image} reached twice; map is not injective", image)
         if image not in targets:
-            raise CorrespondenceError(f"image {image} is not a valid splitting of {m}")
+            raise CorrespondenceError(f"image {image} is not a valid splitting of {m}", image)
         if _adjoin_leading_marker(image) != source:
-            raise CorrespondenceError(f"round trip failed for {source}")
+            raise CorrespondenceError(f"round trip failed for {source}", source)
         images.add(image)
         pairs.append((source, image))
     if images != targets:
         raise CorrespondenceError(
-            f"type-1 map onto {len(images)} of {len(targets)} splittings; not surjective"
+            f"type-1 map onto {len(images)} of {len(targets)} splittings; not surjective",
+            next(target for target in enumerate_splittings(m, k - 1) if target not in images),
         )
     return tuple(pairs)
 
@@ -296,17 +301,18 @@ def type2_correspondence(m: int, k: int) -> tuple[tuple[Splitting, tuple[Splitti
     for source in enumerate_splittings(m, k):
         images = tuple(_insert_top_element(source, position) for position in range(k))
         if len(set(images)) != k:
-            raise CorrespondenceError(f"insertions into {source} collided")
+            raise CorrespondenceError(f"insertions into {source} collided", source)
         for image in images:
             if image in covered:
-                raise CorrespondenceError(f"image {image} covered twice")
+                raise CorrespondenceError(f"image {image} covered twice", image)
             if image not in targets:
-                raise CorrespondenceError(f"image {image} is not a type-2 splitting of {m + 1}")
+                raise CorrespondenceError(f"image {image} is not a type-2 splitting of {m + 1}", image)
             covered.add(image)
         mapping.append((source, images))
     if covered != targets:
         raise CorrespondenceError(
-            f"type-2 cover reached {len(covered)} of {len(targets)} splittings"
+            f"type-2 cover reached {len(covered)} of {len(targets)} splittings",
+            next(s for s in enumerate_splittings(m + 1, k) if s in targets and s not in covered),
         )
     return tuple(mapping)
 

@@ -1,6 +1,8 @@
 """Certificates, the audit, the decay rows and the factorial bounds."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import hilbertfield.analyticity
 from conftest import polynomials
 from hilbertfield import (
     AnalyticityCertificate,
@@ -16,6 +19,7 @@ from hilbertfield import (
     Direction,
     FieldSection,
     GaussianRational,
+    LevelSup,
     Splitting,
     WirtingerPolynomial,
     all_splittings,
@@ -298,6 +302,58 @@ class TestLevelSupOracle:
                 ties += sum(value == level.sup for value, _ in grid.values()) >= 2
         # some level has two sections with equal grid maxima, so the tie rule is exercised
         assert ties
+
+    def test_merged_sweep_matches_brute_force(self):
+        # every sequence rebuilt and valued on its own: merging equal sections
+        # must leave every field of every level as the unmerged sweep has it.
+        # On the default model the maxima sit at unmerged words; for the flat
+        # connection D and Dbar commute, and at m = 2 the merged sequences
+        # (d, dbar) and (dbar, d) tie for the maximum of s^2 sbar^2
+        rect = SQUARE.with_grid_n(9)
+        points = rect.grid_points()
+        merged_ties = 0
+        for conn, f in [(CONN, ONE), (Connection.flat(), S * S * SBAR * SBAR)]:
+            levels = covariant_level_sups(conn, 0, f, rect, 9, full_cap=8)
+            assert [level.m for level in levels] == list(range(10))
+            for m, level in enumerate(levels):
+                if m <= 8:
+                    frontier = list(direction_sequences(m))
+                else:
+                    frontier = [levels[m - 1].dirs + (d,) for d in (D, DBAR)]
+                sections = [conn.iterated(f * FieldSection.basis(0), dirs) for dirs in frontier]
+                sups = [grid_max(section, points)[0] for section in sections]
+                top = max(sups)
+                winners = [i for i, value in enumerate(sups) if value == top]
+                assert level == LevelSup(m, top, frontier[winners[0]], exhaustive=m <= 8), m
+                merged_ties += top > 0 and any(
+                    sections[a] == sections[b] for a, b in itertools.combinations(winners, 2)
+                )
+        assert merged_ties
+
+    def test_one_derivative_and_one_grid_evaluation_per_distinct_section(self, monkeypatch):
+        # k = sbar has constant curvature, so D and Dbar form a Heisenberg pair
+        # and these are the numbers of distinct sections of the levels 0..10
+        distinct = [1, 2, 4, 8, 15, 28, 50, 90, 156, 274, 466]
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            Connection, "covariant_derivative", counted("derivative", Connection.covariant_derivative)
+        )
+        monkeypatch.setattr(
+            hilbertfield.analyticity,
+            "_section_sup",
+            counted("grid", hilbertfield.analyticity._section_sup),
+        )
+        covariant_level_sups(CONN, 0, ONE, SQUARE.with_grid_n(9), 10, full_cap=10)
+        assert calls["grid"] == sum(distinct) == 1094
+        assert calls["derivative"] == 2 * sum(distinct[:-1])
 
     def test_worst_sequences_up_to_order_ten(self):
         rect = SQUARE.with_grid_n(9)

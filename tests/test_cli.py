@@ -10,11 +10,13 @@ import pytest
 
 import hilbertfield.analyticity
 import hilbertfield.cli
+import hilbertfield.splittings
 from hilbertfield import (
     AnalyticityCertificate,
     Connection,
     Direction,
     FieldSection,
+    Splitting,
     audit_certificate,
     ONE,
     S,
@@ -142,6 +144,33 @@ class TestSplittings:
         assert main(["splittings", "--out", str(out), "--m-max", "3", "--json"]) == 0
         assert (out / "splittings.json").exists()
         assert not (out / "splittings.csv").exists()
+
+    def test_failed_correspondence_leaves_a_witness(self, tmp_path, monkeypatch, capsys):
+        # every insertion lands in the first block, so the k >= 2 type-2 covers collide
+        original = hilbertfield.splittings._insert_top_element
+        monkeypatch.setattr(
+            hilbertfield.splittings, "_insert_top_element", lambda spl, position: original(spl, 0)
+        )
+        out = tmp_path / "out"
+        assert main(["splittings", "--out", str(out), "--m-max", "3"]) == 1
+        report = json.loads((out / "splittings.json").read_text())
+        assert report["all_pass"] is False
+        failed = [row for row in report["correspondences"] if not row["ok"]]
+        assert failed and all(row["kind"] == "type2" and row["k"] >= 2 for row in failed)
+        assert all("witness" not in row for row in report["correspondences"] if row["ok"])
+        # the first failure is the cover of the one two-block splitting of {1}
+        assert (failed[0]["m"], failed[0]["k"], failed[0]["pairings"]) == (1, 2, 0)
+        assert failed[0]["witness"] == Splitting(1, ((), ()), (1,)).to_json()
+        for row in failed:
+            witness = Splitting.from_json(row["witness"])
+            assert (witness.m, witness.num_blocks) == (row["m"], row["k"])
+        assert "type-2 correspondence failed at (m=1, k=2)" in capsys.readouterr().err
+        with (out / "correspondences.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row for row in rows if row["ok"] == "False"] == [
+            {"kind": "type2", "m": str(row["m"]), "k": str(row["k"]), "pairings": "0", "ok": "False"}
+            for row in failed
+        ]
 
 
 class TestCurvature:

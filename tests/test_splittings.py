@@ -144,6 +144,37 @@ class TestCounts:
             weights[spl.num_blocks] = weights.get(spl.num_blocks, 0) + weight
         return weights
 
+    @staticmethod
+    def block_sizes(n: int, largest: int | None = None):
+        """Every multiset of block sizes summing to n, as a nonincreasing tuple."""
+        if n == 0:
+            yield ()
+            return
+        for first in range(min(n, largest or n), 0, -1):
+            for rest in TestCounts.block_sizes(n - first, first):
+                yield (first,) + rest
+
+    def test_block_size_count_is_rising_factorial_to_m_decay(self):
+        # a splitting of {1..m} is the set partition of {0, 1, ..., m} whose
+        # blocks are I_a plus its marker (a < k) and I_k plus 0; its weight
+        # prod |I_a|! is prod (b - 1)! over the block sizes b.  An n-set has
+        # n! / (prod b! * prod mult!) set partitions with block sizes b (mult:
+        # how often each size repeats), so this count never enumerates a
+        # splitting and reaches m = 10, the highest level of a decay row
+        for m in range(11):
+            n = m + 1
+            weights = [0] * (n + 1)
+            counts = [0] * (n + 1)
+            for sizes in self.block_sizes(n):
+                partitions = math.factorial(n) // math.prod(
+                    [math.factorial(b) for b in sizes]
+                    + [math.factorial(sizes.count(b)) for b in set(sizes)]
+                )
+                counts[len(sizes)] += partitions
+                weights[len(sizes)] += partitions * math.prod(math.factorial(b - 1) for b in sizes)
+            assert counts == [stirling2(n, k) for k in range(n + 1)], m
+            assert weights == self.rising_factorial(m), m
+
     def test_weighted_count_is_rising_factorial(self):
         # sum over splittings of prod |I_a|! x^k = x (x+1) ... (x+m): unsigned
         # Stirling numbers of the first kind c(m+1, k) (OEIS A132393)
@@ -231,12 +262,17 @@ class TestCorrespondences:
 
     def test_misclassification_is_detected(self, monkeypatch):
         # rig the classifier to prove the verifiers notice a broken partition
+        # each error carries the splitting it stopped at
         monkeypatch.setattr(splittings_mod, "classify", lambda spl: SplittingKind.TYPE1)
-        with pytest.raises(CorrespondenceError):
+        with pytest.raises(CorrespondenceError) as failure:
             type2_correspondence(2, 2)
+        # no target is type 2, so the first image is out of the class
+        assert failure.value.splitting == Splitting(3, ((3,), (1,)), (2,))
         monkeypatch.setattr(splittings_mod, "classify", lambda spl: SplittingKind.TYPE2)
-        with pytest.raises(CorrespondenceError):
+        with pytest.raises(CorrespondenceError) as failure:
             type1_bijection(1, 2)
+        # no source is type 1, so the first one-block splitting of {1} is never reached
+        assert failure.value.splitting == Splitting(1, ((1,),), ())
 
 
 class TestTermTypes:
