@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import hilbertfield.analyticity
-from conftest import polynomials
+from conftest import exponent_pairs, polynomials
 from hilbertfield import (
     AnalyticityCertificate,
     CompactRectangle,
@@ -305,18 +305,39 @@ class TestLevelSupOracle:
 
     def test_merged_sweep_matches_brute_force(self):
         # every sequence rebuilt and valued on its own: merging equal sections
-        # must leave every field of every level as the unmerged sweep has it.
-        # On the default model the maxima sit at unmerged words; for the flat
-        # connection D and Dbar commute, and at m = 2 the merged sequences
-        # (d, dbar) and (dbar, d) tie for the maximum of s^2 sbar^2
-        rect = SQUARE.with_grid_n(9)
-        points = rect.grid_points()
-        merged_ties = 0
-        for conn, f in [(CONN, ONE), (Connection.flat(), S * S * SBAR * SBAR)]:
-            levels = covariant_level_sups(conn, 0, f, rect, 9, full_cap=8)
-            assert [level.m for level in levels] == list(range(10))
+        # and skipping those whose bound is below the level maximum must leave
+        # every field of every level as the full sweep has it.  On the default
+        # model the maxima sit at unmerged words; for the flat connection D and
+        # Dbar commute, and at m = 2 the merged sequences (d, dbar) and
+        # (dbar, d) tie for the maximum of s^2 sbar^2.  For the complex
+        # multi-term k on a rectangle off the origin the bounds are loose, so
+        # some levels evaluate several sections and skip others
+        complex_k = Connection(
+            k=WirtingerPolynomial.from_json_terms([[1, 2, "1/2", "-1/3"], [0, 0, "1", "1"]])
+        )
+        off_origin = CompactRectangle(Fraction(1, 4), Fraction(1), Fraction(-1, 2), Fraction(1, 4), 9)
+        evaluated = []
+        section_sup = hilbertfield.analyticity._section_sup
+
+        def recorded(section, tables):
+            evaluated.append(section)
+            return section_sup(section, tables)
+
+        merged_ties = partial_levels = 0
+        cases = [
+            (CONN, ONE, SQUARE.with_grid_n(9), 9, 8),
+            (Connection.flat(), S * S * SBAR * SBAR, SQUARE.with_grid_n(9), 9, 8),
+            (complex_k, ONE, off_origin, 7, 6),
+        ]
+        for conn, f, rect, m_max, full_cap in cases:
+            points = rect.grid_points()
+            evaluated.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(hilbertfield.analyticity, "_section_sup", recorded)
+                levels = covariant_level_sups(conn, 0, f, rect, m_max, full_cap=full_cap)
+            assert [level.m for level in levels] == list(range(m_max + 1))
             for m, level in enumerate(levels):
-                if m <= 8:
+                if m <= full_cap:
                     frontier = list(direction_sequences(m))
                 else:
                     frontier = [levels[m - 1].dirs + (d,) for d in (D, DBAR)]
@@ -324,15 +345,20 @@ class TestLevelSupOracle:
                 sups = [grid_max(section, points)[0] for section in sections]
                 top = max(sups)
                 winners = [i for i, value in enumerate(sups) if value == top]
-                assert level == LevelSup(m, top, frontier[winners[0]], exhaustive=m <= 8), m
+                assert level == LevelSup(m, top, frontier[winners[0]], exhaustive=m <= full_cap), m
                 merged_ties += top > 0 and any(
                     sections[a] == sections[b] for a, b in itertools.combinations(winners, 2)
                 )
+                distinct = set(sections)
+                partial_levels += 1 < len(distinct & set(evaluated)) < len(distinct)
         assert merged_ties
+        assert partial_levels
 
     def test_one_derivative_and_one_grid_evaluation_per_distinct_section(self, monkeypatch):
         # k = sbar has constant curvature, so D and Dbar form a Heisenberg pair
-        # and these are the numbers of distinct sections of the levels 0..10
+        # and these are the numbers of distinct sections of the levels 0..10;
+        # each is bounded once, and the bounds, tight on this model, leave 29
+        # of them to evaluate on the grid
         distinct = [1, 2, 4, 8, 15, 28, 50, 90, 156, 274, 466]
         calls = Counter()
 
@@ -346,13 +372,13 @@ class TestLevelSupOracle:
         monkeypatch.setattr(
             Connection, "covariant_derivative", counted("derivative", Connection.covariant_derivative)
         )
-        monkeypatch.setattr(
-            hilbertfield.analyticity,
-            "_section_sup",
-            counted("grid", hilbertfield.analyticity._section_sup),
-        )
+        for name in ("_section_bound", "_section_sup"):
+            monkeypatch.setattr(
+                hilbertfield.analyticity, name, counted(name, getattr(hilbertfield.analyticity, name))
+            )
         covariant_level_sups(CONN, 0, ONE, SQUARE.with_grid_n(9), 10, full_cap=10)
-        assert calls["grid"] == sum(distinct) == 1094
+        assert calls["_section_bound"] == sum(distinct) == 1094
+        assert calls["_section_sup"] == 29
         assert calls["derivative"] == 2 * sum(distinct[:-1])
 
     def test_worst_sequences_up_to_order_ten(self):
@@ -364,6 +390,110 @@ class TestLevelSupOracle:
             # the section rebuilt from its directions gives the reported sup on the grid
             section = CONN.iterated(ONE * FieldSection.basis(0), level.dirs)
             assert grid_max(section, rect.grid_points())[0] == level.sup
+
+
+def edge_section(base, records):
+    """A section whose coefficients have modulus about 2^(base + shift)."""
+    return FieldSection(
+        {
+            index: WirtingerPolynomial(
+                [(pq, c * GaussianRational(Fraction(2) ** (base + shift))) for pq, c, shift in terms]
+            )
+            for index, terms in records
+        }
+    )
+
+
+# complex multi-term sections; the exponent base runs from below the smallest
+# subnormal float to above the largest float, weighted where squares leave the range
+small_fractions = st.builds(Fraction, st.integers(-64, 64), st.integers(1, 12))
+small_coefficients = st.builds(GaussianRational, small_fractions, small_fractions)
+edge_sections = st.builds(
+    edge_section,
+    st.one_of(st.integers(-1090, 1030), st.sampled_from([-1074, -1022, -537, -511, 511, 512])),
+    st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.lists(
+                st.tuples(exponent_pairs, small_coefficients, st.integers(-8, 8)),
+                min_size=1,
+                max_size=5,
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+def sorted_rectangle(re, im, grid_n):
+    return CompactRectangle(min(re), max(re), min(im), max(im), grid_n)
+
+
+def rectangles_within(numerator, denominator):
+    coordinate = st.builds(Fraction, st.integers(-numerator, numerator), st.just(denominator))
+    pair = st.tuples(coordinate, coordinate)
+    return st.builds(sorted_rectangle, pair, pair, st.integers(2, 9))
+
+
+# inside the unit disc (r <= 0.7 * sqrt(2) < 1) or reaching past it, mostly off the origin
+rectangles = st.one_of(rectangles_within(84, 120), rectangles_within(24, 12))
+
+
+class TestSectionBound:
+    """``_section_bound``: a padded float bound of every grid value of a section."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_sections, rectangles)
+    def test_bounds_every_grid_value(self, section, rect):
+        points = rect.grid_points()
+        bound = hilbertfield.analyticity._section_bound(section, [1.0, float(np.abs(points).max())])
+        beyond = any(
+            max(abs(re), abs(im)) >= 2**1024 * poly.denominator
+            for poly in section.coeffs.values()
+            for re, im in poly.numerators.values()
+        )
+        if beyond:
+            assert bound == math.inf
+        if bound == math.inf:
+            return
+        # the fiber norm at every grid point, computed as _section_sup computes it
+        squares = np.zeros(points.shape)
+        for index in section.support:
+            squares += np.abs(evaluate_on_grid(section.coefficient(index), points)) ** 2
+        assert np.sqrt(squares).max() <= bound
+
+    def test_coefficient_beyond_float_range_gives_infinite_bound(self):
+        fits = WirtingerPolynomial({(0, 0): GaussianRational(1)})
+        huge = WirtingerPolynomial({(1, 2): GaussianRational(1, 10**400)})
+        section = FieldSection({0: fits, 3: huge})
+        assert hilbertfield.analyticity._section_bound(section, [1.0, 0.5]) == math.inf
+        with pytest.raises(OverflowError, match="the coefficient of s\\^1 sbar\\^2"):
+            evaluate_on_grid(huge, TINY.grid_points())
+
+    def test_holds_where_grid_powers_underflow(self):
+        # at points of modulus about 2^-268 the grid's s^4, s^2 sbar^2 and
+        # s^3 sbar fall among the subnormals, whose rounding is absolute, and
+        # 2^1000 lifts the term back to the normal range: a relative pad
+        # alone misses some of these (and where r^4 underflows to 0 it bounds
+        # a positive value by 0), so the bound must give up here
+        lift = GaussianRational(Fraction(2) ** 1000)
+        for a, b in itertools.product(range(1, 16), repeat=2):
+            re, im = Fraction(a, 2**269), Fraction(b, 2**269)
+            points = CompactRectangle(re, re, im, im, 2).grid_points()
+            for p, q in ((4, 0), (3, 1), (2, 2)):
+                section = FieldSection({0: WirtingerPolynomial({(p, q): lift})})
+                bound = hilbertfield.analyticity._section_bound(section, [1.0, float(np.abs(points).max())])
+                assert grid_max(section, points)[0] <= bound, (a, b, p, q)
+
+    def test_tight_on_monomials_at_a_corner(self):
+        # |c s^p sbar^q| peaks at the corner 1+i of the unit square, where it is |c| r^(p+q)
+        points = SQUARE.with_grid_n(9).grid_points()
+        c = GaussianRational("-3/2", 2)
+        for p, q in ((0, 0), (2, 1), (0, 3)):
+            section = FieldSection({1: WirtingerPolynomial({(p, q): c})})
+            bound = hilbertfield.analyticity._section_bound(section, [1.0, float(np.abs(points).max())])
+            assert grid_max(section, points)[0] <= bound <= 2.5 * 2 ** ((p + q) / 2) * (1 + 1e-12)
 
 
 class TestScaledLevelBound:

@@ -409,6 +409,9 @@ class TestRunConfig:
         assert not (tmp_path / "out").exists()
 
 
+SQUARED_NORM = "the squared fiber norm of a section on the grid"
+
+
 class TestFloatOverflow:
     @pytest.mark.parametrize(
         "command, config, value",
@@ -439,6 +442,45 @@ class TestFloatOverflow:
         assert f"config error: {value} does not fit a float" in capsys.readouterr().err
         # the overflow is reported once, as the config error, and not also by numpy
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
+        "terms, value",
+        [
+            # D f = 2 s fits and comes first in enumeration order; Dbar f = 10^200
+            # has the infinite bound, so it is evaluated first, and overflows
+            ([[2, 0, "1", "0"], [0, 1, str(10**200), "0"]], SQUARED_NORM),
+            # both sections overflow and tie at an infinite bound: the one first
+            # in enumeration order, D f with the coefficient 2 * 10^308, wins
+            ([[2, 0, str(10**308), "0"], [0, 1, str(10**200), "0"]], "the coefficient of s^1 sbar^0"),
+            # the same with the kinds swapped: D f = 10^200 overflows when squared
+            ([[1, 0, str(10**200), "0"], [0, 2, str(10**308), "0"]], SQUARED_NORM),
+        ],
+    )
+    def test_level_overflow_follows_enumeration_order(self, tmp_path, capsys, monkeypatch, terms, value):
+        # flat connection on a square of side 2 * 10^-80: level 0 fits a float,
+        # and the overflow is met at the first section level 1 evaluates
+        evaluated = []
+        section_sup = hilbertfield.analyticity._section_sup
+
+        def recorded(section, tables):
+            evaluated.append(section)
+            return section_sup(section, tables)
+
+        monkeypatch.setattr(hilbertfield.analyticity, "_section_sup", recorded)
+        side = str(Fraction(1, 10**80))
+        config = {
+            "connection": {"k": []},
+            "indices": [0],
+            "functions": [terms],
+            "rectangle": {
+                "re_min": f"-{side}", "re_max": side, "im_min": f"-{side}", "im_max": side, "grid_n": 9
+            },
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["analyticity", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {value} does not fit a float\n"
+        assert len(evaluated) == 2
 
     def test_stopped_run_leaves_no_certificate(self, tmp_path):
         # the cell stops in its level suprema, after its certificate was estimated and audited
