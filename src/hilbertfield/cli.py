@@ -205,19 +205,20 @@ def cmd_verify_identity(cfg: RunConfig) -> int:
                     ok = verify_expansion_identity(*args, **options)
                     witness = None if ok else identity_witness(*args, **options)
                     verdicts[dirs, j_position, f_index] = ok, witness
+    names = [str(f) for f in cfg.functions]
     cells = []
     all_pass = True
     for m in range(cfg.m_identity + 1):
         for dirs in direction_sequences(m):
             for j_position, j in enumerate(cfg.indices):
-                for f_index, f in enumerate(cfg.functions):
+                for f_index, name in enumerate(names):
                     ok, witness = verdicts[dirs, j_position, f_index]
                     all_pass = all_pass and ok
                     cell = {
                         "m": m,
                         "dirs": _format_dirs(dirs),
                         "j": j,
-                        "f": str(f),
+                        "f": name,
                         "f_index": f_index,
                         "ok": ok,
                     }

@@ -133,6 +133,14 @@ class FieldSection:
         return f"FieldSection({self._coeffs!r})"
 
 
+def _section(coeffs: dict[int, WirtingerPolynomial]) -> FieldSection:
+    # internal constructor: indices valid, no zero coefficient
+    section = FieldSection.__new__(FieldSection)
+    section._coeffs = coeffs
+    section._hash = None
+    return section
+
+
 @dataclass(frozen=True)
 class Connection:
     """Diagonal connection determined by the polynomial k.
@@ -172,13 +180,18 @@ class Connection:
         return multiplier
 
     def covariant_derivative(self, phi: FieldSection, d: Direction) -> FieldSection:
-        """Single covariant derivative: index by index, a_l -> da_l + A(d, l) a_l."""
+        """Single covariant derivative: index by index, a_l -> da_l + A(d, l) a_l.
+
+        Each new coefficient is built in one pass over the terms of a_l
+        (:meth:`WirtingerPolynomial.twisted_derivative`), and the nonzero
+        ones, already canonical, make the section without revalidation.
+        """
         out = {}
-        for index, poly in phi.coeffs.items():
-            new = poly.derivative(d) + self.coefficient(index, d) * poly
-            if not new.is_zero:
+        for index, poly in phi._coeffs.items():
+            new = poly.twisted_derivative(d, self.coefficient(index, d))
+            if new:
                 out[index] = new
-        return FieldSection(out)
+        return _section(out)
 
     def iterated(self, phi: FieldSection, dirs: Sequence[Direction]) -> FieldSection:
         """Iterated covariant derivative, applying dirs[0] first, dirs[-1] last."""

@@ -33,10 +33,15 @@ every state with a vanishing factor.  A direction sequence's states are
 its prefix's advanced by one step, so ``splittings`` (the expansions of
 every sequence up to a length for one (j, f)) and ``IdentitySweep`` (both
 sides of the identity for those cells, the direct side also taken from
-its prefix's) share each prefix's work.  Only f and the multipliers are
-differentiated: the expansion route never takes the direct route
-(``Connection.covariant_derivative``).  ``all_splittings``,
-``brute_force_splittings`` and ``splitting_term`` remain as small-m oracles.
+its prefix's) share each prefix's work.  The moves of a state along a
+direction, its children with their weights, are memoized per (j, f) and
+keyed on (state, direction), since the same state recurs under many
+prefixes: a step only adds counts, and each level's sum is one linear
+combination of its states' terms (``WirtingerPolynomial.combination``).
+Only f and the multipliers are differentiated: the expansion route never
+takes the direct route (``Connection.covariant_derivative``).
+``all_splittings``, ``brute_force_splittings`` and ``splitting_term``
+remain as small-m oracles.
 """
 
 from __future__ import annotations
@@ -350,35 +355,6 @@ class _Terms(dict):
         return term
 
 
-def _step(states: dict, d: Direction, terms, type1: dict, type2: dict) -> None:
-    """Add to type1 and type2 the states of the splittings one direction d further.
-
-    A splitting's type-1 child adjoins the new element as the leading
-    marker, a factor (kind of d, 0, 0); its type-2 children insert it into
-    each block in turn, bumping that factor's count of d, once per factor
-    that carries the signature.  A child with a vanishing factor is
-    dropped: blocks only grow, so it vanishes in every descendant.
-    """
-    marker = (2 if d is Direction.D else 1, 0, 0)
-    for state, count in states.items():
-        if terms[(marker,)] is not None:
-            child = tuple(sorted(state + (marker,)))
-            type1[child] = type1.get(child, 0) + count
-        for signature, multiplicity in Counter(state).items():
-            kind, nd, nb = signature
-            bumped = (kind, nd + 1, nb) if d is Direction.D else (kind, nd, nb + 1)
-            if terms[(bumped,)] is not None:
-                i = state.index(signature)
-                child = tuple(sorted(state[:i] + (bumped,) + state[i + 1 :]))
-                type2[child] = type2.get(child, 0) + count * multiplicity
-
-
-def _advance(states: dict, d: Direction, terms) -> dict:
-    children: dict = {}
-    _step(states, d, terms, children, children)
-    return children
-
-
 class _Prefixes(dict):
     """A value per direction sequence, one step from its prefix's value, computed on first lookup."""
 
@@ -391,18 +367,78 @@ class _Prefixes(dict):
         return value
 
 
-def _kept_states(terms: _Terms) -> _Prefixes:
-    """By direction sequence, the states, with counts, of its splittings whose term is nonzero."""
-    # the root, the splitting of the empty set, has the one factor f
-    root = {} if terms[((0, 0, 0),)] is None else {((0, 0, 0),): 1}
-    return _Prefixes(root, lambda states, d: _advance(states, d, terms))
+def _moves(state: tuple, d: Direction, terms) -> tuple[tuple, tuple]:
+    """The children of one state one direction d further: (type 1, type 2) pairs (child, weight).
+
+    A splitting's type-1 child adjoins the new element as the leading
+    marker, a factor (kind of d, 0, 0); its type-2 children insert it into
+    each block in turn, bumping that factor's count of d, so a child that
+    bumps a signature weighs the number of factors that carry it.  A child
+    with a vanishing factor in ``terms`` is dropped: blocks only grow, so
+    it vanishes in every descendant.
+    """
+    marker = (2 if d is Direction.D else 1, 0, 0)
+    type1 = ((tuple(sorted(state + (marker,))), 1),) if terms[(marker,)] is not None else ()
+    type2 = []
+    for signature, multiplicity in Counter(state).items():
+        kind, nd, nb = signature
+        bumped = (kind, nd + 1, nb) if d is Direction.D else (kind, nd, nb + 1)
+        if terms[(bumped,)] is not None:
+            i = state.index(signature)
+            type2.append((tuple(sorted(state[:i] + (bumped,) + state[i + 1 :])), multiplicity))
+    return type1, tuple(type2)
 
 
-def _sum_states(states: dict, terms: _Terms) -> WirtingerPolynomial:
-    total = WirtingerPolynomial.zero()
+class _Moves:
+    """The moves of each (state, d) under one term table, each computed by ``_moves`` once.
+
+    Whether a child is dropped depends on the table, so a memo serves one
+    (j, f), and every direction sequence of a sweep shares it.  It keeps
+    one dict of states per direction.
+    """
+
+    def __init__(self, terms):
+        self.terms = terms
+        self.by_direction = {d: {} for d in Direction}
+
+    def kept_states(self) -> _Prefixes:
+        """By direction sequence, the states, with counts, of its splittings whose term is nonzero."""
+        # the root, the splitting of the empty set, has the one factor f
+        root = {} if self.terms[((0, 0, 0),)] is None else {((0, 0, 0),): 1}
+        return _Prefixes(root, self.advance)
+
+    def advance(self, states: dict, d: Direction) -> dict:
+        children: dict = {}
+        _step(states, d, self, children, children)
+        return children
+
+
+def _step(states: dict, d: Direction, moves: _Moves, type1: dict, type2: dict) -> None:
+    """Add to type1 and type2 the states of the splittings one direction d further.
+
+    Each state's moves come from the memo ``moves``, computed on the first
+    lookup of (state, d); a child's count is its parent's times the
+    move's weight.
+    """
+    memo, terms = moves.by_direction[d], moves.terms
     for state, count in states.items():
-        total = total + (terms[state] if count == 1 else count * terms[state])
-    return total
+        found = memo.get(state)
+        if found is None:
+            found = memo[state] = _moves(state, d, terms)
+        ones, twos = found
+        for child, weight in ones:
+            type1[child] = type1.get(child, 0) + count * weight
+        for child, weight in twos:
+            type2[child] = type2.get(child, 0) + count * weight
+
+
+def _kept_states(terms) -> _Prefixes:
+    """By direction sequence, the kept states of ``terms``, with a memo of moves of their own."""
+    return _Moves(terms).kept_states()
+
+
+def _sum_states(states: dict, terms) -> WirtingerPolynomial:
+    return WirtingerPolynomial.combination((count, terms[state]) for state, count in states.items())
 
 
 def splitting_term(
@@ -450,8 +486,9 @@ def splittings(
 
     The sums equal ``splitting_expansion(m, dirs, conn, j, f)``, with the
     sequences in ``direction_sequences`` order.  Each sequence's states
-    advance its prefix's by one direction, and each factor and each
-    state's term is computed once for the whole sweep.
+    advance its prefix's by one direction, and each factor, each state's
+    term and each (state, direction) move is computed once for the whole
+    sweep.
     """
     terms = _Terms(conn, j, f)
     states = _kept_states(terms)
@@ -468,16 +505,16 @@ class IdentitySweep:
     prefix's signature states by one direction and the direct route takes
     one covariant derivative of its prefix's section.  Both are kept, so
     sweeping every sequence up to a length computes each factor, each
-    state's term and each covariant derivative once.  The expansion route
-    never reads the direct one.
+    state's term, each (state, direction) move and each covariant
+    derivative once.  The expansion route never reads the direct one.
     """
 
     def __init__(self, conn: Connection, j: int, f: WirtingerPolynomial):
         self.key = (conn, j, f)
-        self.basis = FieldSection.basis(j)
+        self.j = j
         self.terms = _Terms(conn, j, f)
         self.states = _kept_states(self.terms)
-        self.direct = _Prefixes(f * self.basis, conn.covariant_derivative)
+        self.direct = _Prefixes(FieldSection({j: f}), conn.covariant_derivative)
 
     def sides(
         self, dirs: Sequence[Direction], corrupt: bool = False
@@ -485,7 +522,7 @@ class IdentitySweep:
         """(direct route, expansion route) at dirs, the expansion negated when corrupt."""
         dirs = tuple(dirs)
         expanded = _sum_states(self.states[dirs], self.terms)
-        return self.direct[dirs], (-expanded if corrupt else expanded) * self.basis
+        return self.direct[dirs], FieldSection({self.j: -expanded if corrupt else expanded})
 
 
 def _identity_sides(
@@ -582,9 +619,10 @@ def check_splitting_recursion(
     if len(dirs) != m + 1:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m + 1}")
     terms = _Terms(conn, j, f)
-    states = _kept_states(terms)[tuple(dirs[:m])]
+    moves = _Moves(terms)
+    states = moves.kept_states()[tuple(dirs[:m])]
     type1, type2 = {}, {}
-    _step(states, dirs[m], terms, type1, type2)
+    _step(states, dirs[m], moves, type1, type2)
     level_m = _sum_states(states, terms)
     if corrupt:
         level_m = -level_m

@@ -349,6 +349,28 @@ class WirtingerPolynomial:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def combination(cls, pairs: Iterable[tuple[int, "WirtingerPolynomial"]]) -> "WirtingerPolynomial":
+        """The sum of count * poly over (count, poly) pairs with integer counts.
+
+        One pass over the least common denominator of the polynomials,
+        into one dict, reduced to canonical form once; the empty sum is 0.
+        """
+        pairs = list(pairs)
+        den = math.lcm(*[poly._den for _, poly in pairs])
+        out: dict[tuple[int, int], tuple[int, int]] = {}
+        get = out.get
+        for count, poly in pairs:
+            scale = count * (den // poly._den)
+            for key, (re, im) in poly._num.items():
+                acc = get(key)
+                if acc is None:
+                    out[key] = (re * scale, im * scale)
+                else:
+                    out[key] = (acc[0] + re * scale, acc[1] + im * scale)
+        out = {key: pair for key, pair in out.items() if pair[0] or pair[1]}
+        return _canonical(den, out)
+
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
@@ -373,6 +395,39 @@ class WirtingerPolynomial:
         else:
             out = {(p, q - 1): (re * q, im * q) for (p, q), (re, im) in self._num.items() if q}
         return _canonical(self._den, out)
+
+    def twisted_derivative(self, d: Direction, mu: "WirtingerPolynomial") -> "WirtingerPolynomial":
+        """``self.derivative(d) + mu * self``, in one pass over the terms of self.
+
+        Both parts go into one dict over the denominator den(self) * den(mu),
+        reduced to canonical form once.
+        """
+        mu_den, mu_items = mu._den, tuple(mu._num.items())
+        along_d = d is Direction.D
+        out: dict[tuple[int, int], tuple[int, int]] = {}
+        get = out.get
+        for (p, q), (re, im) in self._num.items():
+            n = p if along_d else q
+            if n:
+                key = (p - 1, q) if along_d else (p, q - 1)
+                scale = n * mu_den
+                d_re, d_im = re * scale, im * scale
+                acc = get(key)
+                if acc is not None:
+                    d_re += acc[0]
+                    d_im += acc[1]
+                out[key] = (d_re, d_im)
+            for (p2, q2), (re2, im2) in mu_items:
+                key = (p + p2, q + q2)
+                m_re = re * re2 - im * im2
+                m_im = re * im2 + im * re2
+                acc = get(key)
+                if acc is not None:
+                    m_re += acc[0]
+                    m_im += acc[1]
+                out[key] = (m_re, m_im)
+        out = {key: pair for key, pair in out.items() if pair[0] or pair[1]}
+        return _canonical(self._den * mu_den, out)
 
     # -- evaluation ----------------------------------------------------
 

@@ -12,7 +12,9 @@ from hilbertfield import (
     WirtingerPolynomial,
 )
 
-rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6)
+# every fraction in [-4, 4] with denominator at most 6, built from two integers:
+# st.fractions draws the same values at several times the cost
+rationals = st.integers(1, 6).flatmap(lambda d: st.integers(-4 * d, 4 * d).map(lambda n: Fraction(n, d)))
 
 coefficients = st.builds(GaussianRational, rationals, rationals)
 

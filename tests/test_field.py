@@ -22,6 +22,7 @@ from hilbertfield import (
     ONE,
     S,
     SBAR,
+    ZERO,
 )
 
 D, DBAR = Direction.D, Direction.DBAR
@@ -110,6 +111,22 @@ class TestCovariantDerivative:
     def test_basis_section_antiholomorphic(self):
         expected = (-2 * S) * FieldSection.basis(1)
         assert CONN.covariant_derivative(FieldSection.basis(1), DBAR) == expected
+
+    @given(st.one_of(st.just(ZERO), polynomials), sections, directions)
+    def test_fused_coefficients_against_derivative_plus_product(self, k, phi, d):
+        # complex multi-term k and the flat k = 0; zero coefficients are dropped
+        conn = Connection(k=k)
+        expected = {}
+        for index in phi.support:
+            poly = phi.coefficient(index)
+            expected[index] = poly.derivative(d) + conn.coefficient(index, d) * poly
+        assert conn.covariant_derivative(phi, d) == FieldSection(expected)
+
+    def test_coefficient_that_vanishes_leaves_the_support(self):
+        # D(c phi_0) = 0 for a constant c under the flat connection
+        phi = FieldSection({0: WirtingerPolynomial.constant(GaussianRational("1/2", "1/3")), 1: S})
+        image = FLAT.covariant_derivative(phi, D)
+        assert image.support == (1,) and image == FieldSection.basis(1)
 
     def test_iterated_empty_sequence(self):
         phi = (S + SBAR) * FieldSection.basis(2)

@@ -12,6 +12,7 @@ from hilbertfield import (
     CorrespondenceError,
     Direction,
     FieldSection,
+    GaussianRational,
     IdentitySweep,
     Splitting,
     SplittingKind,
@@ -477,6 +478,24 @@ class TestPrunedWalk:
                 expected = Counter(signatures(spl, dirs) for spl in all_splittings(m))
                 assert splittings_mod._kept_states(never_zero)[dirs] == expected, dirs
 
+    def test_memoized_states_against_unpruned_oracle(self):
+        # one state table per (j, f), so most sequences reuse moves memoized
+        # on other prefixes; each count is still the number of splittings
+        # whose term is nonzero and whose factors carry the state's signatures
+        samples = {m: list(direction_sequences(m)) for m in range(6)}
+        samples.update({m: [(D,) * m, (DBAR,) * m, (D, DBAR) * (m // 2) + (D,) * (m % 2)] for m in (6, 7)})
+        complex_k = WirtingerPolynomial({(0, 0): GaussianRational(1, 1), (1, 2): GaussianRational("1/2", "-1/3")})
+        for conn, j, f in ((CONN2, 1, S * SBAR), (Connection(k=complex_k), 0, S**2 * SBAR)):
+            states = splittings_mod._kept_states(splittings_mod._Terms(conn, j, f))
+            for m, sequences in samples.items():
+                for dirs in sequences:
+                    expected = Counter(
+                        signatures(spl, dirs)
+                        for spl in all_splittings(m)
+                        if not splitting_term(spl, dirs, conn, j, f).is_zero
+                    )
+                    assert states[dirs] == expected, dirs
+
     def test_cuts_d_dbar_of_s_squared_plus_sbar_squared(self):
         # d dbar (s^2 + sbar^2) = 0, although both separate degrees are 2
         f = S**2 + SBAR**2
@@ -633,6 +652,26 @@ class TestIdentitySweep:
             for dirs in direction_sequences(m):
                 assert verify_expansion_identity(m, dirs, CONN2, 1, S * SBAR, sweep=sweep)
         assert len(calls) == 2 + 4 + 8 + 16
+
+    def test_one_move_per_distinct_state_and_direction(self, monkeypatch):
+        # the default model (g = s*sbar, j in {0, 1, 4}, f in {1, s, s*sbar})
+        # to m = 6: 8 964 states over the sweeps, 1 536 distinct moves
+        calls = []
+        moves = splittings_mod._moves
+        monkeypatch.setattr(splittings_mod, "_moves", lambda *args: calls.append(args[:2]) or moves(*args))
+        conn = Connection.from_potential(S * SBAR)
+        visited = 0
+        for j in (0, 1, 4):
+            for f in (ONE, S, S * SBAR):
+                start = len(calls)
+                sweep = IdentitySweep(conn, j, f)
+                for m in range(7):
+                    for dirs in direction_sequences(m):
+                        assert verify_expansion_identity(m, dirs, conn, j, f, sweep=sweep)
+                        visited += len(sweep.states[dirs])
+                assert len(set(calls[start:])) == len(calls) - start, (j, f)
+        assert visited == 8964
+        assert len(calls) == 1536
 
     def test_sweep_of_another_cell_family_is_refused(self):
         sweep = IdentitySweep(CONN, 0, S)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -78,6 +79,36 @@ class TestAddition:
         assert not (p + (-p)).terms
 
 
+class TestCombination:
+    @given(st.lists(st.tuples(st.integers(-5, 5), polynomials), max_size=6))
+    def test_equals_sequential_sum(self, pairs):
+        # complex coefficients over denominators up to 6, in canonical form on both sides
+        total = ZERO
+        for count, poly in pairs:
+            total = total + count * poly
+        assert WirtingerPolynomial.combination(pairs) == total
+
+    @given(st.lists(st.tuples(st.integers(-5, 5), polynomials), max_size=4), st.randoms())
+    def test_cancelling_sum_is_canonical_zero(self, pairs, random):
+        both = pairs + [(-count, poly) for count, poly in pairs]
+        random.shuffle(both)
+        total = WirtingerPolynomial.combination(both)
+        assert total == ZERO and total.denominator == 1 and not total.numerators
+
+    def test_empty_sum_is_zero(self):
+        assert WirtingerPolynomial.combination([]) == ZERO
+        assert WirtingerPolynomial.combination(iter(())) == ZERO
+
+    def test_complex_coefficients_over_different_denominators(self):
+        a = WirtingerPolynomial({(1, 0): GaussianRational("1/2", "1/3"), (0, 0): Fraction(1, 5)})
+        b = WirtingerPolynomial({(1, 0): GaussianRational("-1/4", "-1/6"), (0, 2): GaussianRational(0, "1/7")})
+        # 2a + 4b cancels the s term; the rest keeps the denominator 35
+        total = WirtingerPolynomial.combination([(2, a), (4, b)])
+        assert total == WirtingerPolynomial({(0, 0): Fraction(2, 5), (0, 2): GaussianRational(0, "4/7")})
+        assert total.denominator == 35
+        assert total == 2 * a + 4 * b
+
+
 class TestMultiplication:
     def test_basic_product(self):
         assert S * SBAR == WirtingerPolynomial({(1, 1): 1})
@@ -138,6 +169,21 @@ class TestDerivatives:
         # for real-valued g: conj(dg/ds) equals dg/dsbar
         g = p + p.conjugate()
         assert g.derivative(D).conjugate() == g.derivative(DBAR)
+
+
+class TestTwistedDerivative:
+    # tests/test_field.py checks it against derivative plus product on random sections
+    def test_zero_polynomial_and_zero_multiplier(self):
+        mu = WirtingerPolynomial({(0, 0): GaussianRational(1, 1), (1, 2): GaussianRational("1/2", "-1/3")})
+        for d in (D, DBAR):
+            assert ZERO.twisted_derivative(d, mu) == ZERO
+            assert (S * SBAR).twisted_derivative(d, ZERO) == (S * SBAR).derivative(d)
+
+    def test_parts_that_cancel(self):
+        # d/ds (s/2 + 1/4) = 1/2 cancels the constant of (-2)(s/2 + 1/4); the rest is -s
+        poly = WirtingerPolynomial({(1, 0): "1/2", (0, 0): "1/4"})
+        twisted = poly.twisted_derivative(D, WirtingerPolynomial.constant(-2))
+        assert twisted == -S and twisted.denominator == 1
 
 
 class TestLaplacian:
@@ -224,6 +270,7 @@ class TestCanonicalForm:
         a, b = from_records(a_records), from_records(b_records)
         results = [a, b, a + b, a - b, a * b, -a, a.conjugate(), a.derivative(d), laplacian(a)]
         results += [6 * a, a * Fraction(r), a * z, a * 0]
+        results += [WirtingerPolynomial.combination([(3, a), (-2, b)]), a.twisted_derivative(d, b)]
         for poly in results:
             self.assert_canonical(poly)
 
