@@ -29,17 +29,16 @@ The expansion sums never visit a splitting.  A term depends only on the
 multiset of its factors' signatures (base, D count, DBAR count), and a
 growth move acts on that multiset alone, so each sum advances a dictionary
 {signature state: number of splittings} one direction at a time, dropping
-every state with a vanishing factor.  A direction sequence's states are
-its prefix's advanced by one step, so ``splittings`` (the expansions of
-every sequence up to a length for one (j, f)) and ``IdentitySweep`` (both
-sides of the identity for those cells, the direct side also taken from
-its prefix's) share each prefix's work.  The moves of a state along a
-direction, its children with their weights, are memoized per (j, f) and
-keyed on (state, direction), since the same state recurs under many
-prefixes: a step only adds counts, and each level's sum is one linear
-combination of its states' terms (``WirtingerPolynomial.combination``).
-Only f and the multipliers are differentiated: the expansion route never
-takes the direct route (``Connection.covariant_derivative``).
+every state with a vanishing factor.  One table per (j, f), ``_States``,
+memoizes the states of each direction sequence, keyed on the sequence and
+advanced from its prefix's by one step, and the moves of each state, its
+children with their weights, keyed on (direction, state), since the same
+state recurs under many prefixes.  A step only adds counts, and each sum
+is one linear combination of its states' terms.  ``splitting_expansion``,
+``check_splitting_recursion`` and ``IdentitySweep`` (both sides of the
+identity for the cells of one (j, f), the direct side also taken from its
+prefix's) each read one such table.  Only f and the multipliers are
+differentiated: the expansion route never takes the direct route.
 ``all_splittings``, ``brute_force_splittings`` and ``splitting_term``
 remain as small-m oracles.
 """
@@ -69,7 +68,6 @@ __all__ = [
     "type2_correspondence",
     "splitting_term",
     "splitting_expansion",
-    "splittings",
     "IdentitySweep",
     "verify_expansion_identity",
     "identity_witness",
@@ -389,56 +387,45 @@ def _moves(state: tuple, d: Direction, terms) -> tuple[tuple, tuple]:
     return type1, tuple(type2)
 
 
-class _Moves:
-    """The moves of each (state, d) under one term table, each computed by ``_moves`` once.
+class _States(dict):
+    """The kept states of each direction sequence under one term table, computed on first lookup.
 
-    Whether a child is dropped depends on the table, so a memo serves one
-    (j, f), and every direction sequence of a sweep shares it.  It keeps
-    one dict of states per direction.
+    Keyed on the sequence, the value is {state: count}: the signature
+    states of its splittings whose term is nonzero, each with the number of
+    such splittings, one ``step`` from its prefix's.  ``moves`` memoizes
+    each state's moves, one dict per direction keyed on the state, so
+    ``_moves`` runs once per (state, direction).  Dropped children depend
+    on the table, so one table serves one (j, f).
     """
 
     def __init__(self, terms):
-        self.terms = terms
-        self.by_direction = {d: {} for d in Direction}
-
-    def kept_states(self) -> _Prefixes:
-        """By direction sequence, the states, with counts, of its splittings whose term is nonzero."""
         # the root, the splitting of the empty set, has the one factor f
-        root = {} if self.terms[((0, 0, 0),)] is None else {((0, 0, 0),): 1}
-        return _Prefixes(root, self.advance)
+        super().__init__({(): {} if terms[((0, 0, 0),)] is None else {((0, 0, 0),): 1}})
+        self.terms = terms
+        self.moves = {d: {} for d in Direction}
 
-    def advance(self, states: dict, d: Direction) -> dict:
+    def __missing__(self, dirs: tuple[Direction, ...]) -> dict:
         children: dict = {}
-        _step(states, d, self, children, children)
+        self.step(self[dirs[:-1]], dirs[-1], children, children)
+        self[dirs] = children
         return children
 
+    def step(self, states: dict, d: Direction, type1: dict, type2: dict) -> None:
+        """Add to type1 and type2 the children one direction d further: parent count times move weight."""
+        memo, terms = self.moves[d], self.terms
+        for state, count in states.items():
+            found = memo.get(state)
+            if found is None:
+                found = memo[state] = _moves(state, d, terms)
+            ones, twos = found
+            for child, weight in ones:
+                type1[child] = type1.get(child, 0) + count * weight
+            for child, weight in twos:
+                type2[child] = type2.get(child, 0) + count * weight
 
-def _step(states: dict, d: Direction, moves: _Moves, type1: dict, type2: dict) -> None:
-    """Add to type1 and type2 the states of the splittings one direction d further.
-
-    Each state's moves come from the memo ``moves``, computed on the first
-    lookup of (state, d); a child's count is its parent's times the
-    move's weight.
-    """
-    memo, terms = moves.by_direction[d], moves.terms
-    for state, count in states.items():
-        found = memo.get(state)
-        if found is None:
-            found = memo[state] = _moves(state, d, terms)
-        ones, twos = found
-        for child, weight in ones:
-            type1[child] = type1.get(child, 0) + count * weight
-        for child, weight in twos:
-            type2[child] = type2.get(child, 0) + count * weight
-
-
-def _kept_states(terms) -> _Prefixes:
-    """By direction sequence, the kept states of ``terms``, with a memo of moves of their own."""
-    return _Moves(terms).kept_states()
-
-
-def _sum_states(states: dict, terms) -> WirtingerPolynomial:
-    return WirtingerPolynomial.combination((count, terms[state]) for state, count in states.items())
+    def sum(self, states: dict) -> WirtingerPolynomial:
+        """The sum of each state's term times its count."""
+        return WirtingerPolynomial.combination((count, self.terms[state]) for state, count in states.items())
 
 
 def splitting_term(
@@ -475,27 +462,8 @@ def splitting_expansion(
     """
     if len(dirs) != m:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
-    terms = _Terms(conn, j, f)
-    return _sum_states(_kept_states(terms)[tuple(dirs)], terms)
-
-
-def splittings(
-    m_max: int, conn: Connection, j: int, f: WirtingerPolynomial
-) -> list[dict[tuple[Direction, ...], WirtingerPolynomial]]:
-    """Every level's expansions up to m_max: entry m maps each dirs of length m to its sum.
-
-    The sums equal ``splitting_expansion(m, dirs, conn, j, f)``, with the
-    sequences in ``direction_sequences`` order.  Each sequence's states
-    advance its prefix's by one direction, and each factor, each state's
-    term and each (state, direction) move is computed once for the whole
-    sweep.
-    """
-    terms = _Terms(conn, j, f)
-    states = _kept_states(terms)
-    return [
-        {dirs: _sum_states(states[dirs], terms) for dirs in direction_sequences(m)}
-        for m in range(m_max + 1)
-    ]
+    states = _States(_Terms(conn, j, f))
+    return states.sum(states[tuple(dirs)])
 
 
 class IdentitySweep:
@@ -512,8 +480,7 @@ class IdentitySweep:
     def __init__(self, conn: Connection, j: int, f: WirtingerPolynomial):
         self.key = (conn, j, f)
         self.j = j
-        self.terms = _Terms(conn, j, f)
-        self.states = _kept_states(self.terms)
+        self.states = _States(_Terms(conn, j, f))
         self.direct = _Prefixes(FieldSection({j: f}), conn.covariant_derivative)
 
     def sides(
@@ -521,7 +488,7 @@ class IdentitySweep:
     ) -> tuple[FieldSection, FieldSection]:
         """(direct route, expansion route) at dirs, the expansion negated when corrupt."""
         dirs = tuple(dirs)
-        expanded = _sum_states(self.states[dirs], self.terms)
+        expanded = self.states.sum(self.states[dirs])
         return self.direct[dirs], FieldSection({self.j: -expanded if corrupt else expanded})
 
 
@@ -584,7 +551,7 @@ def identity_witness(
     direct, expanded = _identity_sides(m, dirs, conn, j, f, corrupt, sweep)
     for index in sorted(set(direct.support) | set(expanded.support)):
         left, right = direct.coefficient(index), expanded.coefficient(index)
-        for p, q in sorted(set(left.terms) | set(right.terms)):
+        for p, q in sorted(set(left.numerators) | set(right.numerators)):
             if left.coefficient(p, q) != right.coefficient(p, q):
                 return {
                     "basis_index": index,
@@ -618,16 +585,15 @@ def check_splitting_recursion(
     """
     if len(dirs) != m + 1:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m + 1}")
-    terms = _Terms(conn, j, f)
-    moves = _Moves(terms)
-    states = moves.kept_states()[tuple(dirs[:m])]
+    states = _States(_Terms(conn, j, f))
+    level = states[tuple(dirs[:m])]
     type1, type2 = {}, {}
-    _step(states, dirs[m], moves, type1, type2)
-    level_m = _sum_states(states, terms)
+    states.step(level, dirs[m], type1, type2)
+    level_m = states.sum(level)
     if corrupt:
         level_m = -level_m
-    type1_ok = _sum_states(type1, terms) == conn.coefficient(j, dirs[m]) * level_m
-    return type1_ok and _sum_states(type2, terms) == level_m.derivative(dirs[m])
+    type1_ok = states.sum(type1) == conn.coefficient(j, dirs[m]) * level_m
+    return type1_ok and states.sum(type2) == level_m.derivative(dirs[m])
 
 
 def direction_sequences(m: int) -> Iterable[tuple[Direction, ...]]:

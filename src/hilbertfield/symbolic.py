@@ -164,6 +164,9 @@ class Direction(enum.Enum):
     D = "d"
     DBAR = "dbar"
 
+    # the members are singletons, so hashing by identity agrees with Enum equality
+    __hash__ = object.__hash__
+
     @property
     def conjugate(self) -> "Direction":
         return Direction.DBAR if self is Direction.D else Direction.D
@@ -291,30 +294,12 @@ class WirtingerPolynomial:
     def __add__(self, other):
         if not isinstance(other, WirtingerPolynomial):
             return NotImplemented
-        a_den, b_den = self._den, other._den
-        # scale both sides to the least common denominator
-        g = math.gcd(a_den, b_den)
-        a_scale, b_scale = b_den // g, a_den // g
-        if a_scale == 1:
-            out = dict(self._num)
-        else:
-            out = {key: (re * a_scale, im * a_scale) for key, (re, im) in self._num.items()}
-        for key, (re, im) in other._num.items():
-            if b_scale != 1:
-                re, im = re * b_scale, im * b_scale
-            acc = out.get(key)
-            if acc is not None:
-                re, im = acc[0] + re, acc[1] + im
-                if not (re or im):
-                    del out[key]
-                    continue
-            out[key] = (re, im)
-        return _canonical(a_den * a_scale, out)
+        return WirtingerPolynomial.combination(((1, self), (1, other)))
 
     def __sub__(self, other):
         if not isinstance(other, WirtingerPolynomial):
             return NotImplemented
-        return self + (-other)
+        return WirtingerPolynomial.combination(((1, self), (-1, other)))
 
     def __neg__(self):
         return _raw(self._den, {key: (-re, -im) for key, (re, im) in self._num.items()})

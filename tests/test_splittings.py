@@ -411,7 +411,7 @@ def signatures(spl, dirs) -> tuple:
 
 
 def kept_states(dirs, conn, j, f) -> dict:
-    return splittings_mod._kept_states(splittings_mod._Terms(conn, j, f))[dirs]
+    return splittings_mod._States(splittings_mod._Terms(conn, j, f))[dirs]
 
 
 class TestPrunedWalk:
@@ -458,13 +458,12 @@ class TestPrunedWalk:
     def test_sweep_against_unpruned_oracle(self, m_max, j, k, f):
         # every cell of the prefix-sharing sweep, in direction_sequences order
         conn = Connection(k=k)
-        levels = splittings_mod.splittings(m_max, conn, j, f)
-        assert len(levels) == m_max + 1
-        for m, expansions in enumerate(levels):
-            assert list(expansions) == list(direction_sequences(m))
-            for dirs, expanded in expansions.items():
-                assert expanded == splitting_expansion(m, dirs, conn, j, f), dirs
-                assert expanded == unpruned_expansion(m, dirs, conn, j, f), dirs
+        sweep, basis = IdentitySweep(conn, j, f), FieldSection.basis(j)
+        for m in range(m_max + 1):
+            for dirs in direction_sequences(m):
+                expanded = sweep.sides(dirs)[1]
+                assert expanded == splitting_expansion(m, dirs, conn, j, f) * basis, dirs
+                assert expanded == unpruned_expansion(m, dirs, conn, j, f) * basis, dirs
 
     def test_unpruned_state_counts_are_signature_multisets(self):
         # with a term table in which no factor vanishes, no state is dropped
@@ -476,7 +475,7 @@ class TestPrunedWalk:
         for m, sequences in samples.items():
             for dirs in sequences:
                 expected = Counter(signatures(spl, dirs) for spl in all_splittings(m))
-                assert splittings_mod._kept_states(never_zero)[dirs] == expected, dirs
+                assert splittings_mod._States(never_zero)[dirs] == expected, dirs
 
     def test_memoized_states_against_unpruned_oracle(self):
         # one state table per (j, f), so most sequences reuse moves memoized
@@ -486,7 +485,7 @@ class TestPrunedWalk:
         samples.update({m: [(D,) * m, (DBAR,) * m, (D, DBAR) * (m // 2) + (D,) * (m % 2)] for m in (6, 7)})
         complex_k = WirtingerPolynomial({(0, 0): GaussianRational(1, 1), (1, 2): GaussianRational("1/2", "-1/3")})
         for conn, j, f in ((CONN2, 1, S * SBAR), (Connection(k=complex_k), 0, S**2 * SBAR)):
-            states = splittings_mod._kept_states(splittings_mod._Terms(conn, j, f))
+            states = splittings_mod._States(splittings_mod._Terms(conn, j, f))
             for m, sequences in samples.items():
                 for dirs in sequences:
                     expected = Counter(
@@ -515,7 +514,7 @@ class TestPrunedWalk:
     def test_zero_function_cuts_the_root(self):
         assert kept_states((D, D, DBAR), CONN, 0, ZERO) == {}
         assert splitting_expansion(3, (D, D, DBAR), CONN, 0, ZERO).is_zero
-        assert splittings_mod.splittings(3, CONN, 0, ZERO)[3][D, D, DBAR].is_zero
+        assert IdentitySweep(CONN, 0, ZERO).sides((D, D, DBAR))[1].is_zero
 
     def test_expansion_route_never_takes_the_direct_route(self, monkeypatch):
         def refuse(*args):
@@ -524,9 +523,11 @@ class TestPrunedWalk:
         monkeypatch.setattr(Connection, "iterated", refuse)
         monkeypatch.setattr(Connection, "covariant_derivative", refuse)
         dirs = (D, DBAR, D)
-        levels = splittings_mod.splittings(3, CONN2, 1, S * SBAR)
-        assert levels[3][dirs] == splitting_expansion(3, dirs, CONN2, 1, S * SBAR)
-        assert levels[3][dirs] == unpruned_expansion(3, dirs, CONN2, 1, S * SBAR)
+        # the expansion side alone: sides() would also take the direct route
+        sweep = IdentitySweep(CONN2, 1, S * SBAR)
+        expanded = sweep.states.sum(sweep.states[dirs])
+        assert expanded == splitting_expansion(3, dirs, CONN2, 1, S * SBAR)
+        assert expanded == unpruned_expansion(3, dirs, CONN2, 1, S * SBAR)
         assert check_splitting_recursion(2, dirs, CONN2, 1, S * SBAR)
 
 
@@ -593,8 +594,8 @@ class TestRecursion:
         # one fold of the states: m steps to level m, then one step split by
         # type; the level-(m+1) states are summed once, by type
         steps = []
-        step = splittings_mod._step
-        monkeypatch.setattr(splittings_mod, "_step", lambda *args: steps.append(args[1]) or step(*args))
+        step = splittings_mod._States.step
+        monkeypatch.setattr(splittings_mod._States, "step", lambda *args: steps.append(args[2]) or step(*args))
         assert check_splitting_recursion(2, (D, DBAR, D), CONN, 1, S)
         assert steps == [D, DBAR, D]
 

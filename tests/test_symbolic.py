@@ -1,6 +1,8 @@
 """Exact arithmetic, derivatives and evaluation of Wirtinger polynomials."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -36,6 +38,16 @@ I = GaussianRational(0, 1)
 
 # five fixed sample points for evaluation cross-checks
 SAMPLE_POINTS = [0.3 + 0.7j, -1.1 + 0.2j, 2.0 - 1.5j, -0.4 - 0.9j, 1.0 + 1.0j]
+
+
+class TestDirection:
+    def test_copies_are_the_member(self):
+        # directions hash by identity, which needs every copy to be the member
+        for d in (D, DBAR):
+            assert copy.deepcopy(d) is d
+            assert pickle.loads(pickle.dumps(d)) is d
+            assert Direction(d.value) is d
+
 
 class TestGaussianRational:
     def test_exact_division(self):
@@ -82,11 +94,14 @@ class TestAddition:
 class TestCombination:
     @given(st.lists(st.tuples(st.integers(-5, 5), polynomials), max_size=6))
     def test_equals_sequential_sum(self, pairs):
-        # complex coefficients over denominators up to 6, in canonical form on both sides
-        total = ZERO
+        # complex coefficients over denominators up to 6, in canonical form on
+        # both sides; the reference sums Gaussian-rational coefficients per
+        # exponent pair, not through the polynomial addition
+        sums: dict = {}
         for count, poly in pairs:
-            total = total + count * poly
-        assert WirtingerPolynomial.combination(pairs) == total
+            for key, coeff in poly.terms.items():
+                sums[key] = sums.get(key, GaussianRational(0)) + GaussianRational(count) * coeff
+        assert WirtingerPolynomial.combination(pairs) == WirtingerPolynomial(sums)
 
     @given(st.lists(st.tuples(st.integers(-5, 5), polynomials), max_size=4), st.randoms())
     def test_cancelling_sum_is_canonical_zero(self, pairs, random):
