@@ -34,7 +34,6 @@ from .splittings import (
     enumerate_splittings,
     all_splittings,
     brute_force_splittings,
-    count_splittings,
     classify,
     type1_bijection,
     type2_correspondence,
@@ -85,7 +84,6 @@ __all__ = [
     "enumerate_splittings",
     "all_splittings",
     "brute_force_splittings",
-    "count_splittings",
     "classify",
     "type1_bijection",
     "type2_correspondence",

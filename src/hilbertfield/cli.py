@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -31,11 +32,9 @@ from .grid import CompactRectangle
 from .splittings import (
     CorrespondenceError,
     IdentitySweep,
-    SplittingKind,
+    all_splittings,
     classify,
-    count_splittings,
     direction_sequences,
-    enumerate_splittings,
     identity_witness,
     type1_bijection,
     type2_correspondence,
@@ -90,11 +89,15 @@ class RunConfig:
             problems.append("index list must not be empty")
         elif any(j < 0 for j in self.indices):
             problems.append("basis indices must be nonnegative")
+        elif len(set(self.indices)) < len(self.indices):
+            problems.append("indices must be distinct")
         if not self.functions:
             problems.append("function list must not be empty")
         for name, kind in _FIELD_TYPES.items():
             if kind is int and getattr(self, name) < 0:
                 problems.append(f"{name} must be nonnegative")
+        if self.curvature_j_max < 1:
+            problems.append("curvature_j_max must be at least 1: growth compares consecutive eigenvalues")
         if self.m_greedy < self.m_decay:
             problems.append("m_greedy must be at least m_decay")
         if not self.formats or any(fmt not in ("json", "csv") for fmt in self.formats):
@@ -245,22 +248,24 @@ def cmd_verify_identity(cfg: RunConfig) -> int:
 
 
 def cmd_splittings(cfg: RunConfig) -> int:
-    """Count table with type breakdown plus both correspondence verifications."""
-    rows = []
-    all_pass = count_splittings(0, 1) == 1
-    for m in range(cfg.m_splittings + 1):
+    """Count table with type breakdown plus both correspondence verifications.
+
+    The table makes one pass over the splittings of each m, counting them
+    by block count and type; each row's recursion check reads the previous
+    m's totals.
+    """
+    totals = Counter(s.num_blocks for s in all_splittings(0))
+    all_pass = totals[1] == 1
+    rows = [(0, 1, totals[1], "", "", "")]
+    for m in range(1, cfg.m_splittings + 1):
+        table = Counter((s.num_blocks, classify(s).value) for s in all_splittings(m))
+        previous, totals = totals, Counter()
         for k in range(1, m + 2):
-            total = count_splittings(m, k)
-            if m >= 1:
-                type1 = sum(1 for s in enumerate_splittings(m, k) if classify(s) is SplittingKind.TYPE1)
-                type2 = total - type1
-                recursion_ok = total == count_splittings(m - 1, k - 1) + k * count_splittings(
-                    m - 1, k
-                )
-                all_pass = all_pass and recursion_ok
-                rows.append((m, k, total, type1, type2, recursion_ok))
-            else:
-                rows.append((m, k, total, "", "", ""))
+            type1, type2 = table[k, "type1"], table[k, "type2"]
+            totals[k] = type1 + type2
+            recursion_ok = totals[k] == previous[k - 1] + k * previous[k]
+            all_pass = all_pass and recursion_ok
+            rows.append((m, k, totals[k], type1, type2, recursion_ok))
     correspondences = []
     for m in range(cfg.m_bijection + 1):
         for kind, verify, ks in (

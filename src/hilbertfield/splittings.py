@@ -62,7 +62,6 @@ __all__ = [
     "enumerate_splittings",
     "all_splittings",
     "brute_force_splittings",
-    "count_splittings",
     "classify",
     "type1_bijection",
     "type2_correspondence",
@@ -235,11 +234,6 @@ def brute_force_splittings(m: int, k: int) -> tuple[Splitting, ...]:
             if valid:
                 found.append(Splitting(m, tuple(tuple(b) for b in blocks), markers))
     return tuple(found)
-
-
-def count_splittings(m: int, k: int) -> int:
-    """Number of splittings of {1, ..., m} into k blocks (0 outside [1, m+1])."""
-    return len(enumerate_splittings(m, k))
 
 
 def classify(spl: Splitting) -> SplittingKind:

@@ -1,5 +1,6 @@
-"""Shared hypothesis strategies for the model's exact objects."""
+"""Shared hypothesis strategies for the model's exact objects, and closed-form oracles."""
 
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -57,3 +58,9 @@ def from_records(records) -> WirtingerPolynomial:
     return WirtingerPolynomial(
         [(key, re if im is None else GaussianRational(re, im)) for key, re, im in records]
     )
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind by inclusion-exclusion."""
+    total = sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
+    return total // math.factorial(k)

@@ -26,11 +26,11 @@ from hilbertfield import (
     check_leibniz,
     check_metric_compat,
     check_splitting_recursion,
-    count_splittings,
     covariant_level_sups,
     decay_row,
     delta_from,
     direction_sequences,
+    enumerate_splittings,
     estimate_certificate,
     laplacian,
     type1_bijection,
@@ -102,12 +102,14 @@ def test_criterion_2_recursion_structure():
 
 def test_criterion_3_splitting_combinatorics():
     start = time.monotonic()
-    ok = count_splittings(0, 1) == 1
+    ok = len(enumerate_splittings(0, 1)) == 1
     for m in range(9):
         for k in range(1, m + 3):
-            ok = ok and count_splittings(m + 1, k) == count_splittings(m, k - 1) + k * count_splittings(m, k)
-    ok = ok and sum(count_splittings(2, k) for k in range(1, 4)) == 5
-    ok = ok and sum(count_splittings(3, k) for k in range(1, 5)) == 15
+            left = len(enumerate_splittings(m + 1, k))
+            right = len(enumerate_splittings(m, k - 1)) + k * len(enumerate_splittings(m, k))
+            ok = ok and left == right
+    ok = ok and sum(len(enumerate_splittings(2, k)) for k in range(1, 4)) == 5
+    ok = ok and sum(len(enumerate_splittings(3, k)) for k in range(1, 5)) == 15
     for m in range(7):
         for k in range(2, m + 3):
             type1_bijection(m, k)  # raises CorrespondenceError on failure

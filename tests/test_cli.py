@@ -25,6 +25,8 @@ from hilbertfield import (
 from hilbertfield.cli import RunConfig, main
 from hilbertfield.field import CurvatureConsistencyError
 
+from conftest import stirling2
+
 
 def write_config(path, **overrides):
     data = {
@@ -126,7 +128,7 @@ class TestVerifyIdentity:
 class TestSplittings:
     def test_count_table(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["splittings", "--out", str(out), "--m-max", "5"]) == 0
+        assert main(["splittings", "--out", str(out), "--m-max", "7"]) == 0
         with (out / "splittings.csv").open() as handle:
             rows = list(csv.DictReader(handle))
         assert rows[0] == {"m": "0", "k": "1", "total": "1", "type1": "", "type2": "", "recursion_ok": ""}
@@ -137,7 +139,29 @@ class TestSplittings:
                 assert row["recursion_ok"] == "True"
         assert totals[2] == 5
         assert totals[3] == 15
-        assert (out / "correspondences.csv").exists()
+        # closed-form oracle, sharing no code with the enumerator or the recursion:
+        # N(m, k) = S(m+1, k), of which S(m, k-1) are type 1 and k S(m, k) type 2
+        assert rows[1:] == [
+            {
+                "m": str(m),
+                "k": str(k),
+                "total": str(stirling2(m + 1, k)),
+                "type1": str(stirling2(m, k - 1)),
+                "type2": str(k * stirling2(m, k)),
+                "recursion_ok": "True",
+            }
+            for m in range(1, 8)
+            for k in range(1, m + 2)
+        ]
+        # type 1 pairs off the N(m, k-1) splittings, type 2 covers the N(m, k)
+        expected = []
+        for m in range(RunConfig().m_bijection + 1):
+            expected += [("type1", m, k, stirling2(m + 1, k - 1)) for k in range(2, m + 3)]
+            expected += [("type2", m, k, stirling2(m + 1, k)) for k in range(1, m + 2)]
+        with (out / "correspondences.csv").open() as handle:
+            pairings = list(csv.DictReader(handle))
+        assert [(r["kind"], int(r["m"]), int(r["k"]), int(r["pairings"])) for r in pairings] == expected
+        assert all(r["ok"] == "True" for r in pairings)
 
     def test_json_only(self, tmp_path):
         out = tmp_path / "out"
@@ -400,6 +424,8 @@ class TestRunConfig:
             ({"eval_points": [[10**400, 0]]}, "eval_points"),
             ({"eval_points": [[0.1234567, 0], [0.1234568, 0]]}, "eval_points"),
             ({"eval_points": [[1, 0], [1, 0]]}, "eval_points"),
+            ({"curvature_j_max": 0}, "curvature_j_max"),
+            ({"indices": [0, 0]}, "indices"),
         ],
     )
     def test_silently_accepted_config_is_rejected(self, tmp_path, capsys, overrides, key):
@@ -505,3 +531,9 @@ class TestUsageErrors:
 
     def test_negative_m_max(self, tmp_path):
         assert main(["splittings", "--m-max", "-3", "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("command", ["curvature", "all"])
+    def test_single_eigenvalue_cannot_show_growth(self, tmp_path, capsys, command):
+        assert main([command, "--m-max", "0", "--out", str(tmp_path / "out")]) == 2
+        assert "curvature_j_max" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

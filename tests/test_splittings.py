@@ -22,7 +22,6 @@ from hilbertfield import (
     check_splitting_recursion,
     classify,
     identity_witness,
-    count_splittings,
     direction_sequences,
     enumerate_splittings,
     splitting_expansion,
@@ -37,17 +36,11 @@ from hilbertfield import (
 )
 from hilbertfield import splittings as splittings_mod
 
-from conftest import polynomials
+from conftest import polynomials, stirling2
 
 D, DBAR = Direction.D, Direction.DBAR
 CONN = Connection(k=SBAR)
 CONN2 = Connection(k=S * SBAR**2)
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind by inclusion-exclusion."""
-    total = sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
-    return total // math.factorial(k)
 
 
 class TestSplittingInvariants:
@@ -61,7 +54,7 @@ class TestSplittingInvariants:
     def test_out_of_range_block_count_is_empty(self):
         assert enumerate_splittings(3, 0) == ()
         assert enumerate_splittings(3, 5) == ()
-        assert count_splittings(3, 7) == 0
+        assert len(enumerate_splittings(3, 7)) == 0
 
     def test_negative_ground_set_rejected(self):
         with pytest.raises(ValueError):
@@ -100,22 +93,22 @@ class TestEnumerationAgainstBruteForce:
 
 class TestCounts:
     def test_base_case(self):
-        assert count_splittings(0, 1) == 1
+        assert len(enumerate_splittings(0, 1)) == 1
 
     def test_two_block_count_of_two(self):
         # brute-force oracle first, then the frozen value
         assert len(brute_force_splittings(2, 2)) == 3
-        assert count_splittings(2, 2) == 3
+        assert len(enumerate_splittings(2, 2)) == 3
 
     def test_totals(self):
-        assert sum(count_splittings(2, k) for k in range(1, 4)) == 5
-        assert sum(count_splittings(3, k) for k in range(1, 5)) == 15
+        assert sum(len(enumerate_splittings(2, k)) for k in range(1, 4)) == 5
+        assert sum(len(enumerate_splittings(3, k)) for k in range(1, 5)) == 15
 
     def test_recursion(self):
         for m in range(9):
             for k in range(1, m + 3):
-                left = count_splittings(m + 1, k)
-                right = count_splittings(m, k - 1) + k * count_splittings(m, k)
+                left = len(enumerate_splittings(m + 1, k))
+                right = len(enumerate_splittings(m, k - 1)) + k * len(enumerate_splittings(m, k))
                 assert left == right, (m, k)
 
     def test_matches_shifted_stirling_triangle(self):
@@ -124,7 +117,7 @@ class TestCounts:
         # B(m+1) (OEIS A000110)
         bell = (1, 2, 5, 15, 52, 203, 877, 4140, 21147)
         for m in range(9):
-            row = [count_splittings(m, k) for k in range(m + 3)]
+            row = [len(enumerate_splittings(m, k)) for k in range(m + 3)]
             assert row == [stirling2(m + 1, k) for k in range(m + 3)], m
             assert sum(row) == bell[m], m
 
@@ -218,8 +211,8 @@ class TestClassification:
                 splittings = enumerate_splittings(m + 1, k)
                 type1 = sum(1 for s in splittings if classify(s) is SplittingKind.TYPE1)
                 type2 = len(splittings) - type1
-                assert type1 == count_splittings(m, k - 1), (m, k)
-                assert type2 == k * count_splittings(m, k), (m, k)
+                assert type1 == len(enumerate_splittings(m, k - 1)), (m, k)
+                assert type2 == k * len(enumerate_splittings(m, k)), (m, k)
 
 
 class TestCorrespondences:
@@ -228,14 +221,14 @@ class TestCorrespondences:
         assert pairs == ((Splitting(1, ((), ()), (1,)), Splitting(0, ((),), ())),)
 
     def test_type1_counts(self):
-        assert len(type1_bijection(2, 2)) == count_splittings(2, 1) == 1
-        assert len(type1_bijection(3, 3)) == count_splittings(3, 2)
+        assert len(type1_bijection(2, 2)) == len(enumerate_splittings(2, 1)) == 1
+        assert len(type1_bijection(3, 3)) == len(enumerate_splittings(3, 2))
 
     def test_type1_full_sweep(self):
         for m in range(7):
             for k in range(2, m + 3):
                 pairs = type1_bijection(m, k)
-                assert len(pairs) == count_splittings(m, k - 1)
+                assert len(pairs) == len(enumerate_splittings(m, k - 1))
 
     def test_type2_base_case(self):
         mapping = type2_correspondence(0, 1)
@@ -253,7 +246,7 @@ class TestCorrespondences:
             for k in range(1, m + 2):
                 mapping = type2_correspondence(m, k)
                 covered = sum(len(images) for _, images in mapping)
-                assert covered == k * count_splittings(m, k)
+                assert covered == k * len(enumerate_splittings(m, k))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
