@@ -45,6 +45,7 @@ from .symbolic import (
     GaussianRational,
     WirtingerPolynomial,
     json_int,
+    json_record,
     laplacian,
     ONE,
     S,
@@ -112,14 +113,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
         """Decode a JSON object whose keys are field names; any other key is an error."""
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = sorted(set(data) - set(_FIELD_TYPES))
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        return cls(
-            **{name: _decode(name, _FIELD_TYPES[name], value) for name, value in data.items()}
-        )
+        data = json_record(data, _FIELD_TYPES, "config", ConfigError)
+        return cls(**{name: _decode(name, _FIELD_TYPES[name], value) for name, value in data.items()})
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
@@ -156,7 +151,8 @@ def _decode(name: str, kind, value):
         raise ConfigError(f"{name}: expected a JSON boolean, got {value!r}")
     try:
         return _DECODERS.get(kind, kind)(value)
-    except (ValueError, TypeError, OverflowError) as exc:
+    # ArithmeticError: a zero denominator in a fraction, or a value beyond the float range
+    except (ValueError, TypeError, ArithmeticError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
@@ -518,10 +514,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out stops the run before it starts
         return _COMMANDS[args.command](cfg)
     # an OverflowError names a value, given in the config or derived from it, beyond the float range
     except (ConfigError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"config error: cannot write reports to {cfg.out_dir}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from .symbolic import ZERO, Direction, GaussianRational, WirtingerPolynomial, json_int, laplacian
+from .symbolic import ZERO, Direction, GaussianRational, WirtingerPolynomial, json_int, json_record, laplacian
 
 __all__ = [
     "FieldSection",
@@ -238,9 +238,7 @@ class Connection:
 
     @classmethod
     def from_json(cls, data: dict) -> "Connection":
-        unknown = sorted(set(data) - {"k", "g"})
-        if unknown:
-            raise ValueError(f"unknown connection key(s): {', '.join(unknown)}")
+        data = json_record(data, ("k", "g"), "connection")
         g = data.get("g")
         potential = WirtingerPolynomial.from_json_terms(g) if g is not None else None
         if "k" in data:

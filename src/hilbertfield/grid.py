@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .symbolic import WirtingerPolynomial
+from .symbolic import WirtingerPolynomial, json_record
 
 __all__ = ["CompactRectangle", "PowerTables", "evaluate_on_grid"]
 
@@ -65,10 +65,7 @@ class CompactRectangle:
 
     @classmethod
     def from_json(cls, data: dict) -> "CompactRectangle":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown rectangle key(s): {', '.join(unknown)}")
-        return cls(**data)
+        return cls(**json_record(data, [f.name for f in fields(cls)], "rectangle"))
 
 
 class _Powers:

@@ -21,8 +21,12 @@ that proves it splits the structures on {1, ..., m+1} into those whose
 blocks miss m+1 (so m+1 is the leading marker: "type 1", in bijection with
 splittings of {1, ..., m} into one block fewer) and those whose blocks
 contain m+1 ("type 2", a k-to-1 cover of the splittings of {1, ..., m}
-obtained by dropping m+1).  Both correspondences are verified here by
-explicit construction, and the enumerator is cross-checked against a
+obtained by dropping m+1).  The enumerator is that induction, a growth
+tree: level m+1 holds the children of level m, grown by the type-2 move
+(insert m+1 into a block) or the type-1 move (adjoin m+1 as the leading
+marker), and each splitting of {1, ..., m+1} has one parent, found by
+deleting m+1.  The type-2 and type-1 correspondences verify the two moves
+by explicit construction, and the enumerator is cross-checked against a
 brute-force generator that filters raw assignments by the invariants.
 
 The expansion sums never visit a splitting.  A term depends only on the
@@ -50,7 +54,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .field import Connection, FieldSection
 from .symbolic import Direction, WirtingerPolynomial, json_int
@@ -154,34 +158,21 @@ class Splitting:
 
 @lru_cache(maxsize=None)
 def all_splittings(m: int) -> tuple[Splitting, ...]:
-    """Every splitting of {1, ..., m}, in the order of the growth tree's leaves."""
+    """Every splitting of {1, ..., m}: level m of the growth tree, built from level m-1.
+
+    Each parent, in order, has the children that insert m into each of its
+    blocks in turn (type-2 moves), then the one that adjoins m as the
+    leading marker (type-1 move); deleting m recovers the one parent.
+    """
     if m < 0:
         raise ValueError("ground-set size must be nonnegative")
-    return tuple(Splitting(m, blocks, markers) for blocks, markers in _grow(m))
-
-
-def _grow(m: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-    """Depth-first walk of the growth tree, yielding raw (blocks, markers) leaves.
-
-    A node at depth t is a splitting of {1, ..., t}.  Its children insert t+1
-    into each block in turn (the type-2 moves), then adjoin a fresh empty
-    leading block with marker t+1 (the type-1 move); the root is the
-    splitting of the empty set.  The leaves of depth m are every splitting
-    of {1, ..., m}, each once.
-    """
-    # explicit stack, children pushed in reverse so that they pop in order
-    stack = [(1, ((),), ())]
-    while stack:
-        top, blocks, markers = stack.pop()
-        if top > m:
-            yield blocks, markers
-            continue
-        children = [
-            (top + 1, blocks[:position] + (block + (top,),) + blocks[position + 1 :], markers)
-            for position, block in enumerate(blocks)
-        ]
-        children.append((top + 1, ((),) + blocks, (top,) + markers))
-        stack.extend(reversed(children))
+    if m == 0:
+        return (Splitting(0, ((),), ()),)
+    grown = []
+    for parent in all_splittings(m - 1):
+        grown.extend(_insert_top_element(parent, position) for position in range(parent.num_blocks))
+        grown.append(_adjoin_leading_marker(parent))
+    return tuple(grown)
 
 
 def _insert_top_element(spl: Splitting, position: int) -> Splitting:

@@ -50,6 +50,16 @@ def json_int(value, name: str, error: type[ValueError] = ValueError) -> int:
     return value
 
 
+def json_record(value, keys: Iterable[str], name: str, error: type[ValueError] = ValueError) -> dict:
+    """``value`` when it is a JSON object with no key outside ``keys``; otherwise raises ``error``."""
+    if not isinstance(value, dict):
+        raise error(f"{name} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise error(f"unknown {name} key(s): {', '.join(unknown)}")
+    return value
+
+
 class GaussianRational:
     """Exact complex number re + im*i with rational components.
 

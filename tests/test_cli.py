@@ -17,6 +17,7 @@ from hilbertfield import (
     Direction,
     FieldSection,
     Splitting,
+    all_splittings,
     audit_certificate,
     ONE,
     S,
@@ -170,7 +171,9 @@ class TestSplittings:
         assert not (out / "splittings.csv").exists()
 
     def test_failed_correspondence_leaves_a_witness(self, tmp_path, monkeypatch, capsys):
-        # every insertion lands in the first block, so the k >= 2 type-2 covers collide
+        # every insertion lands in the first block, so the k >= 2 type-2 covers collide;
+        # the enumerator grows its levels by the same move, so they are cached unpatched first
+        all_splittings(RunConfig().m_bijection + 1)
         original = hilbertfield.splittings._insert_top_element
         monkeypatch.setattr(
             hilbertfield.splittings, "_insert_top_element", lambda spl, position: original(spl, 0)
@@ -426,6 +429,16 @@ class TestRunConfig:
             ({"eval_points": [[1, 0], [1, 0]]}, "eval_points"),
             ({"curvature_j_max": 0}, "curvature_j_max"),
             ({"indices": [0, 0]}, "indices"),
+            ({"functions": [[[0, 0, "1/0", "0"]]]}, "functions"),
+            ({"connection": {"k": [[0, 0, "0/0", "0"]]}}, "connection"),
+            ({"connection": {"g": [[1, 1, "1", "1/0"]]}}, "connection"),
+            (
+                {"rectangle": {"re_min": "-1", "re_max": "1/0", "im_min": "-1", "im_max": "1", "grid_n": 5}},
+                "rectangle",
+            ),
+            ({"connection": "kg"}, "connection must be a JSON object"),
+            ({"rectangle": "abc"}, "rectangle must be a JSON object"),
+            ({"rectangle": [1, 2]}, "rectangle must be a JSON object"),
         ],
     )
     def test_silently_accepted_config_is_rejected(self, tmp_path, capsys, overrides, key):
@@ -531,6 +544,16 @@ class TestUsageErrors:
 
     def test_negative_m_max(self, tmp_path):
         assert main(["splittings", "--m-max", "-3", "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("out", ["FILE", "FILE/sub"])
+    def test_unwritable_out_stops_before_the_suite(self, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "FILE").write_text("")
+        # the suite must not start: its first call would fail on None
+        monkeypatch.setattr(hilbertfield.cli, "all_splittings", None)
+        assert main(["splittings", "--m-max", "1", "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write reports to {tmp_path / out}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["curvature", "all"])
     def test_single_eigenvalue_cannot_show_growth(self, tmp_path, capsys, command):
