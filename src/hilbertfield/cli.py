@@ -151,9 +151,11 @@ def _decode(name: str, kind, value):
         raise ConfigError(f"{name}: expected a JSON boolean, got {value!r}")
     try:
         return _DECODERS.get(kind, kind)(value)
-    # ArithmeticError: a zero denominator in a fraction, or a value beyond the float range
+    # ArithmeticError: a value beyond the float range
     except (ValueError, TypeError, ArithmeticError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        # a record's own message (connection, rectangle) already names it
+        message = str(exc)
+        raise ConfigError(message if message.startswith(name) else f"{name}: {message}") from exc
 
 
 # --- report helpers -------------------------------------------------------
@@ -186,17 +188,18 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 def cmd_verify_identity(cfg: RunConfig) -> int:
     """Sweep the expansion identity and report every cell.
 
-    One (j, f) pair at a time, so that only one pair's prefixes are held:
-    its cells share one :class:`IdentitySweep`, which gives each failed
-    cell's witness from the same states and sections as its verdict.
-    Cells are reported level by level, then by direction sequence, index
-    and function.
+    One function at a time, so that only one function's states are held:
+    its cells share one :class:`IdentitySweep`, whose states serve every
+    index and whose direct sections serve one index at a time, and which
+    gives each failed cell's witness from the same states and sections as
+    its verdict.  Cells are reported level by level, then by direction
+    sequence, index and function.
     """
     conn = cfg.connection
     verdicts = {}
-    for j_position, j in enumerate(cfg.indices):
-        for f_index, f in enumerate(cfg.functions):
-            sweep = IdentitySweep(conn, j, f)
+    for f_index, f in enumerate(cfg.functions):
+        sweep = IdentitySweep(conn, f)
+        for j_position, j in enumerate(cfg.indices):
             for m in range(cfg.m_identity + 1):
                 for dirs in direction_sequences(m):
                     args = (m, dirs, conn, j, f)
@@ -209,13 +212,14 @@ def cmd_verify_identity(cfg: RunConfig) -> int:
     all_pass = True
     for m in range(cfg.m_identity + 1):
         for dirs in direction_sequences(m):
+            label = _format_dirs(dirs)
             for j_position, j in enumerate(cfg.indices):
                 for f_index, name in enumerate(names):
                     ok, witness = verdicts[dirs, j_position, f_index]
                     all_pass = all_pass and ok
                     cell = {
                         "m": m,
-                        "dirs": _format_dirs(dirs),
+                        "dirs": label,
                         "j": j,
                         "f": name,
                         "f_index": f_index,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .symbolic import WirtingerPolynomial, json_record
+from .symbolic import WirtingerPolynomial, json_fraction, json_record
 
 __all__ = ["CompactRectangle", "PowerTables", "evaluate_on_grid"]
 
@@ -38,7 +38,7 @@ class CompactRectangle:
         for name in ("re_min", "re_max", "im_min", "im_max"):
             value = getattr(self, name)
             if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(str(value)))
+                object.__setattr__(self, name, json_fraction(value))
         if self.re_min > self.re_max or self.im_min > self.im_max:
             raise ValueError("rectangle is empty: min bound exceeds max bound")
         if not isinstance(self.grid_n, int) or self.grid_n < 2:

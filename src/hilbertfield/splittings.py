@@ -33,16 +33,23 @@ The expansion sums never visit a splitting.  A term depends only on the
 multiset of its factors' signatures (base, D count, DBAR count), and a
 growth move acts on that multiset alone, so each sum advances a dictionary
 {signature state: number of splittings} one direction at a time, dropping
-every state with a vanishing factor.  One table per (j, f), ``_States``,
+every state with a vanishing factor.  One table per f serves every basis
+index j: the multiplier along d at j is (j+1) times the one at j = 0, and
+the derivations are linear, so each of a term's b-1 multiplier factors
+scales by j+1.  Which terms vanish therefore does not depend on j, and a
+state's term at j is its j = 0 term times (j+1)^(b-1), with b the number
+of factors in the state (exactly one of them is f's).  ``_States``
 memoizes the states of each direction sequence, keyed on the sequence and
 advanced from its prefix's by one step, and the moves of each state, its
 children with their weights, keyed on (direction, state), since the same
 state recurs under many prefixes.  A step only adds counts, and each sum
-is one linear combination of its states' terms.  ``splitting_expansion``,
-``check_splitting_recursion`` and ``IdentitySweep`` (both sides of the
-identity for the cells of one (j, f), the direct side also taken from its
-prefix's) each read one such table.  Only f and the multipliers are
-differentiated: the expansion route never takes the direct route.
+is one linear combination of its states' j = 0 terms, weighted by count
+times (j+1)^(b-1).  ``splitting_expansion``, ``check_splitting_recursion``
+and ``IdentitySweep`` (both sides of the identity for the cells of one f
+at every j, the direct side also taken from its prefix's) each read one
+such table.  Only f and the multipliers are differentiated: the expansion
+route never takes the direct route, which applies the multiplier of the
+real j at every step.
 ``all_splittings``, ``brute_force_splittings`` and ``splitting_term``
 remain as small-m oracles.
 """
@@ -309,7 +316,7 @@ def type2_correspondence(m: int, k: int) -> tuple[tuple[Splitting, tuple[Splitti
 
 
 class _Terms(dict):
-    """The term of each signature state for one (j, f), computed on first lookup; None if zero.
+    """The term of each signature state for one f at j = 0, computed on first lookup; None if zero.
 
     A factor eta_I h has the signature (kind, nd, nb): the kind of h (0 for
     f, 1 for a multiplier along DBAR, 2 along D) and the D and DBAR counts
@@ -319,9 +326,9 @@ class _Terms(dict):
     state's is its prefix's term times its last factor.
     """
 
-    def __init__(self, conn: Connection, j: int, f: WirtingerPolynomial):
+    def __init__(self, conn: Connection, f: WirtingerPolynomial):
         super().__init__()
-        self.bases = (f, conn.coefficient(j, Direction.DBAR), conn.coefficient(j, Direction.D))
+        self.bases = (f, conn.coefficient(0, Direction.DBAR), conn.coefficient(0, Direction.D))
 
     def __missing__(self, state: tuple[tuple[int, int, int], ...]):
         if len(state) > 1:
@@ -380,7 +387,7 @@ class _States(dict):
     such splittings, one ``step`` from its prefix's.  ``moves`` memoizes
     each state's moves, one dict per direction keyed on the state, so
     ``_moves`` runs once per (state, direction).  Dropped children depend
-    on the table, so one table serves one (j, f).
+    on the table, so one table serves one f, at every j.
     """
 
     def __init__(self, terms):
@@ -408,9 +415,17 @@ class _States(dict):
             for child, weight in twos:
                 type2[child] = type2.get(child, 0) + count * weight
 
-    def sum(self, states: dict) -> WirtingerPolynomial:
-        """The sum of each state's term times its count."""
-        return WirtingerPolynomial.combination((count, self.terms[state]) for state, count in states.items())
+    def sum(self, states: dict, j: int) -> WirtingerPolynomial:
+        """The sum of each state's term at index j times its count.
+
+        The table holds j = 0 terms; at j each of a state's factors but f's
+        is a multiplier factor scaled by j+1.
+        """
+        if j < 0:
+            raise ValueError("basis index must be nonnegative")
+        return WirtingerPolynomial.combination(
+            (count * (j + 1) ** (len(state) - 1), self.terms[state]) for state, count in states.items()
+        )
 
 
 def splitting_term(
@@ -447,34 +462,42 @@ def splitting_expansion(
     """
     if len(dirs) != m:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
-    states = _States(_Terms(conn, j, f))
-    return states.sum(states[tuple(dirs)])
+    states = _States(_Terms(conn, f))
+    return states.sum(states[tuple(dirs)], j)
 
 
 class IdentitySweep:
-    """Both sides of the expansion identity for the cells of one (j, f), shared along prefixes.
+    """Both sides of the expansion identity for the cells of one f, every j, shared along prefixes.
 
     At each direction sequence looked up, the expansion route advances its
     prefix's signature states by one direction and the direct route takes
-    one covariant derivative of its prefix's section.  Both are kept, so
-    sweeping every sequence up to a length computes each factor, each
-    state's term, each (state, direction) move and each covariant
-    derivative once.  The expansion route never reads the direct one.
+    one covariant derivative of its prefix's section.  The states do not
+    depend on j: one table serves every index, each state's j = 0 term
+    weighted by (j+1)^(b-1) for its b-1 multiplier factors.  The direct
+    sections do depend on j, and are kept for the last j looked up only:
+    sweeping one j after another computes each factor, each state's term,
+    each (state, direction) move once, and each covariant derivative once
+    per j.  The expansion route never reads the direct one.
     """
 
-    def __init__(self, conn: Connection, j: int, f: WirtingerPolynomial):
-        self.key = (conn, j, f)
-        self.j = j
-        self.states = _States(_Terms(conn, j, f))
-        self.direct = _Prefixes(FieldSection({j: f}), conn.covariant_derivative)
+    def __init__(self, conn: Connection, f: WirtingerPolynomial):
+        self.key = (conn, f)
+        self.states = _States(_Terms(conn, f))
+        # (j, its direct sections) in one attribute, so that threads sharing
+        # the sweep never pair one index with another's sections
+        self.direct: tuple[int, _Prefixes] | None = None
 
     def sides(
-        self, dirs: Sequence[Direction], corrupt: bool = False
+        self, dirs: Sequence[Direction], j: int, corrupt: bool = False
     ) -> tuple[FieldSection, FieldSection]:
-        """(direct route, expansion route) at dirs, the expansion negated when corrupt."""
+        """(direct route, expansion route) at (dirs, j), the expansion negated when corrupt."""
         dirs = tuple(dirs)
-        expanded = self.states.sum(self.states[dirs])
-        return self.direct[dirs], FieldSection({self.j: -expanded if corrupt else expanded})
+        direct = self.direct
+        if direct is None or direct[0] != j:
+            conn, f = self.key
+            self.direct = direct = (j, _Prefixes(FieldSection({j: f}), conn.covariant_derivative))
+        expanded = self.states.sum(self.states[dirs], j)
+        return direct[1][dirs], FieldSection({j: -expanded if corrupt else expanded})
 
 
 def _identity_sides(
@@ -489,10 +512,10 @@ def _identity_sides(
     if len(dirs) != m:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
     if sweep is None:
-        sweep = IdentitySweep(conn, j, f)
-    elif sweep.key != (conn, j, f):
-        raise ValueError("the sweep was built for another (connection, j, f)")
-    return sweep.sides(dirs, corrupt)
+        sweep = IdentitySweep(conn, f)
+    elif sweep.key != (conn, f):
+        raise ValueError("the sweep was built for another (connection, f)")
+    return sweep.sides(dirs, j, corrupt)
 
 
 def verify_expansion_identity(
@@ -509,8 +532,9 @@ def verify_expansion_identity(
 
     ``corrupt=True`` is the negative control: the expansion is negated
     before the comparison, so a working check must report a failure.
-    ``sweep``, an :class:`IdentitySweep` of the same (conn, j, f), shares
-    both routes' work with the other cells it has seen.
+    ``sweep``, an :class:`IdentitySweep` of the same (conn, f), shares the
+    expansion's work with every cell it has seen and the direct route's
+    with the cells of the same j seen since j last changed.
     """
     direct, expanded = _identity_sides(m, dirs, conn, j, f, corrupt, sweep)
     return direct == expanded
@@ -570,15 +594,15 @@ def check_splitting_recursion(
     """
     if len(dirs) != m + 1:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m + 1}")
-    states = _States(_Terms(conn, j, f))
+    states = _States(_Terms(conn, f))
     level = states[tuple(dirs[:m])]
     type1, type2 = {}, {}
     states.step(level, dirs[m], type1, type2)
-    level_m = states.sum(level)
+    level_m = states.sum(level, j)
     if corrupt:
         level_m = -level_m
-    type1_ok = states.sum(type1) == conn.coefficient(j, dirs[m]) * level_m
-    return type1_ok and states.sum(type2) == level_m.derivative(dirs[m])
+    type1_ok = states.sum(type1, j) == conn.coefficient(j, dirs[m]) * level_m
+    return type1_ok and states.sum(type2, j) == level_m.derivative(dirs[m])
 
 
 def direction_sequences(m: int) -> Iterable[tuple[Direction, ...]]:

@@ -56,8 +56,16 @@ def json_record(value, keys: Iterable[str], name: str, error: type[ValueError] =
         raise error(f"{name} must be a JSON object, got {value!r}")
     unknown = sorted(set(value) - set(keys))
     if unknown:
-        raise error(f"unknown {name} key(s): {', '.join(unknown)}")
+        raise error(f"{name} has unknown key(s): {', '.join(unknown)}")
     return value
+
+
+def json_fraction(value) -> Fraction:
+    """The exact rational a JSON number or string (``"-1/3"``) denotes; a zero denominator raises ValueError."""
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 class GaussianRational:
@@ -476,7 +484,7 @@ class WirtingerPolynomial:
         for record in records:
             p, q, re, im = record
             key = (json_int(p, "term exponents"), json_int(q, "term exponents"))
-            terms[key] = GaussianRational(Fraction(str(re)), Fraction(str(im)))
+            terms[key] = GaussianRational(json_fraction(re), json_fraction(im))
         return cls(terms)
 
     # -- display ---------------------------------------------------------

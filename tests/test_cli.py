@@ -99,20 +99,33 @@ class TestVerifyIdentity:
         config = write_config(tmp_path / "cfg.json", m_identity=1, corrupt_expansion=True)
         assert main(["verify-identity", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
 
-    def test_one_sweep_per_pair_and_one_covariant_derivative_per_cell(self, tmp_path, monkeypatch):
-        calls, sweeps = [], []
+    def test_one_sweep_per_function_and_one_covariant_derivative_per_cell(self, tmp_path, monkeypatch):
+        calls, sweeps, steps = [], [], []
         derivative, sweep = Connection.covariant_derivative, hilbertfield.cli.IdentitySweep
+        step = hilbertfield.splittings._States.step
         monkeypatch.setattr(
             Connection, "covariant_derivative", lambda *args: calls.append(args[2]) or derivative(*args)
         )
         monkeypatch.setattr(
             hilbertfield.cli, "IdentitySweep", lambda *args: sweeps.append(args) or sweep(*args)
         )
+        monkeypatch.setattr(hilbertfield.splittings._States, "step", lambda *args: steps.append(args[2]) or step(*args))
         config = write_config(tmp_path / "cfg.json")
         assert main(["verify-identity", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-        # two indices times two functions; every cell of order m >= 1 derives its prefix's section once
-        assert len(sweeps) == 2 * 2
+        # two functions, each serving both indices: every cell of order m >= 1
+        # derives its prefix's section once, and every direction sequence of
+        # order m >= 1 steps its prefix's states once per function
+        assert len(sweeps) == 2
         assert len(calls) == (2 + 4 + 8) * 2 * 2
+        assert len(steps) == (2 + 4 + 8) * 2
+
+    def test_each_direction_sequence_formatted_once(self, tmp_path, monkeypatch):
+        labels = []
+        format_dirs = hilbertfield.cli._format_dirs
+        monkeypatch.setattr(hilbertfield.cli, "_format_dirs", lambda dirs: labels.append(dirs) or format_dirs(dirs))
+        config = write_config(tmp_path / "cfg.json")
+        assert main(["verify-identity", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len(labels) == len(set(labels)) == 1 + 2 + 4 + 8
 
     def test_empty_index_list_is_config_error(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", indices=[])
@@ -446,6 +459,28 @@ class TestRunConfig:
         assert main(["curvature", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"functions": [[[0, 0, "1/0", "0"]]]}, "functions: zero denominator in '1/0'"),
+            ({"connection": {"k": [[0, 0, "1", "0/0"]]}}, "connection: zero denominator in '0/0'"),
+            (
+                {"rectangle": {"re_min": "-1", "re_max": "1/0", "im_min": "-1", "im_max": "1", "grid_n": 5}},
+                "rectangle: zero denominator in '1/0'",
+            ),
+            ({"rectangle": "abc"}, "rectangle must be a JSON object, got 'abc'"),
+            ({"connection": "kg"}, "connection must be a JSON object, got 'kg'"),
+            (
+                {"rectangle": {"re_min": "-1", "re_max": "1", "im_min": "-1", "im_max": "1", "grid": 5}},
+                "rectangle has unknown key(s): grid",
+            ),
+        ],
+    )
+    def test_config_error_names_the_key_once_and_the_bad_value(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["curvature", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: could not load config {config}: {message}\n"
 
 
 SQUARED_NORM = "the squared fiber norm of a section on the grid"

@@ -1,6 +1,8 @@
 """Splitting enumeration, the two correspondences, and the expansion identity."""
 
 import math
+import sys
+import threading
 from collections import Counter, defaultdict
 
 import hypothesis.strategies as st
@@ -403,8 +405,8 @@ def signatures(spl, dirs) -> tuple:
     return tuple(sorted(signature(dirs, base, block) for base, block in zip(spl.markers + (0,), spl.blocks)))
 
 
-def kept_states(dirs, conn, j, f) -> dict:
-    return splittings_mod._States(splittings_mod._Terms(conn, j, f))[dirs]
+def kept_states(dirs, conn, f) -> dict:
+    return splittings_mod._States(splittings_mod._Terms(conn, f))[dirs]
 
 
 class TestPrunedWalk:
@@ -427,12 +429,12 @@ class TestPrunedWalk:
         dirs = tuple(data.draw(st.sampled_from([D, DBAR])) for _ in range(m))
         assert splitting_expansion(m, dirs, conn, j, f) == unpruned_expansion(m, dirs, conn, j, f)
         # the kept states are exactly those of the splittings with a nonzero
-        # term, each counted once per such splitting: every dropped state has
-        # a vanishing factor, and a product of nonzero polynomials is nonzero
+        # term at j, each counted once per such splitting: every dropped state
+        # has a vanishing factor, and a product of nonzero polynomials is nonzero
         nonzero = Counter(
             signatures(spl, dirs) for spl in all_splittings(m) if not splitting_term(spl, dirs, conn, j, f).is_zero
         )
-        assert kept_states(dirs, conn, j, f) == nonzero
+        assert kept_states(dirs, conn, f) == nonzero
         # the recursion splits the last step by type; its negative control
         # must fail whenever the level's sum is nonzero
         if m >= 1:
@@ -450,10 +452,10 @@ class TestPrunedWalk:
     def test_sweep_against_unpruned_oracle(self, m_max, j, k, f):
         # every cell of the prefix-sharing sweep, in direction_sequences order
         conn = Connection(k=k)
-        sweep, basis = IdentitySweep(conn, j, f), FieldSection.basis(j)
+        sweep, basis = IdentitySweep(conn, f), FieldSection.basis(j)
         for m in range(m_max + 1):
             for dirs in direction_sequences(m):
-                expanded = sweep.sides(dirs)[1]
+                expanded = sweep.sides(dirs, j)[1]
                 assert expanded == splitting_expansion(m, dirs, conn, j, f) * basis, dirs
                 assert expanded == unpruned_expansion(m, dirs, conn, j, f) * basis, dirs
 
@@ -470,14 +472,14 @@ class TestPrunedWalk:
                 assert splittings_mod._States(never_zero)[dirs] == expected, dirs
 
     def test_memoized_states_against_unpruned_oracle(self):
-        # one state table per (j, f), so most sequences reuse moves memoized
-        # on other prefixes; each count is still the number of splittings
-        # whose term is nonzero and whose factors carry the state's signatures
+        # one state table per f, so most sequences reuse moves memoized on
+        # other prefixes; each count is still the number of splittings whose
+        # term at j is nonzero and whose factors carry the state's signatures
         samples = {m: list(direction_sequences(m)) for m in range(6)}
         samples.update({m: [(D,) * m, (DBAR,) * m, (D, DBAR) * (m // 2) + (D,) * (m % 2)] for m in (6, 7)})
         complex_k = WirtingerPolynomial({(0, 0): GaussianRational(1, 1), (1, 2): GaussianRational("1/2", "-1/3")})
         for conn, j, f in ((CONN2, 1, S * SBAR), (Connection(k=complex_k), 0, S**2 * SBAR)):
-            states = splittings_mod._States(splittings_mod._Terms(conn, j, f))
+            states = splittings_mod._States(splittings_mod._Terms(conn, f))
             for m, sequences in samples.items():
                 for dirs in sequences:
                     expected = Counter(
@@ -493,20 +495,20 @@ class TestPrunedWalk:
         assert max(p for p, _ in f.terms) >= 1 and max(q for _, q in f.terms) >= 1
         single_block = Splitting(2, ((1, 2),), ())
         assert splitting_term(single_block, (D, DBAR), CONN, 0, f).is_zero
-        assert signatures(single_block, (D, DBAR)) not in kept_states((D, DBAR), CONN, 0, f)
+        assert signatures(single_block, (D, DBAR)) not in kept_states((D, DBAR), CONN, f)
         assert splitting_expansion(2, (D, DBAR), CONN, 0, f) == unpruned_expansion(2, (D, DBAR), CONN, 0, f)
 
     def test_flat_connection_cuts_every_marker(self):
         # only the single-block splitting can survive: its one factor is f's
         flat = Connection.flat()
         for dirs in direction_sequences(4):
-            states = kept_states(dirs, flat, 1, S**2 * SBAR**2)
+            states = kept_states(dirs, flat, S**2 * SBAR**2)
             assert states in ({}, {(signature(dirs, 0, (1, 2, 3, 4)),): 1})
 
     def test_zero_function_cuts_the_root(self):
-        assert kept_states((D, D, DBAR), CONN, 0, ZERO) == {}
+        assert kept_states((D, D, DBAR), CONN, ZERO) == {}
         assert splitting_expansion(3, (D, D, DBAR), CONN, 0, ZERO).is_zero
-        assert IdentitySweep(CONN, 0, ZERO).sides((D, D, DBAR))[1].is_zero
+        assert IdentitySweep(CONN, ZERO).sides((D, D, DBAR), 0)[1].is_zero
 
     def test_expansion_route_never_takes_the_direct_route(self, monkeypatch):
         def refuse(*args):
@@ -516,8 +518,8 @@ class TestPrunedWalk:
         monkeypatch.setattr(Connection, "covariant_derivative", refuse)
         dirs = (D, DBAR, D)
         # the expansion side alone: sides() would also take the direct route
-        sweep = IdentitySweep(CONN2, 1, S * SBAR)
-        expanded = sweep.states.sum(sweep.states[dirs])
+        sweep = IdentitySweep(CONN2, S * SBAR)
+        expanded = sweep.states.sum(sweep.states[dirs], 1)
         assert expanded == splitting_expansion(3, dirs, CONN2, 1, S * SBAR)
         assert expanded == unpruned_expansion(3, dirs, CONN2, 1, S * SBAR)
         assert check_splitting_recursion(2, dirs, CONN2, 1, S * SBAR)
@@ -533,11 +535,12 @@ class TestFactorTable:
         st.data(),
     )
     def test_entries_against_indexed_derivatives(self, m, j, k, f, data):
-        # the table derives each factor from its signature alone; the reference
-        # applies eta_i for every i in the block, in decreasing and in increasing order
+        # the table derives each factor from its signature alone, at j = 0; the
+        # reference applies eta_i for every i in the block, in decreasing and in
+        # increasing order, to f or to the multiplier at j
         conn = Connection(k=k)
         dirs = tuple(data.draw(st.sampled_from([D, DBAR])) for _ in range(m))
-        terms = splittings_mod._Terms(conn, j, f)
+        terms = splittings_mod._Terms(conn, f)
         # the factors of the splittings of every prefix of dirs
         reached = {
             key
@@ -557,7 +560,8 @@ class TestFactorTable:
             if decreasing.is_zero:
                 assert entry is None, (base, block)
             else:
-                assert entry == decreasing, (base, block)
+                # a multiplier factor at j is j+1 times the table's
+                assert entry * (j + 1 if base else 1) == decreasing, (base, block)
 
 
 class TestRecursion:
@@ -619,14 +623,14 @@ class TestIdentitySweep:
     )
     def test_sides_against_both_routes(self, m_max, j, k, f):
         conn = Connection(k=k)
-        sweep = IdentitySweep(conn, j, f)
+        sweep = IdentitySweep(conn, f)
         basis = FieldSection.basis(j)
         for m in range(m_max + 1):
             for dirs in direction_sequences(m):
-                direct, expanded = sweep.sides(dirs)
+                direct, expanded = sweep.sides(dirs, j)
                 assert direct == conn.iterated(f * basis, dirs), dirs
                 assert expanded == splitting_expansion(m, dirs, conn, j, f) * basis, dirs
-                assert sweep.sides(dirs, corrupt=True) == (direct, -expanded)
+                assert sweep.sides(dirs, j, corrupt=True) == (direct, -expanded)
                 for corrupt in (False, True):
                     shared = {"corrupt": corrupt, "sweep": sweep}
                     alone = verify_expansion_identity(m, dirs, conn, j, f, corrupt=corrupt)
@@ -640,7 +644,7 @@ class TestIdentitySweep:
         monkeypatch.setattr(
             Connection, "covariant_derivative", lambda *args: calls.append(args[2]) or derivative(*args)
         )
-        sweep = IdentitySweep(CONN2, 1, S * SBAR)
+        sweep = IdentitySweep(CONN2, S * SBAR)
         for m in range(5):
             for dirs in direction_sequences(m):
                 assert verify_expansion_identity(m, dirs, CONN2, 1, S * SBAR, sweep=sweep)
@@ -648,36 +652,98 @@ class TestIdentitySweep:
 
     def test_one_move_per_distinct_state_and_direction(self, monkeypatch):
         # the default model (g = s*sbar, j in {0, 1, 4}, f in {1, s, s*sbar})
-        # to m = 6: 8 964 states over the sweeps, 1 536 distinct moves
+        # to m = 6: 8 964 states over the cells, 512 distinct moves, one
+        # sweep per f serving every j
         calls = []
         moves = splittings_mod._moves
         monkeypatch.setattr(splittings_mod, "_moves", lambda *args: calls.append(args[:2]) or moves(*args))
         conn = Connection.from_potential(S * SBAR)
         visited = 0
-        for j in (0, 1, 4):
-            for f in (ONE, S, S * SBAR):
-                start = len(calls)
-                sweep = IdentitySweep(conn, j, f)
+        for f in (ONE, S, S * SBAR):
+            start = len(calls)
+            sweep = IdentitySweep(conn, f)
+            for j in (0, 1, 4):
                 for m in range(7):
                     for dirs in direction_sequences(m):
                         assert verify_expansion_identity(m, dirs, conn, j, f, sweep=sweep)
                         visited += len(sweep.states[dirs])
-                assert len(set(calls[start:])) == len(calls) - start, (j, f)
+            assert len(set(calls[start:])) == len(calls) - start, f
         assert visited == 8964
-        assert len(calls) == 1536
+        assert len(calls) == 512
 
     def test_sweep_of_another_cell_family_is_refused(self):
-        sweep = IdentitySweep(CONN, 0, S)
-        for conn, j, f in ((CONN2, 0, S), (CONN, 1, S), (CONN, 0, SBAR)):
+        # a sweep serves one (connection, f) at every j
+        sweep = IdentitySweep(CONN, S)
+        for conn, f in ((CONN2, S), (CONN, SBAR)):
             with pytest.raises(ValueError):
-                verify_expansion_identity(1, (D,), conn, j, f, sweep=sweep)
+                verify_expansion_identity(1, (D,), conn, 0, f, sweep=sweep)
         assert verify_expansion_identity(1, (D,), Connection(k=SBAR), 0, S + ZERO, sweep=sweep)
+        assert verify_expansion_identity(1, (D,), CONN, 1, S, sweep=sweep)
+
+    def test_threads_sharing_a_sweep_at_different_indices(self):
+        # each thread asks for its own j, so the sweep replaces its direct
+        # sections as the threads interleave; no answer may pair one index's
+        # expansion with another index's direct section
+        sweep, mismatches = IdentitySweep(CONN2, S * SBAR), []
+        sequences = [dirs for m in range(4) for dirs in direction_sequences(m)]
+
+        def run(j):
+            for _ in range(100):
+                for dirs in sequences:
+                    direct, expanded = sweep.sides(dirs, j)
+                    if direct != expanded or not set(direct.support) <= {j}:
+                        mismatches.append((j, dirs))
+
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
     def test_length_mismatch_is_refused(self):
         with pytest.raises(ValueError):
             verify_expansion_identity(2, (D,), CONN, 0, S)
         with pytest.raises(ValueError):
-            identity_witness(1, (D, D), CONN, 0, S, sweep=IdentitySweep(CONN, 0, S))
+            identity_witness(1, (D, D), CONN, 0, S, sweep=IdentitySweep(CONN, S))
+
+
+COMPLEX_K = WirtingerPolynomial({(0, 0): GaussianRational(1, 1), (1, 2): GaussianRational("1/2", "-1/3")})
+
+
+class TestIndexWeights:
+    @settings(max_examples=60, deadline=None)
+    @given(polynomials, st.integers(0, 50), st.sampled_from([D, DBAR]))
+    def test_multiplier_is_linear_in_j_plus_one(self, k, j, d):
+        # the premise of the weights: every multiplier factor at j is j+1
+        # times its j = 0 value, whatever the direction
+        conn = Connection(k=k)
+        assert conn.coefficient(j, d) == (j + 1) * conn.coefficient(0, d)
+
+    def test_weighted_states_against_splitting_terms(self):
+        # splitting_term reads the multiplier at j itself, so a wrong weight
+        # fails here; one sweep serves the indices in turn, and a negated
+        # expansion fails every cell whose sum is nonzero, at every j
+        conn, f = Connection(k=COMPLEX_K), S**2 * SBAR + GaussianRational("-2/3", 1) * S
+        sweep = IdentitySweep(conn, f)
+        for j in (0, 1, 2, 4, 0):
+            basis, failed = FieldSection.basis(j), 0
+            for m in range(6):
+                for dirs in direction_sequences(m):
+                    expected = unpruned_expansion(m, dirs, conn, j, f)
+                    direct, expanded = sweep.sides(dirs, j)
+                    assert expanded == expected * basis, (j, dirs)
+                    assert direct == expanded, (j, dirs)
+                    corrupt = verify_expansion_identity(m, dirs, conn, j, f, corrupt=True, sweep=sweep)
+                    assert corrupt == expected.is_zero, (j, dirs)
+                    failed += not corrupt
+            assert failed == 2**6 - 1, j
 
 
 class TestNegativeControl:
