@@ -29,10 +29,11 @@ first maximum winning.  The grid sums terms in sorted exponent order, so a
 section rebuilt from the reported directions gives the same value bit for bit.
 
 The level sweep merges direction sequences whose sections are exactly
-equal, and differentiates each distinct section once.  That saves work
-where the curvature is constant (on g = s*sbar the levels 0..10 hold 1 094
-distinct sections among 2 047 sequences); for a complex multi-term k every
-section is distinct and nothing merges.  A distinct section reaches the
+equal, keeps each distinct section with only the first sequence that
+reaches it, and differentiates each distinct section once.  That saves
+work where the curvature is constant (on g = s*sbar the levels 0..10 hold
+1 094 distinct sections among 2 047 sequences); for a complex multi-term k
+every section is distinct and nothing merges.  A distinct section reaches the
 grid only if a padded float bound from its coefficients, which no grid
 value of it exceeds, is not below the level's largest grid value so far;
 the sections are visited in descending bound order.  On g = s*sbar the
@@ -53,7 +54,7 @@ import numpy as np
 from .field import Connection, FieldSection
 from .grid import CompactRectangle, PowerTables, evaluate_on_grid
 from .splittings import Splitting, splitting_term
-from .symbolic import Direction, WirtingerPolynomial, json_int
+from .symbolic import Direction, WirtingerPolynomial, json_fraction, json_int
 
 __all__ = [
     "AnalyticityCertificate",
@@ -139,9 +140,9 @@ class AnalyticityCertificate:
     @classmethod
     def from_json(cls, data: dict, h_polys: Sequence[WirtingerPolynomial]) -> "AnalyticityCertificate":
         return cls(
-            Fraction(str(data["epsilon"])),
-            Fraction(str(data["M"])),
-            Fraction(str(data["delta"])),
+            json_fraction(data["epsilon"]),
+            json_fraction(data["M"]),
+            json_fraction(data["delta"]),
             json_int(data["m_max"], "m_max"),
             CompactRectangle.from_json(data["K"]),
             tuple(h_polys),
@@ -338,9 +339,10 @@ def covariant_level_sups(
     ``direction_sequences`` order, whose section has the largest grid
     maximum wins.
 
-    A level is carried as its distinct sections, merged by exact
-    ``FieldSection`` equality, and one index per direction sequence into
-    them.  Each (distinct parent, direction) pair is differentiated once.
+    A level is carried as one dict from its distinct sections, merged by
+    exact ``FieldSection`` equality, to the first direction sequence that
+    reaches each; nothing is held per sequence.  Each (distinct parent,
+    direction) pair is differentiated once.
     Equal sections give bit-identical grid values, so merging changes no
     result.  Where the curvature is constant, as for g = s*sbar, D and Dbar
     form a Heisenberg pair and the levels 0..10 hold 1, 2, 4, 8, 15, 28,
@@ -369,13 +371,13 @@ def covariant_level_sups(
     """
     tables = PowerTables(rectangle.grid_points())
     radii = [1.0, float(np.abs(tables.points).max())]
-    sections = [f * FieldSection.basis(j)]
-    # each direction sequence of the level, in enumeration order, with its section's index
-    frontier: list[tuple[tuple[Direction, ...], int]] = [((), 0)]
+    # each distinct section of the level, in the order of its first direction sequence
+    level: dict[FieldSection, tuple[Direction, ...]] = {f * FieldSection.basis(j): ()}
     levels: list[LevelSup] = []
     # a squared norm beyond the float range becomes inf, which _section_sup reports
     with np.errstate(over="ignore"):
         for m in range(m_max + 1):
+            sections, first = list(level), list(level.values())
             bounds = [_section_bound(section, radii) for section in sections]
             sups: dict[int, float] = {}
             top = -math.inf
@@ -385,21 +387,17 @@ def covariant_level_sups(
                     break
                 sups[i] = _section_sup(sections[i], tables)
                 top = max(top, sups[i])
-            best_dirs, best = next((dirs, i) for dirs, i in frontier if sups.get(i) == top)
-            levels.append(LevelSup(m, top, best_dirs, exhaustive=len(frontier) == 2**m))
+            # the least index attaining top has the first sequence attaining it
+            best = min(i for i, sup in sups.items() if sup == top)
+            # a greedy level 1 still holds both sequences
+            levels.append(LevelSup(m, top, first[best], exhaustive=m <= max(full_cap, 1)))
             if m == m_max:
                 break
-            parents = frontier if m < full_cap else [(best_dirs, best)]
-            merged: dict[FieldSection, int] = {}
-            child: dict[tuple[int, Direction], int] = {}
-            for i in dict.fromkeys(i for _, i in parents):
+            level = {}
+            # parents in the order of their first sequences, so each child keeps its own first
+            for i in range(len(sections)) if m < full_cap else (best,):
                 for d in (Direction.D, Direction.DBAR):
-                    section = conn.covariant_derivative(sections[i], d)
-                    child[i, d] = merged.setdefault(section, len(merged))
-            sections = list(merged)
-            frontier = [
-                (dirs + (d,), child[i, d]) for dirs, i in parents for d in (Direction.D, Direction.DBAR)
-            ]
+                    level.setdefault(conn.covariant_derivative(sections[i], d), first[i] + (d,))
     return levels
 
 

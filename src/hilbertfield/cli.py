@@ -65,7 +65,7 @@ _DEFAULT_FUNCTIONS = (ONE, S, S * SBAR)
 
 @dataclass
 class RunConfig:
-    """Everything a subcommand needs: model data, sweep caps, output options."""
+    """Everything a subcommand needs: model data, sweep caps, report directory, fault injection."""
 
     connection: Connection = field(
         default_factory=lambda: Connection.from_potential(S * SBAR)
@@ -81,7 +81,6 @@ class RunConfig:
     curvature_j_max: int = 9
     eval_points: tuple[complex, ...] = (0j, 1 + 0j)
     out_dir: Path = Path("reports")
-    formats: tuple[str, ...] = ("json", "csv")
     corrupt_expansion: bool = False
 
     def validate(self) -> list[str]:
@@ -101,8 +100,6 @@ class RunConfig:
             problems.append("curvature_j_max must be at least 1: growth compares consecutive eigenvalues")
         if self.m_greedy < self.m_decay:
             problems.append("m_greedy must be at least m_decay")
-        if not self.formats or any(fmt not in ("json", "csv") for fmt in self.formats):
-            problems.append("formats must be a nonempty subset of {json, csv}")
         if not self.eval_points:
             problems.append("eval_points must not be empty")
         labels = [_format_point(pt) for pt in self.eval_points]
@@ -170,12 +167,10 @@ def _format_point(point: complex) -> str:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -235,14 +230,12 @@ def cmd_verify_identity(cfg: RunConfig) -> int:
         "cells": cells,
         "all_pass": all_pass,
     }
-    if "json" in cfg.formats:
-        _write_json(cfg.out_dir / "verify_identity.json", report)
-    if "csv" in cfg.formats:
-        _write_csv(
-            cfg.out_dir / "verify_identity.csv",
-            ("m", "dirs", "j", "f", "ok"),
-            [(c["m"], c["dirs"], c["j"], c["f"], c["ok"]) for c in cells],
-        )
+    _write_json(cfg.out_dir / "verify_identity.json", report)
+    _write_csv(
+        cfg.out_dir / "verify_identity.csv",
+        ("m", "dirs", "j", "f", "ok"),
+        [(c["m"], c["dirs"], c["j"], c["f"], c["ok"]) for c in cells],
+    )
     print(f"verify-identity: {len(cells)} cells, all_pass={all_pass}")
     return 0 if all_pass else 1
 
@@ -282,31 +275,29 @@ def cmd_splittings(cfg: RunConfig) -> int:
                     print(f"type-{kind[-1]} correspondence failed at (m={m}, k={k}): {exc}", file=sys.stderr)
                     all_pass = False
                 correspondences.append(row)
-    if "csv" in cfg.formats:
-        _write_csv(
-            cfg.out_dir / "splittings.csv",
-            ("m", "k", "total", "type1", "type2", "recursion_ok"),
-            rows,
-        )
-        header = ("kind", "m", "k", "pairings", "ok")
-        _write_csv(
-            cfg.out_dir / "correspondences.csv",
-            header,
-            [[row[key] for key in header] for row in correspondences],
-        )
-    if "json" in cfg.formats:
-        _write_json(
-            cfg.out_dir / "splittings.json",
-            {
-                "check": "splittings",
-                "counts": [
-                    dict(zip(("m", "k", "total", "type1", "type2", "recursion_ok"), row))
-                    for row in rows
-                ],
-                "correspondences": correspondences,
-                "all_pass": all_pass,
-            },
-        )
+    _write_csv(
+        cfg.out_dir / "splittings.csv",
+        ("m", "k", "total", "type1", "type2", "recursion_ok"),
+        rows,
+    )
+    header = ("kind", "m", "k", "pairings", "ok")
+    _write_csv(
+        cfg.out_dir / "correspondences.csv",
+        header,
+        [[row[key] for key in header] for row in correspondences],
+    )
+    _write_json(
+        cfg.out_dir / "splittings.json",
+        {
+            "check": "splittings",
+            "counts": [
+                dict(zip(("m", "k", "total", "type1", "type2", "recursion_ok"), row))
+                for row in rows
+            ],
+            "correspondences": correspondences,
+            "all_pass": all_pass,
+        },
+    )
     print(f"splittings: table to m={cfg.m_splittings}, correspondences to m={cfg.m_bijection}, all_pass={all_pass}")
     return 0 if all_pass else 1
 
@@ -354,22 +345,18 @@ def cmd_curvature(cfg: RunConfig) -> int:
         grows = not flat and all(a < b for a, b in zip(squares, squares[1:]))
         growth[_format_point(pt)] = grows
         all_pass = all_pass and (not any(squares) if flat else grows)
-    if "csv" in cfg.formats:
-        _write_csv(
-            cfg.out_dir / "curvature.csv", header, [[row[h] for h in header] for row in rows]
-        )
-    if "json" in cfg.formats:
-        _write_json(
-            cfg.out_dir / "curvature.json",
-            {
-                "check": "curvature",
-                "potential": str(conn.potential),
-                "laplacian": str(lap),
-                "rows": rows,
-                "growth": growth,
-                "all_pass": all_pass,
-            },
-        )
+    _write_csv(cfg.out_dir / "curvature.csv", header, [[row[h] for h in header] for row in rows])
+    _write_json(
+        cfg.out_dir / "curvature.json",
+        {
+            "check": "curvature",
+            "potential": str(conn.potential),
+            "laplacian": str(lap),
+            "rows": rows,
+            "growth": growth,
+            "all_pass": all_pass,
+        },
+    )
     print(f"curvature: spectrum to j={cfg.curvature_j_max}, growth={growth}, all_pass={all_pass}")
     return 0 if all_pass else 1
 
@@ -423,11 +410,10 @@ def cmd_analyticity(cfg: RunConfig) -> int:
                 f"analyticity j={j} f={f}: epsilon={certificate.epsilon} "
                 f"M~{float(certificate.M):.6g} audited={audited} pass={cell_pass}"
             )
-    if "json" in cfg.formats:
-        _write_json(
-            cfg.out_dir / "analyticity.json",
-            {"check": "analyticity", "cells": summary, "all_pass": all_pass},
-        )
+    _write_json(
+        cfg.out_dir / "analyticity.json",
+        {"check": "analyticity", "cells": summary, "all_pass": all_pass},
+    )
     return 0 if all_pass else 1
 
 
@@ -462,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, help="output directory for reports")
     common.add_argument("--m-max", type=int, dest="m_max", help="override the suite's sweep cap")
     common.add_argument("--grid", type=int, help="override grid points per axis")
-    common.add_argument("--json", action="store_true", help="emit JSON reports only")
-    common.add_argument("--csv", action="store_true", help="emit CSV reports only")
     common.add_argument("--corrupt-expansion", action="store_true", help=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="hilbertfield",
@@ -497,10 +481,6 @@ def _configure(args: argparse.Namespace) -> RunConfig:
         if "m_decay" in updates:
             updates["m_greedy"] = args.m_max + 2
         cfg = replace(cfg, **updates)
-    if args.json and not args.csv:
-        cfg = replace(cfg, formats=("json",))
-    elif args.csv and not args.json:
-        cfg = replace(cfg, formats=("csv",))
     if args.corrupt_expansion:
         cfg = replace(cfg, corrupt_expansion=True)
     problems = cfg.validate()

@@ -208,6 +208,14 @@ class TestCertificates:
         assert again == cert
         assert audit_certificate(again)
 
+    @pytest.mark.parametrize("key", ["epsilon", "M", "delta"])
+    @pytest.mark.parametrize("value", ["1/0", "0/0"])
+    def test_json_zero_denominator_is_a_value_error(self, key, value):
+        cert = estimate_certificate(ONE, CONN, 0, SQUARE)
+        data = {**cert.to_json(), key: value}
+        with pytest.raises(ValueError, match=f"zero denominator in '{value}'"):
+            AnalyticityCertificate.from_json(data, cert.h_polys)
+
 
 def decay_rows(conn, j, f, cert, m_max, full_cap=10):
     """``decay_row`` of every level of the covariant sweep, m = 0..m_max."""
@@ -311,7 +319,9 @@ class TestLevelSupOracle:
         # Dbar commute, and at m = 2 the merged sequences (d, dbar) and
         # (dbar, d) tie for the maximum of s^2 sbar^2.  For the complex
         # multi-term k on a rectangle off the origin the bounds are loose, so
-        # some levels evaluate several sections and skip others
+        # some levels evaluate several sections and skip others.  With
+        # full_cap = 0 the greedy walk starts at level 1, which still holds
+        # both sequences and so is exhaustive
         complex_k = Connection(
             k=WirtingerPolynomial.from_json_terms([[1, 2, "1/2", "-1/3"], [0, 0, "1", "1"]])
         )
@@ -328,6 +338,7 @@ class TestLevelSupOracle:
             (CONN, ONE, SQUARE.with_grid_n(9), 9, 8),
             (Connection.flat(), S * S * SBAR * SBAR, SQUARE.with_grid_n(9), 9, 8),
             (complex_k, ONE, off_origin, 7, 6),
+            (complex_k, S, off_origin, 5, 0),
         ]
         for conn, f, rect, m_max, full_cap in cases:
             points = rect.grid_points()
@@ -345,7 +356,8 @@ class TestLevelSupOracle:
                 sups = [grid_max(section, points)[0] for section in sections]
                 top = max(sups)
                 winners = [i for i, value in enumerate(sups) if value == top]
-                assert level == LevelSup(m, top, frontier[winners[0]], exhaustive=m <= full_cap), m
+                exhaustive = len(frontier) == 2**m
+                assert level == LevelSup(m, top, frontier[winners[0]], exhaustive), m
                 merged_ties += top > 0 and any(
                     sections[a] == sections[b] for a, b in itertools.combinations(winners, 2)
                 )

@@ -177,12 +177,6 @@ class TestSplittings:
         assert [(r["kind"], int(r["m"]), int(r["k"]), int(r["pairings"])) for r in pairings] == expected
         assert all(r["ok"] == "True" for r in pairings)
 
-    def test_json_only(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["splittings", "--out", str(out), "--m-max", "3", "--json"]) == 0
-        assert (out / "splittings.json").exists()
-        assert not (out / "splittings.csv").exists()
-
     def test_failed_correspondence_leaves_a_witness(self, tmp_path, monkeypatch, capsys):
         # every insertion lands in the first block, so the k >= 2 type-2 covers collide;
         # the enumerator grows its levels by the same move, so they are cached unpatched first
@@ -403,7 +397,7 @@ class TestRunConfig:
         assert RunConfig().validate() == []
 
     def test_problems_are_collected(self):
-        cfg = RunConfig(indices=(), m_decay=-1, formats=("yaml",))
+        cfg = RunConfig(indices=(), m_decay=-1, eval_points=())
         problems = cfg.validate()
         assert len(problems) >= 3
 
@@ -452,6 +446,7 @@ class TestRunConfig:
             ({"connection": "kg"}, "connection must be a JSON object"),
             ({"rectangle": "abc"}, "rectangle must be a JSON object"),
             ({"rectangle": [1, 2]}, "rectangle must be a JSON object"),
+            ({"formats": ["json"]}, "formats"),
         ],
     )
     def test_silently_accepted_config_is_rejected(self, tmp_path, capsys, overrides, key):
@@ -579,6 +574,15 @@ class TestUsageErrors:
 
     def test_negative_m_max(self, tmp_path):
         assert main(["splittings", "--m-max", "-3", "--out", str(tmp_path / "out")]) == 2
+
+    def test_report_format_flags_are_refused(self, tmp_path, capsys):
+        # every suite writes its whole report set; no flag drops part of it
+        for flag in ("--json", "--csv"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["splittings", "--m-max", "1", "--out", str(tmp_path / "out"), flag])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["FILE", "FILE/sub"])
     def test_unwritable_out_stops_before_the_suite(self, tmp_path, capsys, monkeypatch, out):
