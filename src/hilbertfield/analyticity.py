@@ -28,17 +28,10 @@ bound: the largest vectorized grid value over the level's sections, the
 first maximum winning.  The grid sums terms in sorted exponent order, so a
 section rebuilt from the reported directions gives the same value bit for bit.
 
-The level sweep merges direction sequences whose sections are exactly
-equal, keeps each distinct section with only the first sequence that
-reaches it, and differentiates each distinct section once.  That saves
-work where the curvature is constant (on g = s*sbar the levels 0..10 hold
-1 094 distinct sections among 2 047 sequences); for a complex multi-term k
-every section is distinct and nothing merges.  A distinct section reaches the
-grid only if a padded float bound from its coefficients, which no grid
-value of it exceeds, is not below the level's largest grid value so far;
-the sections are visited in descending bound order.  On g = s*sbar the
-bounds are tight and 270 of the 9 882 sections of the default (j, f) pairs
-are evaluated; the reported values are those of the full sweep, bit for bit.
+The level sweep (``covariant_level_sups``) carries only the coefficient h
+of each section h*phi_j, since the connection is diagonal.  It merges equal
+coefficients and evaluates on the grid only those whose float bound can
+reach the level maximum, so its values are the full sweep's, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import Connection, FieldSection
+from .field import Connection
 from .grid import CompactRectangle, PowerTables, evaluate_on_grid
 from .splittings import Splitting, splitting_term
 from .symbolic import Direction, WirtingerPolynomial, json_fraction, json_int
@@ -249,15 +242,17 @@ class LevelSup:
     exhaustive: bool
 
 
-def _section_bound(section: FieldSection, radii: list[float]) -> float:
-    """Float upper bound of every grid value ``_section_sup`` can give the section.
+def _section_bound(h: WirtingerPolynomial, radii: list[float]) -> float:
+    """Float upper bound of every grid value ``_section_sup`` can give h.
 
     ``radii`` holds the powers 1, r, r^2, ... of r, the largest float |s|
-    over the grid points; it is extended here as needed.  Each coefficient
-    h (T terms, largest p + q equal to d) gets b = sum |c| r^(p+q), where c
-    is the float coefficient the grid uses, scaled up by the pad
-    1 + (2T + 9d + 5) eps.  The squares of the padded b are then summed in
-    support order and square-rooted, as ``_section_sup`` does with |h(s)|.
+    over the grid points; it is extended here as needed.  One pass over the
+    numerators of h (T terms, largest p + q equal to d) gives
+    b = sum |c| r^(p+q), where c is the float coefficient the grid uses,
+    and the degree d; b is scaled up by the pad 1 + (2T + 9d + 5) eps.  A
+    real c skips ``hypot``: C99 hypot(x, +-0) is |x|, so b is the same bit
+    for bit.  The bound is sqrt(b*b), the square root of the square, as
+    ``_section_sup`` takes it of |h(s)|^2.
 
     Why b stays above the grid.  Let u = eps/2 and lam the smallest normal
     float.  Real operations round correctly: x(1 + delta) + eta with
@@ -279,44 +274,40 @@ def _section_bound(section: FieldSection, radii: list[float]) -> float:
     (1 - u)^-N <= 1 + 2Nu = 1 + N eps, which is exact in floats.
 
     So the padded b bounds |h(s)| as the grid computes it at every point,
-    and rounding is monotone: its square, the ordered sum of squares and
-    the square root stay at or above the grid's own.  The supposition is
-    checked as min(1, |c|) min(1, r)^d >= 4 lam in floats, the factor 4
-    covering its rounding and R >= r / (1 + 2u); where it fails, where a
-    coefficient does not fit a float and where the sum of squares
-    overflows, the bound is infinite and the section is always evaluated.
+    and rounding is monotone: its square and the square root stay at or
+    above the grid's own.  The supposition is checked as
+    min(1, |c|) min(1, r)^d >= 4 lam in floats, the factor 4 covering its
+    rounding and R >= r / (1 + 2u); where it fails, where a coefficient
+    does not fit a float and where the square of b overflows, the bound is
+    infinite and h is always evaluated.
     """
-    total = 0.0
-    for index in section.support:
-        poly = section.coefficient(index)
-        degree = poly.total_degree()
-        while len(radii) <= degree:
+    den = h.denominator
+    numerators = h.numerators
+    bound = 0.0
+    smallest = 1.0
+    degree = 0
+    for (p, q), (re, im) in numerators.items():
+        n = p + q
+        while len(radii) <= n:
             radii.append(radii[-1] * radii[1])
-        den = poly.denominator
-        bound = 0.0
-        smallest = 1.0
-        for (p, q), (re, im) in poly.numerators.items():
-            try:
-                modulus = math.hypot(re / den, im / den)
-            except OverflowError:
-                return math.inf
-            if modulus < smallest:
-                smallest = modulus
-            bound += modulus * radii[p + q]
-        if smallest * min(1.0, radii[degree]) < _UNDERFLOW_GUARD:
+        try:
+            modulus = math.hypot(re / den, im / den) if im else abs(re / den)
+        except OverflowError:
             return math.inf
-        bound *= 1 + (2 * len(poly.numerators) + 9 * degree + 5) * sys.float_info.epsilon
-        total += bound * bound
-    return math.sqrt(total)
+        if modulus < smallest:
+            smallest = modulus
+        if n > degree:
+            degree = n
+        bound += modulus * radii[n]
+    if smallest * min(1.0, radii[degree]) < _UNDERFLOW_GUARD:
+        return math.inf
+    bound *= 1 + (2 * len(numerators) + 9 * degree + 5) * sys.float_info.epsilon
+    return math.sqrt(bound * bound)
 
 
-def _section_sup(section: FieldSection, tables: PowerTables) -> float:
-    """Vectorized grid max of the fiber norm."""
-    points = tables.points
-    squares = np.zeros(points.shape, dtype=float)
-    for index in section.support:
-        squares += np.abs(evaluate_on_grid(section.coefficient(index), points, tables)) ** 2
-    top = squares.max()
+def _section_sup(h: WirtingerPolynomial, tables: PowerTables) -> float:
+    """Vectorized grid max of |h|, the fiber norm of h*phi_j."""
+    top = (np.abs(evaluate_on_grid(h, tables.points, tables)) ** 2).max()
     if not math.isfinite(top):
         raise OverflowError("the squared fiber norm of a section on the grid does not fit a float")
     return math.sqrt(top)
@@ -339,53 +330,47 @@ def covariant_level_sups(
     ``direction_sequences`` order, whose section has the largest grid
     maximum wins.
 
-    A level is carried as one dict from its distinct sections, merged by
-    exact ``FieldSection`` equality, to the first direction sequence that
-    reaches each; nothing is held per sequence.  Each (distinct parent,
-    direction) pair is differentiated once.
-    Equal sections give bit-identical grid values, so merging changes no
-    result.  Where the curvature is constant, as for g = s*sbar, D and Dbar
-    form a Heisenberg pair and the levels 0..10 hold 1, 2, 4, 8, 15, 28,
-    50, 90, 156, 274 and 466 distinct sections: 1 094 sections and 1 256
-    covariant derivatives per (j, f) instead of 2 047 and 2 046.  For a
-    complex multi-term k nothing merges.
+    The connection is diagonal, so every section of the sweep is h*phi_j,
+    and a level is one dict from its distinct coefficients h to the first
+    direction sequence reaching each.  Each (distinct parent, direction)
+    pair is differentiated once, as h.twisted_derivative(d, mu_d) with
+    mu_d = A(d, j) fetched once, the step ``Connection.covariant_derivative``
+    takes index by index; no ``FieldSection`` is built.  Equal coefficients
+    give bit-identical grid values, so merging changes no result.  On
+    g = s*sbar, D and Dbar form a Heisenberg pair and the levels 0..10 hold
+    1, 2, 4, 8, 15, 28, 50, 90, 156, 274 and 466 distinct coefficients:
+    1 094 polynomials and 1 256 twisted derivatives per (j, f) instead of
+    2 047 and 2 046.  For a complex multi-term k nothing merges.
 
-    Each distinct section is bounded from its coefficients
-    (``_section_bound``, never below any of its grid values) and the level
-    is evaluated in descending bound order, ties in section order, up to
-    the first section whose bound lies below the largest grid value found.
-    No skipped section can reach or tie that maximum, so the level's
-    ``sup`` and ``dirs`` are those of the full sweep.  On g = s*sbar over
-    the unit square the bounds are tight: for j = 0 and f = 1, 29 of the
-    1 094 sections reach the grid.  For the complex k
-    ``1 + i + (1/2 - i/3) s sbar^2`` they are looser, and about 30 % of the
-    sections are skipped.
+    The level is evaluated in descending ``_section_bound`` order (a bound
+    of every grid value of h), ties in level order, up to the first
+    coefficient whose bound lies below the largest grid value found, so
+    ``sup`` and ``dirs`` are those of the full sweep.  On g = s*sbar the
+    bounds are tight (j = 0, f = 1: 29 of 1 094 reach the grid); for the
+    complex k ``1 + i + (1/2 - i/3) s sbar^2`` about 30 % are skipped.
 
-    Overflow is met where the full sweep meets it: a section whose
-    coefficient or squared fiber norm does not fit a float has an infinite
-    bound, every infinite bound is evaluated before any finite one, and
-    among them in section order.  So the first section to raise the
-    ``OverflowError`` is the first the full sweep would have raised on,
-    with the same message, although sections with finite bounds that come
-    before it are no longer evaluated first.
+    Overflow is met where the full sweep meets it: infinite bounds (a
+    coefficient or squared modulus beyond the float range) come first, in
+    level order, so the full sweep's first ``OverflowError`` is raised.
     """
     tables = PowerTables(rectangle.grid_points())
     radii = [1.0, float(np.abs(tables.points).max())]
-    # each distinct section of the level, in the order of its first direction sequence
-    level: dict[FieldSection, tuple[Direction, ...]] = {f * FieldSection.basis(j): ()}
+    mu = {d: conn.coefficient(j, d) for d in (Direction.D, Direction.DBAR)}
+    # each distinct coefficient of phi_j in the level, in the order of its first direction sequence
+    level: dict[WirtingerPolynomial, tuple[Direction, ...]] = {f: ()}
     levels: list[LevelSup] = []
     # a squared norm beyond the float range becomes inf, which _section_sup reports
     with np.errstate(over="ignore"):
         for m in range(m_max + 1):
-            sections, first = list(level), list(level.values())
-            bounds = [_section_bound(section, radii) for section in sections]
+            coefficients, first = list(level), list(level.values())
+            bounds = [_section_bound(h, radii) for h in coefficients]
             sups: dict[int, float] = {}
             top = -math.inf
-            # descending bounds, ties in section order; no later section can reach top
-            for i in sorted(range(len(sections)), key=bounds.__getitem__, reverse=True):
+            # descending bounds, ties in level order; no later coefficient can reach top
+            for i in sorted(range(len(coefficients)), key=bounds.__getitem__, reverse=True):
                 if bounds[i] < top:
                     break
-                sups[i] = _section_sup(sections[i], tables)
+                sups[i] = _section_sup(coefficients[i], tables)
                 top = max(top, sups[i])
             # the least index attaining top has the first sequence attaining it
             best = min(i for i, sup in sups.items() if sup == top)
@@ -395,9 +380,9 @@ def covariant_level_sups(
                 break
             level = {}
             # parents in the order of their first sequences, so each child keeps its own first
-            for i in range(len(sections)) if m < full_cap else (best,):
-                for d in (Direction.D, Direction.DBAR):
-                    level.setdefault(conn.covariant_derivative(sections[i], d), first[i] + (d,))
+            for i in range(len(coefficients)) if m < full_cap else (best,):
+                for d, mu_d in mu.items():
+                    level.setdefault(coefficients[i].twisted_derivative(d, mu_d), first[i] + (d,))
     return levels
 
 
@@ -405,11 +390,14 @@ def scaled_level_bound(certificate: AnalyticityCertificate, m: int) -> Fraction:
     """U_m: a proved bound of (delta^m / m!) |any m-fold covariant derivative of f*phi_j|.
 
     Equal to delta^m / m! * epsilon^-(m+1) * prod_{i=0..m} (M epsilon + i),
-    the certified term bounds summed over every splitting of {1..m}.
+    the certified term bounds summed over every splitting of {1..m}.  With
+    x = M epsilon = a/b that is M prod_{i=1..m} (a + i b) / (2^m m! (a + b)^m),
+    built as one ``Fraction`` of two integer products.
     """
-    x = certificate.M * certificate.epsilon
-    shrink = math.prod((x + i) / (i * (1 + x)) for i in range(1, m + 1))
-    return certificate.M * Fraction(1, 2) ** m * shrink
+    M, x = certificate.M, certificate.M * certificate.epsilon
+    a, b = x.numerator, x.denominator
+    rising = math.prod(a + i * b for i in range(1, m + 1))
+    return Fraction(M.numerator * rising, M.denominator * 2**m * math.factorial(m) * (a + b) ** m)
 
 
 def _decay_bound(certificate: AnalyticityCertificate, m: int) -> Fraction:

@@ -46,6 +46,7 @@ from .symbolic import (
     WirtingerPolynomial,
     json_int,
     json_record,
+    json_text,
     laplacian,
     ONE,
     S,
@@ -167,7 +168,10 @@ def _format_point(point: complex) -> str:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    # two writes: appending the newline to the report would copy it once more
+    with path.open("w") as handle:
+        handle.write(json_text(payload))
+        handle.write("\n")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -212,14 +216,7 @@ def cmd_verify_identity(cfg: RunConfig) -> int:
                 for f_index, name in enumerate(names):
                     ok, witness = verdicts[dirs, j_position, f_index]
                     all_pass = all_pass and ok
-                    cell = {
-                        "m": m,
-                        "dirs": label,
-                        "j": j,
-                        "f": name,
-                        "f_index": f_index,
-                        "ok": ok,
-                    }
+                    cell = {"m": m, "dirs": label, "j": j, "f": name, "f_index": f_index, "ok": ok}
                     if not ok:
                         cell["witness"] = witness
                     cells.append(cell)
@@ -275,11 +272,8 @@ def cmd_splittings(cfg: RunConfig) -> int:
                     print(f"type-{kind[-1]} correspondence failed at (m={m}, k={k}): {exc}", file=sys.stderr)
                     all_pass = False
                 correspondences.append(row)
-    _write_csv(
-        cfg.out_dir / "splittings.csv",
-        ("m", "k", "total", "type1", "type2", "recursion_ok"),
-        rows,
-    )
+    count_header = ("m", "k", "total", "type1", "type2", "recursion_ok")
+    _write_csv(cfg.out_dir / "splittings.csv", count_header, rows)
     header = ("kind", "m", "k", "pairings", "ok")
     _write_csv(
         cfg.out_dir / "correspondences.csv",
@@ -290,10 +284,7 @@ def cmd_splittings(cfg: RunConfig) -> int:
         cfg.out_dir / "splittings.json",
         {
             "check": "splittings",
-            "counts": [
-                dict(zip(("m", "k", "total", "type1", "type2", "recursion_ok"), row))
-                for row in rows
-            ],
+            "counts": [dict(zip(count_header, row)) for row in rows],
             "correspondences": correspondences,
             "all_pass": all_pass,
         },
@@ -370,9 +361,7 @@ def cmd_analyticity(cfg: RunConfig) -> int:
         for f_index, f in enumerate(cfg.functions):
             certificate = estimate_certificate(f, conn, j, cfg.rectangle)
             audited = audit_certificate(certificate)
-            levels = covariant_level_sups(
-                conn, j, f, cfg.rectangle, cfg.m_greedy, full_cap=cfg.m_decay
-            )
+            levels = covariant_level_sups(conn, j, f, cfg.rectangle, cfg.m_greedy, full_cap=cfg.m_decay)
             decay_rows = []
             witness = None
             for level in levels:

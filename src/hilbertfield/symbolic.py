@@ -25,6 +25,7 @@ import enum
 import itertools
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -66,6 +67,28 @@ def json_fraction(value) -> Fraction:
         return Fraction(str(value))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` without json's slow pure-Python encoder; keys must be strings."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner, comma = indent + "  ", "," + indent + "  "
+    if isinstance(value, dict):
+        items = [_quote(key) + ": " + json_text(item, inner) for key, item in value.items()]
+        return "{" + inner + comma.join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [json_text(item, inner) for item in value]
+        return "[" + inner + comma.join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class GaussianRational:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -329,9 +330,9 @@ class TestLevelSupOracle:
         evaluated = []
         section_sup = hilbertfield.analyticity._section_sup
 
-        def recorded(section, tables):
-            evaluated.append(section)
-            return section_sup(section, tables)
+        def recorded(h, tables):
+            evaluated.append(h)
+            return section_sup(h, tables)
 
         merged_ties = partial_levels = 0
         cases = [
@@ -354,6 +355,9 @@ class TestLevelSupOracle:
                     frontier = [levels[m - 1].dirs + (d,) for d in (D, DBAR)]
                 sections = [conn.iterated(f * FieldSection.basis(0), dirs) for dirs in frontier]
                 sups = [grid_max(section, points)[0] for section in sections]
+                # the sweep carries the coefficient of phi_0, the whole of each section
+                coefficients = [section.coefficient(0) for section in sections]
+                assert all(set(section.support) <= {0} for section in sections)
                 top = max(sups)
                 winners = [i for i, value in enumerate(sups) if value == top]
                 exhaustive = len(frontier) == 2**m
@@ -361,7 +365,7 @@ class TestLevelSupOracle:
                 merged_ties += top > 0 and any(
                     sections[a] == sections[b] for a, b in itertools.combinations(winners, 2)
                 )
-                distinct = set(sections)
+                distinct = set(coefficients)
                 partial_levels += 1 < len(distinct & set(evaluated)) < len(distinct)
         assert merged_ties
         assert partial_levels
@@ -370,7 +374,8 @@ class TestLevelSupOracle:
         # k = sbar has constant curvature, so D and Dbar form a Heisenberg pair
         # and these are the numbers of distinct sections of the levels 0..10;
         # each is bounded once, and the bounds, tight on this model, leave 29
-        # of them to evaluate on the grid
+        # of them to evaluate on the grid.  The sweep differentiates the
+        # coefficient of phi_0 alone and builds no section
         distinct = [1, 2, 4, 8, 15, 28, 50, 90, 156, 274, 466]
         calls = Counter()
 
@@ -382,7 +387,12 @@ class TestLevelSupOracle:
             return wrapper
 
         monkeypatch.setattr(
-            Connection, "covariant_derivative", counted("derivative", Connection.covariant_derivative)
+            WirtingerPolynomial,
+            "twisted_derivative",
+            counted("derivative", WirtingerPolynomial.twisted_derivative),
+        )
+        monkeypatch.setattr(
+            Connection, "covariant_derivative", counted("section", Connection.covariant_derivative)
         )
         for name in ("_section_bound", "_section_sup"):
             monkeypatch.setattr(
@@ -391,7 +401,8 @@ class TestLevelSupOracle:
         covariant_level_sups(CONN, 0, ONE, SQUARE.with_grid_n(9), 10, full_cap=10)
         assert calls["_section_bound"] == sum(distinct) == 1094
         assert calls["_section_sup"] == 29
-        assert calls["derivative"] == 2 * sum(distinct[:-1])
+        assert calls["derivative"] == 2 * sum(distinct[:-1]) == 2 * 628
+        assert calls["section"] == 0
 
     def test_worst_sequences_up_to_order_ten(self):
         rect = SQUARE.with_grid_n(9)
@@ -404,38 +415,25 @@ class TestLevelSupOracle:
             assert grid_max(section, rect.grid_points())[0] == level.sup
 
 
-def edge_section(base, records):
-    """A section whose coefficients have modulus about 2^(base + shift)."""
-    return FieldSection(
-        {
-            index: WirtingerPolynomial(
-                [(pq, c * GaussianRational(Fraction(2) ** (base + shift))) for pq, c, shift in terms]
-            )
-            for index, terms in records
-        }
+def edge_polynomial(base, terms):
+    """A coefficient whose terms have modulus about 2^(base + shift)."""
+    return WirtingerPolynomial(
+        [(pq, c * GaussianRational(Fraction(2) ** (base + shift))) for pq, c, shift in terms]
     )
 
 
-# complex multi-term sections; the exponent base runs from below the smallest
-# subnormal float to above the largest float, weighted where squares leave the range
+def edge_polynomials(coefficients):
+    # complex or real multi-term coefficients; the exponent base runs from below the smallest
+    # subnormal float to above the largest float, weighted where squares leave the range
+    return st.builds(
+        edge_polynomial,
+        st.one_of(st.integers(-1090, 1030), st.sampled_from([-1074, -1022, -537, -511, 511, 512])),
+        st.lists(st.tuples(exponent_pairs, coefficients, st.integers(-8, 8)), min_size=1, max_size=5),
+    )
+
+
 small_fractions = st.builds(Fraction, st.integers(-64, 64), st.integers(1, 12))
 small_coefficients = st.builds(GaussianRational, small_fractions, small_fractions)
-edge_sections = st.builds(
-    edge_section,
-    st.one_of(st.integers(-1090, 1030), st.sampled_from([-1074, -1022, -537, -511, 511, 512])),
-    st.lists(
-        st.tuples(
-            st.integers(0, 4),
-            st.lists(
-                st.tuples(exponent_pairs, small_coefficients, st.integers(-8, 8)),
-                min_size=1,
-                max_size=5,
-            ),
-        ),
-        min_size=1,
-        max_size=3,
-    ),
-)
 
 
 def sorted_rectangle(re, im, grid_n):
@@ -452,34 +450,67 @@ def rectangles_within(numerator, denominator):
 rectangles = st.one_of(rectangles_within(84, 120), rectangles_within(24, 12))
 
 
+def beyond_float_range(h):
+    return any(max(abs(re), abs(im)) >= 2**1024 * h.denominator for re, im in h.numerators.values())
+
+
+def grid_radii(points):
+    return [1.0, float(np.abs(points).max())]
+
+
+def hypot_bound(h, radii):
+    """``_section_bound`` with ``math.hypot`` for every coefficient, real or not."""
+    if not h:
+        # h*phi_j = 0 has an empty support and a fiber norm of 0
+        return 0.0
+    degree = h.total_degree()
+    while len(radii) <= degree:
+        radii.append(radii[-1] * radii[1])
+    den = h.denominator
+    bound = 0.0
+    smallest = 1.0
+    for (p, q), (re, im) in h.numerators.items():
+        try:
+            modulus = math.hypot(re / den, im / den)
+        except OverflowError:
+            return math.inf
+        smallest = min(smallest, modulus)
+        bound += modulus * radii[p + q]
+    if smallest * min(1.0, radii[degree]) < 4 * sys.float_info.min:
+        return math.inf
+    bound *= 1 + (2 * len(h.numerators) + 9 * degree + 5) * sys.float_info.epsilon
+    return math.sqrt(bound * bound)
+
+
 class TestSectionBound:
-    """``_section_bound``: a padded float bound of every grid value of a section."""
+    """``_section_bound``: a padded float bound of every grid value of a coefficient of phi_j."""
 
     @settings(max_examples=200, deadline=None)
-    @given(edge_sections, rectangles)
-    def test_bounds_every_grid_value(self, section, rect):
+    @given(edge_polynomials(small_coefficients), rectangles)
+    def test_bounds_every_grid_value(self, h, rect):
         points = rect.grid_points()
-        bound = hilbertfield.analyticity._section_bound(section, [1.0, float(np.abs(points).max())])
-        beyond = any(
-            max(abs(re), abs(im)) >= 2**1024 * poly.denominator
-            for poly in section.coeffs.values()
-            for re, im in poly.numerators.values()
-        )
-        if beyond:
+        bound = hilbertfield.analyticity._section_bound(h, grid_radii(points))
+        if beyond_float_range(h):
             assert bound == math.inf
         if bound == math.inf:
             return
-        # the fiber norm at every grid point, computed as _section_sup computes it
-        squares = np.zeros(points.shape)
-        for index in section.support:
-            squares += np.abs(evaluate_on_grid(section.coefficient(index), points)) ** 2
-        assert np.sqrt(squares).max() <= bound
+        # the fiber norm |h| at every grid point, computed as _section_sup computes it
+        assert np.sqrt(np.abs(evaluate_on_grid(h, points)) ** 2).max() <= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_polynomials(st.builds(GaussianRational, small_fractions)), rectangles)
+    def test_real_coefficients_skip_hypot_bit_for_bit(self, h, rect):
+        # C99 hypot(x, +-0) is |x|, so the real path changes no bit of the bound
+        radii = grid_radii(rect.grid_points())
+        bound = hilbertfield.analyticity._section_bound(h, list(radii))
+        assert bound.hex() == hypot_bound(h, list(radii)).hex()
+        if beyond_float_range(h):
+            assert bound == math.inf
 
     def test_coefficient_beyond_float_range_gives_infinite_bound(self):
         fits = WirtingerPolynomial({(0, 0): GaussianRational(1)})
         huge = WirtingerPolynomial({(1, 2): GaussianRational(1, 10**400)})
-        section = FieldSection({0: fits, 3: huge})
-        assert hilbertfield.analyticity._section_bound(section, [1.0, 0.5]) == math.inf
+        assert hilbertfield.analyticity._section_bound(fits + huge, [1.0, 0.5]) == math.inf
         with pytest.raises(OverflowError, match="the coefficient of s\\^1 sbar\\^2"):
             evaluate_on_grid(huge, TINY.grid_points())
 
@@ -494,18 +525,19 @@ class TestSectionBound:
             re, im = Fraction(a, 2**269), Fraction(b, 2**269)
             points = CompactRectangle(re, re, im, im, 2).grid_points()
             for p, q in ((4, 0), (3, 1), (2, 2)):
-                section = FieldSection({0: WirtingerPolynomial({(p, q): lift})})
-                bound = hilbertfield.analyticity._section_bound(section, [1.0, float(np.abs(points).max())])
-                assert grid_max(section, points)[0] <= bound, (a, b, p, q)
+                h = WirtingerPolynomial({(p, q): lift})
+                bound = hilbertfield.analyticity._section_bound(h, grid_radii(points))
+                assert grid_max(h * FieldSection.basis(0), points)[0] <= bound, (a, b, p, q)
 
     def test_tight_on_monomials_at_a_corner(self):
         # |c s^p sbar^q| peaks at the corner 1+i of the unit square, where it is |c| r^(p+q)
         points = SQUARE.with_grid_n(9).grid_points()
         c = GaussianRational("-3/2", 2)
         for p, q in ((0, 0), (2, 1), (0, 3)):
-            section = FieldSection({1: WirtingerPolynomial({(p, q): c})})
-            bound = hilbertfield.analyticity._section_bound(section, [1.0, float(np.abs(points).max())])
-            assert grid_max(section, points)[0] <= bound <= 2.5 * 2 ** ((p + q) / 2) * (1 + 1e-12)
+            h = WirtingerPolynomial({(p, q): c})
+            bound = hilbertfield.analyticity._section_bound(h, grid_radii(points))
+            top = grid_max(h * FieldSection.basis(1), points)[0]
+            assert top <= bound <= 2.5 * 2 ** ((p + q) / 2) * (1 + 1e-12)
 
 
 class TestScaledLevelBound:
@@ -526,6 +558,16 @@ class TestScaledLevelBound:
         U = scaled_level_bound(cert, m)
         assert U == expected
         assert U <= M * Fraction(1, 2) ** m <= (m + 1) * M * Fraction(1, 2) ** m
+
+    def test_matches_the_per_factor_product_on_the_default_certificates(self):
+        # U_m = M (1/2)^m prod_{i=1..m} (x + i) / (i (1 + x)), x = M epsilon, one factor at a time
+        conn = Connection.from_potential(S * SBAR)
+        for j, f in itertools.product((0, 1, 4), (ONE, S, S * SBAR)):
+            cert = estimate_certificate(f, conn, j, SQUARE)
+            x = cert.M * cert.epsilon
+            for m in range(13):
+                shrink = math.prod((x + i) / (i * (1 + x)) for i in range(1, m + 1))
+                assert scaled_level_bound(cert, m) == cert.M * Fraction(1, 2) ** m * shrink, (j, f, m)
 
 
 class TestTermTypeBound:

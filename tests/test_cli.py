@@ -2,11 +2,14 @@
 
 import csv
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 import hilbertfield.analyticity
 import hilbertfield.cli
@@ -25,6 +28,7 @@ from hilbertfield import (
 )
 from hilbertfield.cli import RunConfig, main
 from hilbertfield.field import CurvatureConsistencyError
+from hilbertfield.symbolic import json_text
 
 from conftest import stirling2
 
@@ -390,6 +394,69 @@ class TestAll:
             "analyticity.json",
         ):
             assert (out / name).exists(), name
+
+
+# JSON values as the reports hold them, and the edges of the encoding: non-ASCII
+# and lone-surrogate strings, big ints, -0.0, +-inf, nan, tuples, empty containers
+json_strings = st.one_of(st.text(), st.sampled_from(["", "\u00e9", "\u2028", "\U0001f600", "\ud800", '"\\\n\t']))
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([10**40, -(2**64), math.inf, -math.inf, math.nan, -0.0, 5e-324]),
+    json_strings,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """``json_text``, the report writer, writes what ``json.dumps(value, indent=2)`` writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    @example([math.inf, -math.inf, math.nan, -0.0, 10**40, True, None, (), [], {}, {"\u00e9": ("\ud800",)}])
+    def test_matches_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [[object()], {"a": {1, 2}}, {"a": b"bytes"}])
+    def test_what_json_refuses_is_refused(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            json_text(value)
+
+    @pytest.mark.parametrize("key", [None, True, 1, 0.5, (1, 2)])
+    def test_keys_must_be_strings(self, key):
+        with pytest.raises(TypeError):
+            json_text({key: 0})
+
+    def test_every_file_of_all_matches_json_dumps(self, tmp_path, monkeypatch):
+        written = {}
+        write = hilbertfield.cli._write_json
+
+        def recorded(path, payload):
+            written[path] = payload
+            write(path, payload)
+
+        monkeypatch.setattr(hilbertfield.cli, "_write_json", recorded)
+        assert main(["all", "--out", str(tmp_path)]) == 0
+        assert sorted(written) == sorted(tmp_path.glob("*.json"))
+        for path, payload in written.items():
+            text, expected = path.read_text(), json.dumps(payload, indent=2) + "\n"
+            # assert a bool and the first differing offset, not the two texts:
+            # pytest's diff of two whole reports takes minutes
+            same = text == expected
+            first = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), len(text))
+            assert same, (path.name, first)
 
 
 class TestRunConfig:
