@@ -33,7 +33,6 @@ from .splittings import (
     CorrespondenceError,
     enumerate_splittings,
     all_splittings,
-    brute_force_splittings,
     classify,
     type1_bijection,
     type2_correspondence,
@@ -83,7 +82,6 @@ __all__ = [
     "CorrespondenceError",
     "enumerate_splittings",
     "all_splittings",
-    "brute_force_splittings",
     "classify",
     "type1_bijection",
     "type2_correspondence",

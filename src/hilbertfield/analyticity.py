@@ -29,9 +29,11 @@ first maximum winning.  The grid sums terms in sorted exponent order, so a
 section rebuilt from the reported directions gives the same value bit for bit.
 
 The level sweep (``covariant_level_sups``) carries only the coefficient h
-of each section h*phi_j, since the connection is diagonal.  It merges equal
-coefficients and evaluates on the grid only those whose float bound can
-reach the level maximum, so its values are the full sweep's, bit for bit.
+of each section h*phi_j, as a polynomial in lam = j+1 (the multiplier at j
+is lam times the one at j = 0, which ``TestIndexWeights`` checks), so one
+sweep per f serves every j.  It merges equal coefficients and evaluates on
+the grid only those whose float bound can reach the level maximum, so its
+values are the full sweep's, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,14 +42,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .field import Connection
 from .grid import CompactRectangle, PowerTables, evaluate_on_grid
 from .splittings import Splitting, splitting_term
-from .symbolic import Direction, WirtingerPolynomial, json_fraction, json_int
+from .symbolic import Direction, WirtingerPolynomial, _Graded, json_fraction, json_int
 
 __all__ = [
     "AnalyticityCertificate",
@@ -242,9 +244,11 @@ class LevelSup:
     exhaustive: bool
 
 
-def _section_bound(h: WirtingerPolynomial, radii: list[float]) -> float:
+def _section_bound(den: int, numerators: Mapping[tuple[int, int], tuple[int, int]], radii: list[float]) -> float:
     """Float upper bound of every grid value ``_section_sup`` can give h.
 
+    h is a positive denominator over a nonzero Gaussian-integer numerator
+    per exponent pair, not necessarily reduced: int / int rounds correctly.
     ``radii`` holds the powers 1, r, r^2, ... of r, the largest float |s|
     over the grid points; it is extended here as needed.  One pass over the
     numerators of h (T terms, largest p + q equal to d) gives
@@ -281,8 +285,6 @@ def _section_bound(h: WirtingerPolynomial, radii: list[float]) -> float:
     does not fit a float and where the square of b overflows, the bound is
     infinite and h is always evaluated.
     """
-    den = h.denominator
-    numerators = h.numerators
     bound = 0.0
     smallest = 1.0
     degree = 0
@@ -313,77 +315,98 @@ def _section_sup(h: WirtingerPolynomial, tables: PowerTables) -> float:
     return math.sqrt(top)
 
 
+def _level_max(bounds: list[float], section, tables: PowerTables) -> tuple[float, int, WirtingerPolynomial]:
+    """(top, best, section(best)): a level's grid maximum and the least index attaining it.
+
+    Evaluated in descending bound order, ties (infinite bounds first) in level order, up to the
+    first bound below the largest grid value found, which no skipped coefficient could reach.
+    """
+    top, best, winner = -math.inf, -1, None
+    for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] < top:
+            break
+        h = section(i)
+        sup = _section_sup(h, tables)
+        # the least index attaining top has the first sequence attaining it
+        if sup > top or (sup == top and i < best):
+            top, best, winner = sup, i, h
+    return top, best, winner
+
+
+def _children(level: dict, multipliers: dict) -> dict:
+    # parents in the order of their first sequences, so each child keeps its own first; level is
+    # emptied and each parent dropped once stepped, so two whole levels are never held at once
+    parents, children = list(level.items()), {}
+    level.clear()
+    for i, (h, dirs) in enumerate(parents):
+        parents[i] = None
+        for d, mu in multipliers.items():
+            children.setdefault(h.twisted_derivative(d, mu), dirs + (d,))
+    return children
+
+
 def covariant_level_sups(
     conn: Connection,
-    j: int,
+    indices: Sequence[int],
     f: WirtingerPolynomial,
     rectangle: CompactRectangle,
     m_max: int,
     full_cap: int = 10,
-) -> list[LevelSup]:
-    """Per-order grid suprema of |iterated covariant derivative of f*phi_j|.
+) -> dict[int, list[LevelSup] | OverflowError]:
+    """Per-order grid suprema of |iterated covariant derivative of f*phi_j| for each j in ``indices``.
 
-    Levels up to ``full_cap`` enumerate all direction sequences; beyond
-    that the single worst sequence is extended greedily (each step keeps
-    the child direction with the larger supremum), giving a lower-bound
-    estimate of the level maximum.  Within a level the first sequence, in
-    ``direction_sequences`` order, whose section has the largest grid
-    maximum wins.
+    Levels up to ``full_cap`` enumerate all direction sequences; beyond,
+    j's worst sequence is extended greedily, to the child with the larger
+    supremum: a lower bound of the level maximum.  The first sequence, in
+    ``direction_sequences`` order, attaining a level's largest grid value
+    wins.  An index meeting a value beyond the float range maps to that
+    ``OverflowError``, for the caller to raise at that index.
 
-    The connection is diagonal, so every section of the sweep is h*phi_j,
-    and a level is one dict from its distinct coefficients h to the first
-    direction sequence reaching each.  Each (distinct parent, direction)
-    pair is differentiated once, as h.twisted_derivative(d, mu_d) with
-    mu_d = A(d, j) fetched once, the step ``Connection.covariant_derivative``
-    takes index by index; no ``FieldSection`` is built.  Equal coefficients
-    give bit-identical grid values, so merging changes no result.  On
-    g = s*sbar, D and Dbar form a Heisenberg pair and the levels 0..10 hold
-    1, 2, 4, 8, 15, 28, 50, 90, 156, 274 and 466 distinct coefficients:
-    1 094 polynomials and 1 256 twisted derivatives per (j, f) instead of
-    2 047 and 2 046.  For a complex multi-term k nothing merges.
-
-    The level is evaluated in descending ``_section_bound`` order (a bound
-    of every grid value of h), ties in level order, up to the first
-    coefficient whose bound lies below the largest grid value found, so
-    ``sup`` and ``dirs`` are those of the full sweep.  On g = s*sbar the
-    bounds are tight (j = 0, f = 1: 29 of 1 094 reach the grid); for the
-    complex k ``1 + i + (1/2 - i/3) s sbar^2`` about 30 % are skipped.
-
-    Overflow is met where the full sweep meets it: infinite bounds (a
-    coefficient or squared modulus beyond the float range) come first, in
-    level order, so the full sweep's first ``OverflowError`` is raised.
+    Every section is h*phi_j, and A(d, j) = (j+1) A(d, 0)
+    (``TestIndexWeights::test_multiplier_is_linear_in_j_plus_one``), so one
+    sweep of coefficients graded by lam = j+1 serves every j: a level maps
+    each distinct one to the first sequence reaching it, each (parent,
+    direction) takes one step eta_d + lam A(d, 0), and j reads the level at
+    lam = j+1.  Equal coefficients give bit-identical grid values, so merging
+    changes no result: on g = s*sbar the levels 0..10 hold 1 094 (1 256
+    graded steps per f), not 2 047 per (j, f).  Each j bounds them from
+    their numerators at lam and builds only those ``_level_max`` evaluates
+    (29 at j = 0, f = 1).  A greedy level steps j's winner by
+    ``twisted_derivative``.
     """
     tables = PowerTables(rectangle.grid_points())
     radii = [1.0, float(np.abs(tables.points).max())]
-    mu = {d: conn.coefficient(j, d) for d in (Direction.D, Direction.DBAR)}
-    # each distinct coefficient of phi_j in the level, in the order of its first direction sequence
-    level: dict[WirtingerPolynomial, tuple[Direction, ...]] = {f: ()}
-    levels: list[LevelSup] = []
+    a = {d: conn.coefficient(0, d) for d in (Direction.D, Direction.DBAR)}
+    sweeps: dict[int, list[LevelSup] | OverflowError] = {j: [] for j in indices}
+    winners: dict[int, WirtingerPolynomial] = {}
+    level: dict = {_Graded(f): ()}
     # a squared norm beyond the float range becomes inf, which _section_sup reports
     with np.errstate(over="ignore"):
-        for m in range(m_max + 1):
-            coefficients, first = list(level), list(level.values())
-            bounds = [_section_bound(h, radii) for h in coefficients]
-            sups: dict[int, float] = {}
-            top = -math.inf
-            # descending bounds, ties in level order; no later coefficient can reach top
-            for i in sorted(range(len(coefficients)), key=bounds.__getitem__, reverse=True):
-                if bounds[i] < top:
+        for m in range(min(m_max, full_cap) + 1):
+            live = [j for j, levels in sweeps.items() if isinstance(levels, list)]
+            level = _children(level, a) if m and live else level
+            graded, first = list(level), list(level.values())
+            for j in live:
+                bounds = [_section_bound(g.denominator, g.numerators_at(j + 1), radii) for g in graded]
+                try:
+                    top, best, winners[j] = _level_max(bounds, lambda i: graded[i].at(j + 1), tables)
+                    sweeps[j].append(LevelSup(m, top, first[best], exhaustive=True))
+                except OverflowError as exc:
+                    sweeps[j] = exc
+            del graded, first
+        for j in [j for j, levels in sweeps.items() if isinstance(levels, list)]:
+            for m in range(full_cap + 1, m_max + 1):
+                level = _children({winners[j]: sweeps[j][-1].dirs}, {d: conn.coefficient(j, d) for d in a})
+                hs, first = list(level), list(level.values())
+                bounds = [_section_bound(h.denominator, h.numerators, radii) for h in hs]
+                try:
+                    top, best, winners[j] = _level_max(bounds, hs.__getitem__, tables)
+                except OverflowError as exc:
+                    sweeps[j] = exc
                     break
-                sups[i] = _section_sup(coefficients[i], tables)
-                top = max(top, sups[i])
-            # the least index attaining top has the first sequence attaining it
-            best = min(i for i, sup in sups.items() if sup == top)
-            # a greedy level 1 still holds both sequences
-            levels.append(LevelSup(m, top, first[best], exhaustive=m <= max(full_cap, 1)))
-            if m == m_max:
-                break
-            level = {}
-            # parents in the order of their first sequences, so each child keeps its own first
-            for i in range(len(coefficients)) if m < full_cap else (best,):
-                for d, mu_d in mu.items():
-                    level.setdefault(coefficients[i].twisted_derivative(d, mu_d), first[i] + (d,))
-    return levels
+                # a greedy level 1 still holds both sequences
+                sweeps[j].append(LevelSup(m, top, first[best], exhaustive=m <= max(full_cap, 1)))
+    return sweeps
 
 
 def scaled_level_bound(certificate: AnalyticityCertificate, m: int) -> Fraction:
@@ -393,6 +416,10 @@ def scaled_level_bound(certificate: AnalyticityCertificate, m: int) -> Fraction:
     the certified term bounds summed over every splitting of {1..m}.  With
     x = M epsilon = a/b that is M prod_{i=1..m} (a + i b) / (2^m m! (a + b)^m),
     built as one ``Fraction`` of two integer products.
+
+    Lemma: U_m <= M (1/2)^m for every m and every certificate.  U_m is
+    M (1/2)^m prod_{i=1..m} (x+i) / (i (1+x)), and x + i <= i (1 + x) holds
+    exactly when (i-1) x >= 0, which it does for i >= 1 and x > 0.
     """
     M, x = certificate.M, certificate.M * certificate.epsilon
     a, b = x.numerator, x.denominator

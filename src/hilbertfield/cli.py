@@ -357,11 +357,16 @@ def cmd_analyticity(cfg: RunConfig) -> int:
     conn = cfg.connection
     summary = []
     all_pass = True
+    sweeps = {}
     for j in cfg.indices:
         for f_index, f in enumerate(cfg.functions):
             certificate = estimate_certificate(f, conn, j, cfg.rectangle)
             audited = audit_certificate(certificate)
-            levels = covariant_level_sups(conn, j, f, cfg.rectangle, cfg.m_greedy, full_cap=cfg.m_decay)
+            # one sweep per f, at its first cell, serves every index; an overflow stops the run at its own cell
+            if f_index not in sweeps:
+                sweeps[f_index] = covariant_level_sups(conn, cfg.indices, f, cfg.rectangle, cfg.m_greedy, cfg.m_decay)
+            if isinstance(levels := sweeps[f_index][j], OverflowError):
+                raise levels
             decay_rows = []
             witness = None
             for level in levels:

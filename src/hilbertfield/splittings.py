@@ -26,8 +26,8 @@ tree: level m+1 holds the children of level m, grown by the type-2 move
 (insert m+1 into a block) or the type-1 move (adjoin m+1 as the leading
 marker), and each splitting of {1, ..., m+1} has one parent, found by
 deleting m+1.  The type-2 and type-1 correspondences verify the two moves
-by explicit construction, and the enumerator is cross-checked against a
-brute-force generator that filters raw assignments by the invariants.
+by explicit construction, and the tests cross-check the enumerator against
+a brute-force generator that filters raw assignments by the invariants.
 
 The expansion sums never visit a splitting.  A term depends only on the
 multiset of its factors' signatures (base, D count, DBAR count), and a
@@ -50,8 +50,7 @@ at every j, the direct side also taken from its prefix's) each read one
 such table.  Only f and the multipliers are differentiated: the expansion
 route never takes the direct route, which applies the multiplier of the
 real j at every step.
-``all_splittings``, ``brute_force_splittings`` and ``splitting_term``
-remain as small-m oracles.
+``all_splittings`` and ``splitting_term`` remain as small-m oracles.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ __all__ = [
     "CorrespondenceError",
     "enumerate_splittings",
     "all_splittings",
-    "brute_force_splittings",
     "classify",
     "type1_bijection",
     "type2_correspondence",
@@ -202,36 +200,6 @@ def enumerate_splittings(m: int, k: int) -> tuple[Splitting, ...]:
     if k < 1 or k > m + 1:
         return ()
     return tuple(spl for spl in all_splittings(m) if spl.num_blocks == k)
-
-
-def brute_force_splittings(m: int, k: int) -> tuple[Splitting, ...]:
-    """Independent validator: filter raw marker/block assignments by the invariants.
-
-    Chooses every possible marker set, then every assignment of the
-    remaining elements to the k blocks, keeping the assignments where each
-    constrained block only receives elements above its marker.  Shares no
-    code with :func:`all_splittings`.
-    """
-    if m < 0:
-        raise ValueError("ground-set size must be nonnegative")
-    if k < 1 or k > m + 1:
-        return ()
-    universe = range(1, m + 1)
-    found: list[Splitting] = []
-    for marker_set in itertools.combinations(universe, k - 1):
-        markers = tuple(sorted(marker_set, reverse=True))
-        rest = [e for e in universe if e not in marker_set]
-        for assignment in itertools.product(range(k), repeat=len(rest)):
-            blocks: list[list[int]] = [[] for _ in range(k)]
-            valid = True
-            for element, position in zip(rest, assignment):
-                if position < k - 1 and element <= markers[position]:
-                    valid = False
-                    break
-                blocks[position].append(element)
-            if valid:
-                found.append(Splitting(m, tuple(tuple(b) for b in blocks), markers))
-    return tuple(found)
 
 
 def classify(spl: Splitting) -> SplittingKind:

@@ -318,7 +318,7 @@ class WirtingerPolynomial:
         return max(p + q for p, q in self._num)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, WirtingerPolynomial):
+        if type(other) is not type(self):
             return NotImplemented
         return self._den == other._den and self._num == other._num
 
@@ -436,22 +436,12 @@ class WirtingerPolynomial:
             n = p if along_d else q
             if n:
                 key = (p - 1, q) if along_d else (p, q - 1)
-                scale = n * mu_den
-                d_re, d_im = re * scale, im * scale
-                acc = get(key)
-                if acc is not None:
-                    d_re += acc[0]
-                    d_im += acc[1]
-                out[key] = (d_re, d_im)
+                acc_re, acc_im = get(key, (0, 0))
+                out[key] = (acc_re + re * n * mu_den, acc_im + im * n * mu_den)
             for (p2, q2), (re2, im2) in mu_items:
                 key = (p + p2, q + q2)
-                m_re = re * re2 - im * im2
-                m_im = re * im2 + im * re2
-                acc = get(key)
-                if acc is not None:
-                    m_re += acc[0]
-                    m_im += acc[1]
-                out[key] = (m_re, m_im)
+                acc_re, acc_im = get(key, (0, 0))
+                out[key] = (acc_re + re * re2 - im * im2, acc_im + re * im2 + im * re2)
         out = {key: pair for key, pair in out.items() if pair[0] or pair[1]}
         return _canonical(self._den * mu_den, out)
 
@@ -540,23 +530,79 @@ class WirtingerPolynomial:
         return f"WirtingerPolynomial({self._terms!r})"
 
 
-def _raw(den: int, num: dict[tuple[int, int], tuple[int, int]]) -> WirtingerPolynomial:
+def _raw(den: int, num: dict, kind: type = WirtingerPolynomial):
     # internal constructor: (den, num) already canonical
-    poly = WirtingerPolynomial.__new__(WirtingerPolynomial)
+    poly = kind.__new__(kind)
     poly._den = den
     poly._num = num
     poly._hash = None
     return poly
 
 
-def _canonical(den: int, num: dict[tuple[int, int], tuple[int, int]]) -> WirtingerPolynomial:
+def _canonical(den: int, num: dict, kind: type = WirtingerPolynomial):
     # num holds no (0, 0) pair; divide out gcd(den, every numerator)
     if den != 1:
         g = math.gcd(den, *itertools.chain.from_iterable(num.values()))
         if g != 1:
             den //= g
             num = {key: (re // g, im // g) for key, (re, im) in num.items()}
-    return _raw(den, num)
+    return _raw(den, num, kind)
+
+
+class _Graded:
+    """The coefficient of phi_j for every index j at once, sum_k lam^k G_k with lam = j + 1.
+
+    The numerator of c s^p sbar^q lam^k is kept under (p, q, k) over one
+    denominator, in :class:`WirtingerPolynomial`'s canonical form, so
+    equality decides merging.  ``_Graded(f)`` is f at grade 0.
+    """
+
+    __slots__ = ("_den", "_num", "_hash")
+
+    def __init__(self, f: WirtingerPolynomial):
+        self._den, self._num, self._hash = f._den, {(p, q, 0): pair for (p, q), pair in f._num.items()}, None
+
+    __eq__ = WirtingerPolynomial.__eq__
+    __hash__ = WirtingerPolynomial.__hash__
+
+    @property
+    def denominator(self) -> int:
+        return self._den
+
+    def twisted_derivative(self, d: Direction, a: WirtingerPolynomial) -> "_Graded":
+        """eta_d + lam a, in one pass: grade k keeps eta_d G_k and grade k + 1 gains a G_k, reduced once."""
+        a_den, a_items = a._den, tuple(a._num.items())
+        along_d = d is Direction.D
+        out: dict[tuple[int, int, int], tuple[int, int]] = {}
+        get = out.get
+        for (p, q, k), (re, im) in self._num.items():
+            n = p if along_d else q
+            if n:
+                key = (p - 1, q, k) if along_d else (p, q - 1, k)
+                acc_re, acc_im = get(key, (0, 0))
+                out[key] = (acc_re + re * n * a_den, acc_im + im * n * a_den)
+            for (p2, q2), (re2, im2) in a_items:
+                key = (p + p2, q + q2, k + 1)
+                acc_re, acc_im = get(key, (0, 0))
+                out[key] = (acc_re + re * re2 - im * im2, acc_im + re * im2 + im * re2)
+        out = {key: pair for key, pair in out.items() if pair[0] or pair[1]}
+        return _canonical(self._den * a_den, out, _Graded)
+
+    def numerators_at(self, lam: int) -> dict[tuple[int, int], tuple[int, int]]:
+        """(p, q) -> sum_k lam^k num(p, q, k) over ``denominator``, unreduced, in first-grade order; no zero sum."""
+        out: dict[tuple[int, int], tuple[int, int]] = {}
+        get = out.get
+        for (p, q, k), (re, im) in self._num.items():
+            if k:
+                scale = lam**k
+                re, im = re * scale, im * scale
+            acc = get((p, q))
+            out[p, q] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
+        return {key: pair for key, pair in out.items() if pair[0] or pair[1]}
+
+    def at(self, lam: int) -> WirtingerPolynomial:
+        """The coefficient of phi_j at lam = j + 1."""
+        return _canonical(self._den, self.numerators_at(lam))
 
 
 def laplacian(g: WirtingerPolynomial) -> WirtingerPolynomial:

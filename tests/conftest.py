@@ -1,5 +1,6 @@
-"""Shared hypothesis strategies for the model's exact objects, and closed-form oracles."""
+"""Shared hypothesis strategies for the model's exact objects, and closed-form and brute-force oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hilbertfield import (
     Direction,
     FieldSection,
     GaussianRational,
+    Splitting,
     WirtingerPolynomial,
 )
 
@@ -64,3 +66,33 @@ def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind by inclusion-exclusion."""
     total = sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
     return total // math.factorial(k)
+
+
+def brute_force_splittings(m: int, k: int) -> tuple[Splitting, ...]:
+    """Independent validator: filter raw marker/block assignments by the invariants.
+
+    Chooses every possible marker set, then every assignment of the
+    remaining elements to the k blocks, keeping the assignments where each
+    constrained block only receives elements above its marker.  Shares no
+    code with ``hilbertfield.all_splittings``.
+    """
+    if m < 0:
+        raise ValueError("ground-set size must be nonnegative")
+    if k < 1 or k > m + 1:
+        return ()
+    universe = range(1, m + 1)
+    found: list[Splitting] = []
+    for marker_set in itertools.combinations(universe, k - 1):
+        markers = tuple(sorted(marker_set, reverse=True))
+        rest = [e for e in universe if e not in marker_set]
+        for assignment in itertools.product(range(k), repeat=len(rest)):
+            blocks: list[list[int]] = [[] for _ in range(k)]
+            valid = True
+            for element, position in zip(rest, assignment):
+                if position < k - 1 and element <= markers[position]:
+                    valid = False
+                    break
+                blocks[position].append(element)
+            if valid:
+                found.append(Splitting(m, tuple(tuple(b) for b in blocks), markers))
+    return tuple(found)

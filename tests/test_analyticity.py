@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import hilbertfield.analyticity
+from hilbertfield.symbolic import _Graded
 from conftest import exponent_pairs, polynomials
 from hilbertfield import (
     AnalyticityCertificate,
@@ -220,7 +221,7 @@ class TestCertificates:
 
 def decay_rows(conn, j, f, cert, m_max, full_cap=10):
     """``decay_row`` of every level of the covariant sweep, m = 0..m_max."""
-    levels = covariant_level_sups(conn, j, f, cert.rectangle, m_max, full_cap)
+    levels = covariant_level_sups(conn, [j], f, cert.rectangle, m_max, full_cap)[j]
     return [decay_row(cert, level.m, level.sup) for level in levels]
 
 
@@ -255,7 +256,7 @@ class TestDecayProfile:
         assert decay_row(cert, 2, 200.0) == (1.5625, 1.5, False)
 
     def test_level_sups_metadata(self):
-        levels = covariant_level_sups(CONN, 0, ONE, SQUARE.with_grid_n(9), 6, full_cap=4)
+        levels = covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), 6, full_cap=4)[0]
         assert [level.m for level in levels] == list(range(7))
         assert all(level.exhaustive for level in levels[:5])
         assert not levels[5].exhaustive and not levels[6].exhaustive
@@ -290,43 +291,59 @@ class TestLevelSupOracle:
         rect = SQUARE.with_grid_n(9)
         points = rect.grid_points()
         ties = 0
-        for conn, j, f in [(CONN, 0, ONE), (CONN, 2, S), (complex_k, 1, ONE), (complex_k, 0, S * SBAR)]:
-            levels = covariant_level_sups(conn, j, f, rect, 6, full_cap=4)
-            assert [level.m for level in levels] == list(range(7))
-            for level in levels:
-                if level.m <= 4:
-                    frontier = list(direction_sequences(level.m))
-                else:
-                    frontier = [levels[level.m - 1].dirs + (d,) for d in (D, DBAR)]
-                assert level.exhaustive == (level.m <= 4)
-                sections = {dirs: conn.iterated(f * FieldSection.basis(j), dirs) for dirs in frontier}
-                grid = {dirs: grid_max(sections[dirs], points) for dirs in frontier}
-                exact = {dirs: exact_norm(sections[dirs], grid[dirs][1]) for dirs in frontier}
-                top = max(exact.values())
-                assert abs(level.sup - top) <= 1e-12 * top, (level.m, level.sup, top)
-                assert abs(exact[level.dirs] - top) <= 1e-12 * top, (level.m, level.dirs)
-                # the reported value is the grid maximum, and the first section attaining it wins
-                assert level.sup == max(value for value, _ in grid.values())
-                assert level.dirs == next(dirs for dirs in frontier if grid[dirs][0] == level.sup)
-                ties += sum(value == level.sup for value, _ in grid.values()) >= 2
+        cases = [(CONN, ONE, (0, 2)), (CONN, S, (2, 5)), (complex_k, ONE, (1, 3)), (complex_k, S * SBAR, (0, 1))]
+        for conn, f, indices in cases:
+            sweeps = covariant_level_sups(conn, indices, f, rect, 6, full_cap=4)
+            assert list(sweeps) == list(indices)
+            for j, levels in sweeps.items():
+                assert [level.m for level in levels] == list(range(7))
+                ties += self.confirm_levels(conn, j, f, levels, points)
         # some level has two sections with equal grid maxima, so the tie rule is exercised
         assert ties
 
+    @staticmethod
+    def confirm_levels(conn, j, f, levels, points):
+        """Check each level of one index against its rebuilt sections; the number of tied levels."""
+        ties = 0
+        for level in levels:
+            if level.m <= 4:
+                frontier = list(direction_sequences(level.m))
+            else:
+                frontier = [levels[level.m - 1].dirs + (d,) for d in (D, DBAR)]
+            assert level.exhaustive == (level.m <= 4)
+            sections = {dirs: conn.iterated(f * FieldSection.basis(j), dirs) for dirs in frontier}
+            grid = {dirs: grid_max(sections[dirs], points) for dirs in frontier}
+            exact = {dirs: exact_norm(sections[dirs], grid[dirs][1]) for dirs in frontier}
+            top = max(exact.values())
+            assert abs(level.sup - top) <= 1e-12 * top, (j, level.m, level.sup, top)
+            assert abs(exact[level.dirs] - top) <= 1e-12 * top, (j, level.m, level.dirs)
+            # the reported value is the grid maximum, and the first section attaining it wins
+            assert level.sup == max(value for value, _ in grid.values())
+            assert level.dirs == next(dirs for dirs in frontier if grid[dirs][0] == level.sup)
+            ties += sum(value == level.sup for value, _ in grid.values()) >= 2
+        return ties
+
     def test_merged_sweep_matches_brute_force(self):
-        # every sequence rebuilt and valued on its own: merging equal sections
-        # and skipping those whose bound is below the level maximum must leave
-        # every field of every level as the full sweep has it.  On the default
+        # every sequence rebuilt and valued on its own, at each index of one
+        # sweep: merging equal sections, reading every index from one graded
+        # coefficient and skipping those whose bound is below the level maximum
+        # must leave every field of every level as the full sweep has it.  On the default
         # model the maxima sit at unmerged words; for the flat connection D and
         # Dbar commute, and at m = 2 the merged sequences (d, dbar) and
         # (dbar, d) tie for the maximum of s^2 sbar^2.  For the complex
         # multi-term k on a rectangle off the origin the bounds are loose, so
         # some levels evaluate several sections and skip others.  With
         # full_cap = 0 the greedy walk starts at level 1, which still holds
-        # both sequences and so is exhaustive
+        # both sequences and so is exhaustive.  On the real segment [-1, 1],
+        # f = 2s + sbar^3/3 - 2 sbar has D f = 2 and Dbar f = sbar^2 - 2, tied
+        # at 2 on the grid, and the later Dbar f, with the larger bound, is
+        # evaluated first: the first sequence must still win the tie
         complex_k = Connection(
             k=WirtingerPolynomial.from_json_terms([[1, 2, "1/2", "-1/3"], [0, 0, "1", "1"]])
         )
         off_origin = CompactRectangle(Fraction(1, 4), Fraction(1), Fraction(-1, 2), Fraction(1, 4), 9)
+        segment = CompactRectangle(Fraction(-1), Fraction(1), Fraction(0), Fraction(0), 9)
+        tie = 2 * S + WirtingerPolynomial({(0, 3): Fraction(1, 3), (0, 1): -2})
         evaluated = []
         section_sup = hilbertfield.analyticity._section_sup
 
@@ -336,46 +353,51 @@ class TestLevelSupOracle:
 
         merged_ties = partial_levels = 0
         cases = [
-            (CONN, ONE, SQUARE.with_grid_n(9), 9, 8),
-            (Connection.flat(), S * S * SBAR * SBAR, SQUARE.with_grid_n(9), 9, 8),
-            (complex_k, ONE, off_origin, 7, 6),
-            (complex_k, S, off_origin, 5, 0),
+            (CONN, ONE, SQUARE.with_grid_n(9), 9, 8, (0, 3)),
+            (Connection.flat(), S * S * SBAR * SBAR, SQUARE.with_grid_n(9), 9, 8, (0, 1)),
+            (complex_k, ONE, off_origin, 7, 6, (0, 2, 7)),
+            (complex_k, S, off_origin, 5, 0, (1, 4)),
+            (Connection.flat(), tie, segment, 2, 2, (0,)),
         ]
-        for conn, f, rect, m_max, full_cap in cases:
+        for conn, f, rect, m_max, full_cap, indices in cases:
             points = rect.grid_points()
             evaluated.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(hilbertfield.analyticity, "_section_sup", recorded)
-                levels = covariant_level_sups(conn, 0, f, rect, m_max, full_cap=full_cap)
-            assert [level.m for level in levels] == list(range(m_max + 1))
-            for m, level in enumerate(levels):
-                if m <= full_cap:
-                    frontier = list(direction_sequences(m))
-                else:
-                    frontier = [levels[m - 1].dirs + (d,) for d in (D, DBAR)]
-                sections = [conn.iterated(f * FieldSection.basis(0), dirs) for dirs in frontier]
-                sups = [grid_max(section, points)[0] for section in sections]
-                # the sweep carries the coefficient of phi_0, the whole of each section
-                coefficients = [section.coefficient(0) for section in sections]
-                assert all(set(section.support) <= {0} for section in sections)
-                top = max(sups)
-                winners = [i for i, value in enumerate(sups) if value == top]
-                exhaustive = len(frontier) == 2**m
-                assert level == LevelSup(m, top, frontier[winners[0]], exhaustive), m
-                merged_ties += top > 0 and any(
-                    sections[a] == sections[b] for a, b in itertools.combinations(winners, 2)
-                )
-                distinct = set(coefficients)
-                partial_levels += 1 < len(distinct & set(evaluated)) < len(distinct)
+                sweeps = covariant_level_sups(conn, indices, f, rect, m_max, full_cap=full_cap)
+            assert list(sweeps) == list(indices)
+            for j, levels in sweeps.items():
+                assert [level.m for level in levels] == list(range(m_max + 1))
+                for m, level in enumerate(levels):
+                    if m <= full_cap:
+                        frontier = list(direction_sequences(m))
+                    else:
+                        frontier = [levels[m - 1].dirs + (d,) for d in (D, DBAR)]
+                    sections = [conn.iterated(f * FieldSection.basis(j), dirs) for dirs in frontier]
+                    sups = [grid_max(section, points)[0] for section in sections]
+                    # the sweep carries the coefficient of phi_j, the whole of each section
+                    coefficients = [section.coefficient(j) for section in sections]
+                    assert all(set(section.support) <= {j} for section in sections)
+                    top = max(sups)
+                    winners = [i for i, value in enumerate(sups) if value == top]
+                    exhaustive = len(frontier) == 2**m
+                    assert level == LevelSup(m, top, frontier[winners[0]], exhaustive), (j, m)
+                    merged_ties += top > 0 and any(
+                        sections[a] == sections[b] for a, b in itertools.combinations(winners, 2)
+                    )
+                    distinct = set(coefficients)
+                    partial_levels += 1 < len(distinct & set(evaluated)) < len(distinct)
         assert merged_ties
         assert partial_levels
 
     def test_one_derivative_and_one_grid_evaluation_per_distinct_section(self, monkeypatch):
         # k = sbar has constant curvature, so D and Dbar form a Heisenberg pair
         # and these are the numbers of distinct sections of the levels 0..10;
-        # each is bounded once, and the bounds, tight on this model, leave 29
-        # of them to evaluate on the grid.  The sweep differentiates the
-        # coefficient of phi_0 alone and builds no section
+        # one graded coefficient per distinct section is differentiated for
+        # all three indices, each index bounds each once, and the bounds,
+        # tight on this model, leave 29 of them per index to evaluate on the
+        # grid.  The sweep builds no section and, with no
+        # greedy level, takes no per-index twisted derivative
         distinct = [1, 2, 4, 8, 15, 28, 50, 90, 156, 274, 466]
         calls = Counter()
 
@@ -391,6 +413,7 @@ class TestLevelSupOracle:
             "twisted_derivative",
             counted("derivative", WirtingerPolynomial.twisted_derivative),
         )
+        monkeypatch.setattr(_Graded, "twisted_derivative", counted("graded", _Graded.twisted_derivative))
         monkeypatch.setattr(
             Connection, "covariant_derivative", counted("section", Connection.covariant_derivative)
         )
@@ -398,16 +421,20 @@ class TestLevelSupOracle:
             monkeypatch.setattr(
                 hilbertfield.analyticity, name, counted(name, getattr(hilbertfield.analyticity, name))
             )
-        covariant_level_sups(CONN, 0, ONE, SQUARE.with_grid_n(9), 10, full_cap=10)
-        assert calls["_section_bound"] == sum(distinct) == 1094
-        assert calls["_section_sup"] == 29
-        assert calls["derivative"] == 2 * sum(distinct[:-1]) == 2 * 628
+        sweeps = covariant_level_sups(CONN, (0, 1, 4), ONE, SQUARE.with_grid_n(9), 10, full_cap=10)
+        assert calls["_section_bound"] == 3 * sum(distinct) == 3 * 1094
+        assert calls["graded"] == 2 * sum(distinct[:-1]) == 2 * 628
+        assert calls["derivative"] == 0
         assert calls["section"] == 0
+        assert calls["_section_sup"] == 3 * 29
+        calls.clear()
+        assert covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), 10, full_cap=10) == {0: sweeps[0]}
+        assert calls["_section_sup"] == 29
 
     def test_worst_sequences_up_to_order_ten(self):
         rect = SQUARE.with_grid_n(9)
         cert = estimate_certificate(ONE, CONN, 0, rect)
-        levels = covariant_level_sups(CONN, 0, ONE, rect, 10)
+        levels = covariant_level_sups(CONN, [0], ONE, rect, 10)[0]
         for level in levels:
             assert decay_row(cert, level.m, level.sup)[2]
             # the section rebuilt from its directions gives the reported sup on the grid
@@ -458,6 +485,11 @@ def grid_radii(points):
     return [1.0, float(np.abs(points).max())]
 
 
+def section_bound(h, radii):
+    """``_section_bound`` of a polynomial, from its canonical numerators."""
+    return hilbertfield.analyticity._section_bound(h.denominator, h.numerators, radii)
+
+
 def hypot_bound(h, radii):
     """``_section_bound`` with ``math.hypot`` for every coefficient, real or not."""
     if not h:
@@ -489,7 +521,7 @@ class TestSectionBound:
     @given(edge_polynomials(small_coefficients), rectangles)
     def test_bounds_every_grid_value(self, h, rect):
         points = rect.grid_points()
-        bound = hilbertfield.analyticity._section_bound(h, grid_radii(points))
+        bound = section_bound(h, grid_radii(points))
         if beyond_float_range(h):
             assert bound == math.inf
         if bound == math.inf:
@@ -502,7 +534,7 @@ class TestSectionBound:
     def test_real_coefficients_skip_hypot_bit_for_bit(self, h, rect):
         # C99 hypot(x, +-0) is |x|, so the real path changes no bit of the bound
         radii = grid_radii(rect.grid_points())
-        bound = hilbertfield.analyticity._section_bound(h, list(radii))
+        bound = section_bound(h, list(radii))
         assert bound.hex() == hypot_bound(h, list(radii)).hex()
         if beyond_float_range(h):
             assert bound == math.inf
@@ -510,7 +542,7 @@ class TestSectionBound:
     def test_coefficient_beyond_float_range_gives_infinite_bound(self):
         fits = WirtingerPolynomial({(0, 0): GaussianRational(1)})
         huge = WirtingerPolynomial({(1, 2): GaussianRational(1, 10**400)})
-        assert hilbertfield.analyticity._section_bound(fits + huge, [1.0, 0.5]) == math.inf
+        assert section_bound(fits + huge, [1.0, 0.5]) == math.inf
         with pytest.raises(OverflowError, match="the coefficient of s\\^1 sbar\\^2"):
             evaluate_on_grid(huge, TINY.grid_points())
 
@@ -526,7 +558,7 @@ class TestSectionBound:
             points = CompactRectangle(re, re, im, im, 2).grid_points()
             for p, q in ((4, 0), (3, 1), (2, 2)):
                 h = WirtingerPolynomial({(p, q): lift})
-                bound = hilbertfield.analyticity._section_bound(h, grid_radii(points))
+                bound = section_bound(h, grid_radii(points))
                 assert grid_max(h * FieldSection.basis(0), points)[0] <= bound, (a, b, p, q)
 
     def test_tight_on_monomials_at_a_corner(self):
@@ -535,7 +567,7 @@ class TestSectionBound:
         c = GaussianRational("-3/2", 2)
         for p, q in ((0, 0), (2, 1), (0, 3)):
             h = WirtingerPolynomial({(p, q): c})
-            bound = hilbertfield.analyticity._section_bound(h, grid_radii(points))
+            bound = section_bound(h, grid_radii(points))
             top = grid_max(h * FieldSection.basis(1), points)[0]
             assert top <= bound <= 2.5 * 2 ** ((p + q) / 2) * (1 + 1e-12)
 
@@ -568,6 +600,19 @@ class TestScaledLevelBound:
             for m in range(13):
                 shrink = math.prod((x + i) / (i * (1 + x)) for i in range(1, m + 1))
                 assert scaled_level_bound(cert, m) == cert.M * Fraction(1, 2) ** m * shrink, (j, f, m)
+
+    def test_at_most_M_halved_m_times_to_order_forty(self):
+        # the lemma of scaled_level_bound: each factor (x+i)/(i(1+x)) is at most 1
+        # as (i-1) x >= 0, so U_m <= M (1/2)^m at every m; exact, on the nine
+        # default certificates and the hand certificate (1/2, 2)
+        conn = Connection.from_potential(S * SBAR)
+        certs = [estimate_certificate(f, conn, j, SQUARE) for j, f in itertools.product((0, 1, 4), (ONE, S, S * SBAR))]
+        certs.append(hand_certificate(ONE, CONN, 0, SQUARE, Fraction(1, 2), Fraction(2)))
+        for cert in certs:
+            x = cert.M * cert.epsilon
+            assert all((x + i) / (i * (1 + x)) <= 1 for i in range(1, 41))
+            for m in range(41):
+                assert scaled_level_bound(cert, m) <= cert.M * Fraction(1, 2) ** m, (cert.M, m)
 
 
 class TestTermTypeBound:

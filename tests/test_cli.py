@@ -618,6 +618,34 @@ class TestFloatOverflow:
         assert capsys.readouterr().err == f"config error: {value} does not fit a float\n"
         assert len(evaluated) == 2
 
+    @pytest.mark.parametrize(
+        "indices, written",
+        [
+            ([0, 99], ["certificate_j0_f0.json", "certificate_j0_f1.json", "decay_j0_f0.csv", "decay_j0_f1.csv"]),
+            ([99, 0], []),
+        ],
+    )
+    # --m-max 1 meets the overflow of j = 99 in a greedy level (m_greedy = 3),
+    # the caps m_decay = m_greedy = 3 in an exhaustive one
+    @pytest.mark.parametrize("caps, flags", [({}, ["--m-max", "1"]), ({"m_decay": 3, "m_greedy": 3}, [])])
+    def test_overflow_stops_the_run_at_its_own_cell(self, tmp_path, capsys, indices, written, caps, flags):
+        # k = 10^50 sbar: the levels of j = 0 fit a float and those of j = 99
+        # overflow, so the run writes the cells before (99, f0) in j-major
+        # order and stops there, whichever index the level sweep of f served first
+        config = {
+            "connection": {"k": [[0, 1, "1" + "0" * 50, "0"]]},
+            "indices": indices,
+            "functions": [[[0, 0, "1", "0"]], [[1, 0, "1", "0"]]],
+            **caps,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = ["analyticity", "--config", str(path), *flags, "--grid", "9", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {SQUARED_NORM} does not fit a float\n"
+        assert sorted(p.name for p in out.iterdir()) == written
+
     def test_stopped_run_leaves_no_certificate(self, tmp_path):
         # the cell stops in its level suprema, after its certificate was estimated and audited
         path = tmp_path / "cfg.json"

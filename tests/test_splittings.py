@@ -20,7 +20,6 @@ from hilbertfield import (
     SplittingKind,
     WirtingerPolynomial,
     all_splittings,
-    brute_force_splittings,
     check_splitting_recursion,
     classify,
     identity_witness,
@@ -38,7 +37,7 @@ from hilbertfield import (
 )
 from hilbertfield import splittings as splittings_mod
 
-from conftest import polynomials, stirling2
+from conftest import brute_force_splittings, polynomials, stirling2
 
 D, DBAR = Direction.D, Direction.DBAR
 CONN = Connection(k=SBAR)

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import (
     coefficients,
     directions,
+    exponent_pairs,
     from_records,
     gaussian_points,
     polynomials,
@@ -32,6 +33,8 @@ from hilbertfield import (
     SBAR,
     ZERO,
 )
+from hilbertfield.analyticity import _section_bound
+from hilbertfield.symbolic import _Graded
 
 D, DBAR = Direction.D, Direction.DBAR
 I = GaussianRational(0, 1)
@@ -199,6 +202,69 @@ class TestTwistedDerivative:
         poly = WirtingerPolynomial({(1, 0): "1/2", (0, 0): "1/4"})
         twisted = poly.twisted_derivative(D, WirtingerPolynomial.constant(-2))
         assert twisted == -S and twisted.denominator == 1
+
+
+multi_term_polynomials = st.dictionaries(exponent_pairs, coefficients, min_size=2, max_size=4).map(
+    WirtingerPolynomial
+)
+
+
+class TestGradedKernel:
+    """``_Graded``: one coefficient for every basis index, read at lam = j + 1."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        polynomials,
+        multi_term_polynomials,
+        multi_term_polynomials,
+        st.lists(directions, max_size=6),
+        st.sampled_from([1, 2, 5, 100]),
+    )
+    def test_reads_the_chain_of_lam_times_the_multiplier(self, f, a, b, dirs, lam):
+        # as Connection.coefficient(j, d) is (j+1) times coefficient(0, d), the
+        # chain at lam steps by twisted_derivative(d, lam * a_d)
+        multiplier = {D: a, DBAR: b}
+        graded, h = _Graded(f), f
+        for d in dirs:
+            graded = graded.twisted_derivative(d, multiplier[d])
+            h = h.twisted_derivative(d, lam * multiplier[d])
+            den, numerators = graded.denominator, graded.numerators_at(lam)
+            assert graded.at(lam) == h
+            # the unreduced sums are h's coefficients, with no zero sum kept
+            assert {key: Fraction(re, den) + Fraction(im, den) * I for key, (re, im) in numerators.items()} == dict(
+                h.terms
+            )
+            # canonical form, as WirtingerPolynomial's: nothing zero, nothing common to divide out
+            assert den > 0 and all(re or im for re, im in graded._num.values())
+            assert math.gcd(den, *(x for pair in graded._num.values() for x in pair)) == 1
+
+    def test_equal_functions_of_lam_are_equal(self):
+        # D and Dbar commute on a flat connection, and the graded steps with
+        # constant multipliers agree along both orders
+        f = S * S * SBAR + WirtingerPolynomial.constant(GaussianRational("1/3", 2))
+        a = WirtingerPolynomial.constant(GaussianRational(1, -1))
+        b = WirtingerPolynomial.constant(Fraction(2, 5))
+        d_dbar = _Graded(f).twisted_derivative(D, a).twisted_derivative(DBAR, b)
+        dbar_d = _Graded(f).twisted_derivative(DBAR, b).twisted_derivative(D, a)
+        assert d_dbar == dbar_d and hash(d_dbar) == hash(dbar_d)
+        assert d_dbar != _Graded(f).twisted_derivative(D, b).twisted_derivative(DBAR, a)
+
+    def test_grades_that_cancel_at_one_lam_leave_the_bound(self):
+        # D (s - 1/2) with a_D = 1 is 1 at grade 0 plus s - 1/2 at grade 1, so
+        # its constant 1 - lam/2 cancels at lam = 2 only
+        graded = _Graded(S - WirtingerPolynomial.constant(Fraction(1, 2))).twisted_derivative(D, ONE)
+        assert len(graded._num) == 3
+        assert graded.numerators_at(2) == {(1, 0): (2 * graded.denominator, 0)}
+        assert graded.at(2) == 2 * S
+        assert graded.at(3) == 3 * S - WirtingerPolynomial.constant(Fraction(1, 2))
+        radii = [1.0, 1.5]
+        bound = _section_bound(graded.denominator, graded.numerators_at(2), radii)
+        # one term, 2s: the bound of 2s bit for bit, padded for one term
+        assert bound.hex() == _section_bound((2 * S).denominator, (2 * S).numerators, radii).hex()
+        assert 3.0 < bound < 3.0 + 1e-13
+        # a kept zero sum would be a term of modulus 0, below the underflow guard
+        kept = {(0, 0): (0, 0), **graded.numerators_at(2)}
+        assert _section_bound(graded.denominator, kept, radii) == math.inf
 
 
 class TestLaplacian:
