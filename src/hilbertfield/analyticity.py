@@ -315,22 +315,22 @@ def _section_sup(h: WirtingerPolynomial, tables: PowerTables) -> float:
     return math.sqrt(top)
 
 
-def _level_max(bounds: list[float], section, tables: PowerTables) -> tuple[float, int, WirtingerPolynomial]:
-    """(top, best, section(best)): a level's grid maximum and the least index attaining it.
+def _level_max(graded: list[_Graded], lam: int, radii: list[float], tables: PowerTables) -> tuple[float, int]:
+    """(top, best): a level's grid maximum at lam and the least index attaining it.
 
-    Evaluated in descending bound order, ties (infinite bounds first) in level order, up to the
-    first bound below the largest grid value found, which no skipped coefficient could reach.
+    Evaluated in descending order of the bounds at lam, ties (infinite bounds first) in level order,
+    up to the first bound below the largest grid value found, which no skipped coefficient could reach.
     """
-    top, best, winner = -math.inf, -1, None
+    bounds = [_section_bound(g.denominator, g.numerators_at(lam), radii) for g in graded]
+    top, best = -math.inf, -1
     for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
         if bounds[i] < top:
             break
-        h = section(i)
-        sup = _section_sup(h, tables)
+        sup = _section_sup(graded[i].at(lam), tables)
         # the least index attaining top has the first sequence attaining it
         if sup > top or (sup == top and i < best):
-            top, best, winner = sup, i, h
-    return top, best, winner
+            top, best = sup, i
+    return top, best
 
 
 def _children(level: dict, multipliers: dict) -> dict:
@@ -371,41 +371,40 @@ def covariant_level_sups(
     changes no result: on g = s*sbar the levels 0..10 hold 1 094 (1 256
     graded steps per f), not 2 047 per (j, f).  Each j bounds them from
     their numerators at lam and builds only those ``_level_max`` evaluates
-    (29 at j = 0, f = 1).  A greedy level steps j's winner by
-    ``twisted_derivative``.
+    (29 at j = 0, f = 1).  A greedy level is j's own: the graded children
+    of j's graded winner, read at lam like every other level.
     """
+    if full_cap < 0:
+        raise ValueError(f"full_cap must be nonnegative, got {full_cap}")
+    if any(j < 0 for j in indices):
+        raise ValueError("basis index must be nonnegative")
     tables = PowerTables(rectangle.grid_points())
     radii = [1.0, float(np.abs(tables.points).max())]
     a = {d: conn.coefficient(0, d) for d in (Direction.D, Direction.DBAR)}
     sweeps: dict[int, list[LevelSup] | OverflowError] = {j: [] for j in indices}
-    winners: dict[int, WirtingerPolynomial] = {}
+    winners: dict[int, _Graded] = {}
     level: dict = {_Graded(f): ()}
     # a squared norm beyond the float range becomes inf, which _section_sup reports
     with np.errstate(over="ignore"):
-        for m in range(min(m_max, full_cap) + 1):
+        for m in range(m_max + 1):
             live = [j for j, levels in sweeps.items() if isinstance(levels, list)]
-            level = _children(level, a) if m and live else level
-            graded, first = list(level), list(level.values())
-            for j in live:
-                bounds = [_section_bound(g.denominator, g.numerators_at(j + 1), radii) for g in graded]
+            if m <= full_cap:
+                level = _children(level, a) if m and live else level
+                reads = dict.fromkeys(live, level)
+            else:
+                # past the cap the shared level is dropped and each index steps its own winner
+                level.clear()
+                reads = {j: _children({winners[j]: sweeps[j][-1].dirs}, a) for j in live}
+            for j, own in reads.items():
+                graded, first = list(own), list(own.values())
                 try:
-                    top, best, winners[j] = _level_max(bounds, lambda i: graded[i].at(j + 1), tables)
-                    sweeps[j].append(LevelSup(m, top, first[best], exhaustive=True))
+                    top, best = _level_max(graded, j + 1, radii, tables)
+                    winners[j] = graded[best]
+                    # a greedy level 1 still holds both sequences
+                    sweeps[j].append(LevelSup(m, top, first[best], exhaustive=m <= max(full_cap, 1)))
                 except OverflowError as exc:
                     sweeps[j] = exc
-            del graded, first
-        for j in [j for j, levels in sweeps.items() if isinstance(levels, list)]:
-            for m in range(full_cap + 1, m_max + 1):
-                level = _children({winners[j]: sweeps[j][-1].dirs}, {d: conn.coefficient(j, d) for d in a})
-                hs, first = list(level), list(level.values())
-                bounds = [_section_bound(h.denominator, h.numerators, radii) for h in hs]
-                try:
-                    top, best, winners[j] = _level_max(bounds, hs.__getitem__, tables)
-                except OverflowError as exc:
-                    sweeps[j] = exc
-                    break
-                # a greedy level 1 still holds both sequences
-                sweeps[j].append(LevelSup(m, top, first[best], exhaustive=m <= max(full_cap, 1)))
+                del graded, first
     return sweeps
 
 

@@ -357,14 +357,14 @@ def cmd_analyticity(cfg: RunConfig) -> int:
     conn = cfg.connection
     summary = []
     all_pass = True
-    sweeps = {}
+    # one sweep per f serves every index, greedy levels included; an overflow stops the run at its own cell
+    sweeps = [
+        covariant_level_sups(conn, cfg.indices, f, cfg.rectangle, cfg.m_greedy, cfg.m_decay) for f in cfg.functions
+    ]
     for j in cfg.indices:
         for f_index, f in enumerate(cfg.functions):
             certificate = estimate_certificate(f, conn, j, cfg.rectangle)
             audited = audit_certificate(certificate)
-            # one sweep per f, at its first cell, serves every index; an overflow stops the run at its own cell
-            if f_index not in sweeps:
-                sweeps[f_index] = covariant_level_sups(conn, cfg.indices, f, cfg.rectangle, cfg.m_greedy, cfg.m_decay)
             if isinstance(levels := sweeps[f_index][j], OverflowError):
                 raise levels
             decay_rows = []

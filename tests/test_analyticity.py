@@ -396,8 +396,9 @@ class TestLevelSupOracle:
         # one graded coefficient per distinct section is differentiated for
         # all three indices, each index bounds each once, and the bounds,
         # tight on this model, leave 29 of them per index to evaluate on the
-        # grid.  The sweep builds no section and, with no
-        # greedy level, takes no per-index twisted derivative
+        # grid.  The sweep builds no section and takes no per-index twisted
+        # derivative: each greedy level steps the index's graded winner twice,
+        # bounds both children and evaluates one
         distinct = [1, 2, 4, 8, 15, 28, 50, 90, 156, 274, 466]
         calls = Counter()
 
@@ -421,15 +422,32 @@ class TestLevelSupOracle:
             monkeypatch.setattr(
                 hilbertfield.analyticity, name, counted(name, getattr(hilbertfield.analyticity, name))
             )
-        sweeps = covariant_level_sups(CONN, (0, 1, 4), ONE, SQUARE.with_grid_n(9), 10, full_cap=10)
-        assert calls["_section_bound"] == 3 * sum(distinct) == 3 * 1094
-        assert calls["graded"] == 2 * sum(distinct[:-1]) == 2 * 628
-        assert calls["derivative"] == 0
-        assert calls["section"] == 0
-        assert calls["_section_sup"] == 3 * 29
-        calls.clear()
-        assert covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), 10, full_cap=10) == {0: sweeps[0]}
-        assert calls["_section_sup"] == 29
+        for m_max in (10, 12):
+            greedy = m_max - 10
+            calls.clear()
+            sweeps = covariant_level_sups(CONN, (0, 1, 4), ONE, SQUARE.with_grid_n(9), m_max, full_cap=10)
+            assert calls["_section_bound"] == 3 * sum(distinct) + 2 * 3 * greedy == 3 * 1094 + 6 * greedy
+            assert calls["graded"] == 2 * sum(distinct[:-1]) + 2 * 3 * greedy == 2 * 628 + 6 * greedy
+            assert calls["derivative"] == 0
+            assert calls["section"] == 0
+            assert calls["_section_sup"] == 3 * (29 + greedy)
+            assert [level.exhaustive for level in sweeps[0]] == [m <= 10 for m in range(m_max + 1)]
+            calls.clear()
+            # no level of an index depends on the indices sharing its sweep
+            assert covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), m_max, full_cap=10) == {0: sweeps[0]}
+            assert calls["_section_sup"] == 29 + greedy
+
+    @pytest.mark.parametrize("m_max", [3, 5])
+    def test_negative_index_is_rejected(self, m_max):
+        # with full_cap = 3, m_max = 3 has only exhaustive levels and m_max = 5 greedy ones too
+        with pytest.raises(ValueError, match="basis index must be nonnegative"):
+            covariant_level_sups(CONN, [-1], ONE, SQUARE.with_grid_n(9), m_max, full_cap=3)
+        with pytest.raises(ValueError, match="basis index must be nonnegative"):
+            covariant_level_sups(CONN, [0, -1], ONE, SQUARE.with_grid_n(9), m_max, full_cap=3)
+
+    def test_negative_full_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="full_cap"):
+            covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), 3, full_cap=-1)
 
     def test_worst_sequences_up_to_order_ten(self):
         rect = SQUARE.with_grid_n(9)
