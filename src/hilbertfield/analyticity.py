@@ -31,9 +31,10 @@ section rebuilt from the reported directions gives the same value bit for bit.
 The level sweep (``covariant_level_sups``) carries only the coefficient h
 of each section h*phi_j, as a polynomial in lam = j+1 (the multiplier at j
 is lam times the one at j = 0, which ``TestIndexWeights`` checks), so one
-sweep per f serves every j.  It merges equal coefficients and evaluates on
-the grid only those whose float bound can reach the level maximum, so its
-values are the full sweep's, bit for bit.
+sweep per f serves every j.  It merges equal coefficients, weights each
+once by grade (|sum_k lam^k c_k| <= sum_k lam^k |c_k|), and evaluates on the
+grid only those whose float bound read at lam can reach the level maximum,
+so its values are the full sweep's, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,8 +70,8 @@ __all__ = [
 # halving M must still break it (the negative control)
 _HEADROOM = 2
 
-# below this, gradual underflow could break the relative error model of _section_bound
-_UNDERFLOW_GUARD = 4 * sys.float_info.min
+# 1/den and r^d at least this keep _section_bound's products normal and its coefficients within range
+_RANGE_GUARD = 2.0**-510
 
 
 def delta_from(epsilon: Fraction, M: Fraction) -> Fraction:
@@ -159,16 +160,24 @@ def derivative_bound(h: WirtingerPolynomial, a: int, b: int, rectangle: CompactR
     Each term c s^p sbar^q of the derivative has modulus |c| |s|^(p+q), and
     |s|^2 is at most R2 = max(re_min^2, re_max^2) + max(im_min^2, im_max^2)
     on the rectangle; the bound sums |c| R^(p+q) over the terms, with both
-    square roots rounded up.
+    square roots rounded up.  ``_scaled_bounds`` rounds R once for all its
+    bounds through the same ``_radius_bound``.
     """
+    return _radius_bound(h, a, b, _radius(rectangle))
+
+
+def _radius(rectangle: CompactRectangle) -> Fraction:
+    """R, the largest |s| on the rectangle, rounded up."""
+    return _sqrt_up(max(rectangle.re_min**2, rectangle.re_max**2) + max(rectangle.im_min**2, rectangle.im_max**2))
+
+
+def _radius_bound(h: WirtingerPolynomial, a: int, b: int, radius: Fraction) -> Fraction:
+    """``derivative_bound`` with R, rounded up, given as ``radius``."""
     if a < 0 or b < 0:
         raise ValueError("derivative orders must be nonnegative")
     poly = h
     for d in (Direction.D,) * a + (Direction.DBAR,) * b:
         poly = poly.derivative(d)
-    radius = _sqrt_up(
-        max(rectangle.re_min**2, rectangle.re_max**2) + max(rectangle.im_min**2, rectangle.im_max**2)
-    )
     den_squared = poly.denominator**2
     return sum(
         (
@@ -183,8 +192,9 @@ def _scaled_bounds(
     h_polys: Sequence[WirtingerPolynomial], epsilon: Fraction, m_max: int, rectangle: CompactRectangle
 ) -> list[Fraction]:
     """(epsilon^m / m!) * derivative_bound for every h, every m <= m_max and a + b = m."""
+    radius = _radius(rectangle)
     return [
-        epsilon**m / math.factorial(m) * derivative_bound(h, a, m - a, rectangle)
+        epsilon**m / math.factorial(m) * _radius_bound(h, a, m - a, radius)
         for h in h_polys
         for m in range(m_max + 1)
         for a in range(m + 1)
@@ -244,67 +254,86 @@ class LevelSup:
     exhaustive: bool
 
 
-def _section_bound(den: int, numerators: Mapping[tuple[int, int], tuple[int, int]], radii: list[float]) -> float:
-    """Float upper bound of every grid value ``_section_sup`` can give h.
+def _section_bound(graded: _Graded, radii: list[float]) -> list[float]:
+    """Per-grade weights of a graded coefficient, read at any lam = j+1 by ``_bounds_at``.
 
-    h is a positive denominator over a nonzero Gaussian-integer numerator
-    per exponent pair, not necessarily reduced: int / int rounds correctly.
-    ``radii`` holds the powers 1, r, r^2, ... of r, the largest float |s|
-    over the grid points; it is extended here as needed.  One pass over the
-    numerators of h (T terms, largest p + q equal to d) gives
-    b = sum |c| r^(p+q), where c is the float coefficient the grid uses,
-    and the degree d; b is scaled up by the pad 1 + (2T + 9d + 5) eps.  A
-    real c skips ``hypot``: C99 hypot(x, +-0) is |x|, so b is the same bit
-    for bit.  The bound is sqrt(b*b), the square root of the square, as
-    ``_section_sup`` takes it of |h(s)|^2.
+    The read bounds every grid value ``_section_sup`` can give
+    ``graded.at(lam)``; a polynomial h is ``_Graded(h)``, grade 0.  ``radii``
+    holds the powers 1, r, r^2, ... of r, the largest float |s| over the grid
+    points, and is extended here as needed.  One pass over the T numerators
+    (over den, largest p + q equal to d, largest grade K) gives
+    w_k = sum |c_pqk| r^(p+q), c_pqk the coefficient of s^p sbar^q lam^k
+    rounded part by part, scaled by the pad 1 + (2T + 9d + 3K + 7) eps and
+    listed from grade K down.  A real c_pqk skips ``hypot``: C99
+    hypot(x, +-0) is |x|, so w_k is the same bit for bit.
 
-    Why b stays above the grid.  Let u = eps/2 and lam the smallest normal
-    float.  Real operations round correctly: x(1 + delta) + eta with
-    |delta| <= u, and |eta| <= u lam for products (eta = 0 for sums).
-    The C hypot behind numpy's complex abs, and ``math.hypot``, err by at
-    most one ulp: 2u relative, or 2u lam absolute below lam.  A complex
-    product, naive or fused, errs by at most 3u relative plus 3u lam
-    absolute; a complex sum by at most u relative.  Suppose every term has
-    min(1, |c|) min(1, R)^d >= lam, with R the largest true |s|.  Then
-    every partial product of the grid's term c s^p sbar^q has a bound
-    >= lam, each absolute error is at most 3u of that bound, and the n <= d
-    rounded products (products with 1 are exact) give |term| <= |c| R^n
-    (1 + 6u)^n.  The T - 1 rounded sums give (1 + u)^(T-1), and abs gives
-    1 + 4u.  R <= r / (1 - 2u) adds (1 - 2u)^-d.  On this side, |c| loses
-    at most 2u, r^n at most (1 - u)^(n-1), each product u and the sum
-    (1 - u)^(T-1).  With 1 + ku <= (1 - u)^-k and 1 - 2u >= (1 - u)^2, the
-    grid value over the unpadded b is at most (1 - u)^-(2T + 9d + 4); one
-    more u pays for the pad's own product.  For N u <= 1/2,
-    (1 - u)^-N <= 1 + 2Nu = 1 + N eps, which is exact in floats.
+    Why the read b stays above the grid.  Let u = eps/2 and nu the smallest
+    normal float.  Real operations round correctly: x(1 + delta) + eta with
+    |delta| <= u, and |eta| <= u nu for products (eta = 0 for sums).  The C
+    hypot behind numpy's complex abs, and ``math.hypot``, err by at most one
+    ulp: 2u relative, or 2u nu absolute below nu.  A complex product, naive
+    or fused, errs by at most 3u relative plus 3u nu absolute; a complex sum
+    by at most u relative.  At lam the grid sums h = at(lam), of at most T
+    terms and degree at most d; its c = sum_k lam^k c_pqk, rounded once per
+    part, has |c| <= sum_k lam^k |c_pqk| by the triangle inequality, also
+    where grades cancel at this lam (a cancelled term is absent from the grid
+    and only adds to b).  A nonzero c, like each c_pqk, is a Gaussian integer
+    over den, so |c| >= 1/den.  Suppose min(1, R)^d / den >= nu, R the
+    largest true |s|.  Then every partial product of a grid term
+    c s^p sbar^q has a bound >= nu, each absolute error is at most 3u of that
+    bound, and with 1 + ku <= (1 - u)^-k the grid's |h(s)| is at most
+    sum |c| R^(p+q) (1 - u)^-(6d + T + 4): u for rounding c, 6u per product,
+    u per sum and 4u for abs.  On this side, with 1 - 2u >= (1 - u)^2, each
+    |c_pqk| loses at most 3u (a division and hypot), r^n (1 - u)^(n-1), each
+    product u, each weight's sum (1 - u)^(T-1) and the pad's product u;
+    R <= r / (1 - 2u) adds (1 - u)^-2d.  Horner's rule in ``_bounds_at``
+    works on positive terms and rounds lam once and each of its K steps
+    above the top grade twice, (1 - u)^(3K); steps on a row's leading zeros
+    are exact.  So the grid value is at most b over the pad times
+    (1 - u)^-(2T + 9d + 3K + 7), and for N u <= 1/2 that power is at most
+    1 + 2Nu = 1 + N eps, exact in floats.  Rounding is monotone, so the bound
+    sqrt(b*b), taken as ``_section_sup`` takes it of |h(s)|^2, stays at or
+    above the grid's own.
 
-    So the padded b bounds |h(s)| as the grid computes it at every point,
-    and rounding is monotone: its square and the square root stay at or
-    above the grid's own.  The supposition is checked as
-    min(1, |c|) min(1, r)^d >= 4 lam in floats, the factor 4 covering its
-    rounding and R >= r / (1 + 2u); where it fails, where a coefficient
-    does not fit a float and where the square of b overflows, the bound is
-    infinite and h is always evaluated.
+    The supposition is checked as min(1/den, r^d) >= 2^-510 in floats, r^d as
+    ``radii`` holds it: the product of the two is then 4 nu, the 4 covering
+    their roundings and R >= r / (1 + 2u).  A finite bound has b < 2^512, so
+    every |c| <= b / min(1, r)^d < 2^1023 fits a float, as do the grid's
+    powers and products.  Where the check fails or a part of some c_pqk does
+    not fit a float, the weights are [inf]; where lam or b*b does not fit,
+    the read is infinite: h is always evaluated.
     """
-    bound = 0.0
-    smallest = 1.0
-    degree = 0
-    for (p, q), (re, im) in numerators.items():
+    den, numerators = graded.denominator, graded.numerators
+    weights, degree = [0.0], 0
+    for (p, q, k), (re, im) in numerators.items():
         n = p + q
         while len(radii) <= n:
             radii.append(radii[-1] * radii[1])
+        while len(weights) <= k:
+            weights.append(0.0)
         try:
             modulus = math.hypot(re / den, im / den) if im else abs(re / den)
         except OverflowError:
-            return math.inf
-        if modulus < smallest:
-            smallest = modulus
+            return [math.inf]
         if n > degree:
             degree = n
-        bound += modulus * radii[n]
-    if smallest * min(1.0, radii[degree]) < _UNDERFLOW_GUARD:
-        return math.inf
-    bound *= 1 + (2 * len(numerators) + 9 * degree + 5) * sys.float_info.epsilon
-    return math.sqrt(bound * bound)
+        weights[k] += modulus * radii[n]
+    if min(1 / den, radii[degree]) < _RANGE_GUARD:
+        return [math.inf]
+    pad = 1 + (2 * len(numerators) + 9 * degree + 3 * (len(weights) - 1) + 7) * sys.float_info.epsilon
+    return [w * pad for w in reversed(weights)]
+
+
+def _bounds_at(weights: np.ndarray, lam: int) -> list[float]:
+    """Each row of weights read at lam by Horner's rule, squared and rooted as the grid's norm is."""
+    try:
+        x = float(lam)
+    except OverflowError:
+        return [math.inf] * len(weights)
+    bounds = weights[:, 0]
+    for column in weights.T[1:]:
+        bounds = bounds * x + column
+    return np.sqrt(bounds * bounds).tolist()
 
 
 def _section_sup(h: WirtingerPolynomial, tables: PowerTables) -> float:
@@ -315,13 +344,15 @@ def _section_sup(h: WirtingerPolynomial, tables: PowerTables) -> float:
     return math.sqrt(top)
 
 
-def _level_max(graded: list[_Graded], lam: int, radii: list[float], tables: PowerTables) -> tuple[float, int]:
+def _level_max(graded: list[_Graded], weights: np.ndarray, lam: int, tables: PowerTables) -> tuple[float, int]:
     """(top, best): a level's grid maximum at lam and the least index attaining it.
 
-    Evaluated in descending order of the bounds at lam, ties (infinite bounds first) in level order,
-    up to the first bound below the largest grid value found, which no skipped coefficient could reach.
+    ``weights`` are the coefficients' ``_section_bound`` weights, made once for every index that
+    reads the level; each row is read at lam.  Evaluated in descending order of these bounds, ties
+    (infinite bounds first) in level order, up to the first bound below the largest grid value found,
+    which no skipped coefficient could reach.
     """
-    bounds = [_section_bound(g.denominator, g.numerators_at(lam), radii) for g in graded]
+    bounds = _bounds_at(weights, lam)
     top, best = -math.inf, -1
     for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
         if bounds[i] < top:
@@ -331,6 +362,15 @@ def _level_max(graded: list[_Graded], lam: int, radii: list[float], tables: Powe
         if sup > top or (sup == top and i < best):
             top, best = sup, i
     return top, best
+
+
+def _weighed(level: dict, m: int, radii: list[float]) -> tuple[dict, np.ndarray]:
+    """A level of order m beside its coefficients' weights, one row each: grade m (the most m steps reach) to 0."""
+    weights = np.zeros((len(level), m + 1))
+    for row, graded in zip(weights, level):
+        w = _section_bound(graded, radii)
+        row[m + 1 - len(w) :] = w
+    return level, weights
 
 
 def _children(level: dict, multipliers: dict) -> dict:
@@ -369,10 +409,11 @@ def covariant_level_sups(
     direction) takes one step eta_d + lam A(d, 0), and j reads the level at
     lam = j+1.  Equal coefficients give bit-identical grid values, so merging
     changes no result: on g = s*sbar the levels 0..10 hold 1 094 (1 256
-    graded steps per f), not 2 047 per (j, f).  Each j bounds them from
-    their numerators at lam and builds only those ``_level_max`` evaluates
-    (29 at j = 0, f = 1).  A greedy level is j's own: the graded children
-    of j's graded winner, read at lam like every other level.
+    graded steps per f), not 2 047 per (j, f).  Each is weighted once for
+    every j (``_section_bound``); j reads the weights at lam and builds only
+    the coefficients ``_level_max`` evaluates (29 at j = 0, f = 1).  A greedy
+    level is j's own: the graded children of j's graded winner, weighted and
+    read at lam like every other level.
     """
     if full_cap < 0:
         raise ValueError(f"full_cap must be nonnegative, got {full_cap}")
@@ -388,17 +429,19 @@ def covariant_level_sups(
     with np.errstate(over="ignore"):
         for m in range(m_max + 1):
             live = [j for j, levels in sweeps.items() if isinstance(levels, list)]
+            if not live:
+                break
             if m <= full_cap:
-                level = _children(level, a) if m and live else level
-                reads = dict.fromkeys(live, level)
+                level = _children(level, a) if m else level
+                reads = dict.fromkeys(live, _weighed(level, m, radii))
             else:
-                # past the cap the shared level is dropped and each index steps its own winner
+                # past the cap the shared level is dropped and each index steps and weighs its own winner
                 level.clear()
-                reads = {j: _children({winners[j]: sweeps[j][-1].dirs}, a) for j in live}
-            for j, own in reads.items():
+                reads = {j: _weighed(_children({winners[j]: sweeps[j][-1].dirs}, a), m, radii) for j in live}
+            for j, (own, weights) in reads.items():
                 graded, first = list(own), list(own.values())
                 try:
-                    top, best = _level_max(graded, j + 1, radii, tables)
+                    top, best = _level_max(graded, weights, j + 1, tables)
                     winners[j] = graded[best]
                     # a greedy level 1 still holds both sequences
                     sweeps[j].append(LevelSup(m, top, first[best], exhaustive=m <= max(full_cap, 1)))

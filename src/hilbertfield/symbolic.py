@@ -569,6 +569,11 @@ class _Graded:
     def denominator(self) -> int:
         return self._den
 
+    @property
+    def numerators(self) -> Mapping[tuple[int, int, int], tuple[int, int]]:
+        """(p, q, k) -> (re, im): the coefficient of s^p sbar^q lam^k is (re + im*i) / denominator."""
+        return MappingProxyType(self._num)
+
     def twisted_derivative(self, d: Direction, a: WirtingerPolynomial) -> "_Graded":
         """eta_d + lam a, in one pass: grade k keeps eta_d G_k and grade k + 1 gains a G_k, reduced once."""
         a_den, a_items = a._den, tuple(a._num.items())

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 
 import hilbertfield.analyticity
+from hilbertfield.analyticity import _bounds_at, _section_bound
 from hilbertfield.symbolic import _Graded
-from conftest import exponent_pairs, polynomials
+from conftest import directions, exponent_pairs, polynomials
 from hilbertfield import (
     AnalyticityCertificate,
     CompactRectangle,
@@ -393,12 +394,12 @@ class TestLevelSupOracle:
     def test_one_derivative_and_one_grid_evaluation_per_distinct_section(self, monkeypatch):
         # k = sbar has constant curvature, so D and Dbar form a Heisenberg pair
         # and these are the numbers of distinct sections of the levels 0..10;
-        # one graded coefficient per distinct section is differentiated for
-        # all three indices, each index bounds each once, and the bounds,
-        # tight on this model, leave 29 of them per index to evaluate on the
-        # grid.  The sweep builds no section and takes no per-index twisted
-        # derivative: each greedy level steps the index's graded winner twice,
-        # bounds both children and evaluates one
+        # one graded coefficient per distinct section is differentiated and
+        # weighted once for all three indices, each index reads the weights,
+        # and the bounds, tight on this model, leave 29 of them per index to
+        # evaluate on the grid.  The sweep builds no section and takes no
+        # per-index twisted derivative: each greedy level steps the index's
+        # graded winner twice, weights both children and evaluates one
         distinct = [1, 2, 4, 8, 15, 28, 50, 90, 156, 274, 466]
         calls = Counter()
 
@@ -426,7 +427,7 @@ class TestLevelSupOracle:
             greedy = m_max - 10
             calls.clear()
             sweeps = covariant_level_sups(CONN, (0, 1, 4), ONE, SQUARE.with_grid_n(9), m_max, full_cap=10)
-            assert calls["_section_bound"] == 3 * sum(distinct) + 2 * 3 * greedy == 3 * 1094 + 6 * greedy
+            assert calls["_section_bound"] == sum(distinct) + 2 * 3 * greedy == 1094 + 6 * greedy
             assert calls["graded"] == 2 * sum(distinct[:-1]) + 2 * 3 * greedy == 2 * 628 + 6 * greedy
             assert calls["derivative"] == 0
             assert calls["section"] == 0
@@ -436,6 +437,7 @@ class TestLevelSupOracle:
             # no level of an index depends on the indices sharing its sweep
             assert covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), m_max, full_cap=10) == {0: sweeps[0]}
             assert calls["_section_sup"] == 29 + greedy
+            assert calls["_section_bound"] == 1094 + 2 * greedy
 
     @pytest.mark.parametrize("m_max", [3, 5])
     def test_negative_index_is_rejected(self, m_max):
@@ -503,13 +505,19 @@ def grid_radii(points):
     return [1.0, float(np.abs(points).max())]
 
 
+def graded_bound(graded, radii, lam):
+    """The weights of one coefficient read at lam, as ``_level_max`` reads a level's."""
+    with np.errstate(over="ignore"):
+        return _bounds_at(np.array([_section_bound(graded, radii)]), lam)[0]
+
+
 def section_bound(h, radii):
-    """``_section_bound`` of a polynomial, from its canonical numerators."""
-    return hilbertfield.analyticity._section_bound(h.denominator, h.numerators, radii)
+    """The bound of a polynomial, grade 0, so every lam reads the same."""
+    return graded_bound(_Graded(h), radii, 1)
 
 
 def hypot_bound(h, radii):
-    """``_section_bound`` with ``math.hypot`` for every coefficient, real or not."""
+    """``section_bound`` with ``math.hypot`` for every coefficient, real or not."""
     if not h:
         # h*phi_j = 0 has an empty support and a fiber norm of 0
         return 0.0
@@ -518,22 +526,28 @@ def hypot_bound(h, radii):
         radii.append(radii[-1] * radii[1])
     den = h.denominator
     bound = 0.0
-    smallest = 1.0
     for (p, q), (re, im) in h.numerators.items():
         try:
             modulus = math.hypot(re / den, im / den)
         except OverflowError:
             return math.inf
-        smallest = min(smallest, modulus)
         bound += modulus * radii[p + q]
-    if smallest * min(1.0, radii[degree]) < 4 * sys.float_info.min:
+    if min(1 / den, radii[degree]) < 2.0**-510:
         return math.inf
-    bound *= 1 + (2 * len(h.numerators) + 9 * degree + 5) * sys.float_info.epsilon
+    bound *= 1 + (2 * len(h.numerators) + 9 * degree + 7) * sys.float_info.epsilon
     return math.sqrt(bound * bound)
 
 
+def grid_values(h, points):
+    """The fiber norm |h| at every grid point, computed as _section_sup computes it."""
+    return np.sqrt(np.abs(evaluate_on_grid(h, points)) ** 2)
+
+
+multipliers = st.dictionaries(exponent_pairs, small_coefficients, min_size=2, max_size=4).map(WirtingerPolynomial)
+
+
 class TestSectionBound:
-    """``_section_bound``: a padded float bound of every grid value of a coefficient of phi_j."""
+    """``_section_bound``: per-grade weights, read at lam, bounding every grid value of a coefficient of phi_j."""
 
     @settings(max_examples=200, deadline=None)
     @given(edge_polynomials(small_coefficients), rectangles)
@@ -544,8 +558,34 @@ class TestSectionBound:
             assert bound == math.inf
         if bound == math.inf:
             return
-        # the fiber norm |h| at every grid point, computed as _section_sup computes it
-        assert np.sqrt(np.abs(evaluate_on_grid(h, points)) ** 2).max() <= bound
+        assert grid_values(h, points).max() <= bound
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edge_polynomials(small_coefficients),
+        multipliers,
+        multipliers,
+        st.lists(directions, max_size=6),
+        st.sampled_from([1, 2, 5, 100]),
+        rectangles,
+    )
+    def test_weights_read_at_lam_bound_every_grid_value_of_a_chain(self, f, a, b, dirs, lam, rect):
+        # a graded chain of twisted derivatives, as the sweep builds it, weighted once and read at
+        # lam: at or above every grid value of its coefficient at lam, and infinite where that
+        # coefficient leaves the float range
+        points = rect.grid_points()
+        radii = grid_radii(points)
+        multiplier = {D: a, DBAR: b}
+        chain = [_Graded(f)]
+        for d in dirs:
+            chain.append(chain[-1].twisted_derivative(d, multiplier[d]))
+        for graded in chain:
+            h = graded.at(lam)
+            bound = graded_bound(graded, radii, lam)
+            if beyond_float_range(h):
+                assert bound == math.inf
+            if bound < math.inf:
+                assert grid_values(h, points).max() <= bound
 
     @settings(max_examples=200, deadline=None)
     @given(edge_polynomials(st.builds(GaussianRational, small_fractions)), rectangles)

@@ -6,6 +6,7 @@ import pickle
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -33,7 +34,8 @@ from hilbertfield import (
     SBAR,
     ZERO,
 )
-from hilbertfield.analyticity import _section_bound
+from hilbertfield.analyticity import _bounds_at, _section_bound
+from hilbertfield.grid import evaluate_on_grid
 from hilbertfield.symbolic import _Graded
 
 D, DBAR = Direction.D, Direction.DBAR
@@ -257,14 +259,12 @@ class TestGradedKernel:
         assert graded.numerators_at(2) == {(1, 0): (2 * graded.denominator, 0)}
         assert graded.at(2) == 2 * S
         assert graded.at(3) == 3 * S - WirtingerPolynomial.constant(Fraction(1, 2))
-        radii = [1.0, 1.5]
-        bound = _section_bound(graded.denominator, graded.numerators_at(2), radii)
-        # one term, 2s: the bound of 2s bit for bit, padded for one term
-        assert bound.hex() == _section_bound((2 * S).denominator, (2 * S).numerators, radii).hex()
-        assert 3.0 < bound < 3.0 + 1e-13
-        # a kept zero sum would be a term of modulus 0, below the underflow guard
-        kept = {(0, 0): (0, 0), **graded.numerators_at(2)}
-        assert _section_bound(graded.denominator, kept, radii) == math.inf
+        # the weights 1 and r + 1/2 = 2 keep the constant that cancels at lam = 2: the bound is
+        # 1 + 2 lam = 5 there, no longer 2s's own 3, but finite and above every grid value of 2s
+        points = CompactRectangle(Fraction(-3, 2), Fraction(3, 2), 0, 0, 9).grid_points()
+        bound = _bounds_at(np.array([_section_bound(graded, [1.0, 1.5])]), 2)[0]
+        assert 5.0 < bound < 5.0 + 1e-13
+        assert abs(evaluate_on_grid(graded.at(2), points)).max() == 3.0 < bound
 
 
 class TestLaplacian:
