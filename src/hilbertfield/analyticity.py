@@ -392,15 +392,16 @@ def covariant_level_sups(
     rectangle: CompactRectangle,
     m_max: int,
     full_cap: int = 10,
-) -> dict[int, list[LevelSup] | OverflowError]:
+) -> dict[int, list[LevelSup]]:
     """Per-order grid suprema of |iterated covariant derivative of f*phi_j| for each j in ``indices``.
 
     Levels up to ``full_cap`` enumerate all direction sequences; beyond,
     j's worst sequence is extended greedily, to the child with the larger
     supremum: a lower bound of the level maximum.  The first sequence, in
     ``direction_sequences`` order, attaining a level's largest grid value
-    wins.  An index meeting a value beyond the float range maps to that
-    ``OverflowError``, for the caller to raise at that index.
+    wins.  A value beyond the float range raises ``OverflowError`` at the
+    first read that meets it: levels in order, each read by the indices in
+    their given order.
 
     Every section is h*phi_j, and A(d, j) = (j+1) A(d, 0)
     (``TestIndexWeights::test_multiplier_is_linear_in_j_plus_one``), so one
@@ -422,31 +423,25 @@ def covariant_level_sups(
     tables = PowerTables(rectangle.grid_points())
     radii = [1.0, float(np.abs(tables.points).max())]
     a = {d: conn.coefficient(0, d) for d in (Direction.D, Direction.DBAR)}
-    sweeps: dict[int, list[LevelSup] | OverflowError] = {j: [] for j in indices}
+    sweeps = {j: [] for j in indices}
     winners: dict[int, _Graded] = {}
     level: dict = {_Graded(f): ()}
     # a squared norm beyond the float range becomes inf, which _section_sup reports
     with np.errstate(over="ignore"):
         for m in range(m_max + 1):
-            live = [j for j, levels in sweeps.items() if isinstance(levels, list)]
-            if not live:
-                break
             if m <= full_cap:
                 level = _children(level, a) if m else level
-                reads = dict.fromkeys(live, _weighed(level, m, radii))
+                reads = dict.fromkeys(indices, _weighed(level, m, radii))
             else:
                 # past the cap the shared level is dropped and each index steps and weighs its own winner
                 level.clear()
-                reads = {j: _weighed(_children({winners[j]: sweeps[j][-1].dirs}, a), m, radii) for j in live}
+                reads = {j: _weighed(_children({winners[j]: sweeps[j][-1].dirs}, a), m, radii) for j in indices}
             for j, (own, weights) in reads.items():
                 graded, first = list(own), list(own.values())
-                try:
-                    top, best = _level_max(graded, weights, j + 1, tables)
-                    winners[j] = graded[best]
-                    # a greedy level 1 still holds both sequences
-                    sweeps[j].append(LevelSup(m, top, first[best], exhaustive=m <= max(full_cap, 1)))
-                except OverflowError as exc:
-                    sweeps[j] = exc
+                top, best = _level_max(graded, weights, j + 1, tables)
+                winners[j] = graded[best]
+                # a greedy level 1 still holds both sequences
+                sweeps[j].append(LevelSup(m, top, first[best], exhaustive=m <= max(full_cap, 1)))
                 del graded, first
     return sweeps
 

@@ -301,10 +301,8 @@ def _magnitude(value: GaussianRational, name: str) -> float:
 
 
 def cmd_curvature(cfg: RunConfig) -> int:
-    """Eigenvalue spectrum of the curvature with growth flags at sample points."""
+    """Eigenvalue spectrum of the curvature with growth flags at sample points (``_configure`` requires g)."""
     conn = cfg.connection
-    if conn.potential is None:
-        raise ConfigError("curvature report needs a connection given by a potential g")
     lap = laplacian(conn.potential)
     point_headers = tuple(f"abs_at_{_format_point(pt)}" for pt in cfg.eval_points)
     header = ("j", "eigenvalue", "matches_closed_form", *point_headers)
@@ -357,53 +355,53 @@ def cmd_analyticity(cfg: RunConfig) -> int:
     conn = cfg.connection
     summary = []
     all_pass = True
-    # one sweep per f serves every index, greedy levels included; an overflow stops the run at its own cell
+    # one sweep per f serves every index, greedy levels included
     sweeps = [
         covariant_level_sups(conn, cfg.indices, f, cfg.rectangle, cfg.m_greedy, cfg.m_decay) for f in cfg.functions
     ]
+    cells = []
     for j in cfg.indices:
         for f_index, f in enumerate(cfg.functions):
             certificate = estimate_certificate(f, conn, j, cfg.rectangle)
-            audited = audit_certificate(certificate)
-            if isinstance(levels := sweeps[f_index][j], OverflowError):
-                raise levels
             decay_rows = []
             witness = None
-            for level in levels:
+            for level in sweeps[f_index][j]:
                 scaled, bound, row_ok = decay_row(certificate, level.m, level.sup)
                 if not row_ok and witness is None:
                     witness = decay_witness(certificate, level.m, scaled)
                 decay_rows.append((level.m, level.sup, scaled, bound, row_ok))
-            cell_pass = audited and witness is None
-            # the cell's files are written only once its verdict is complete
-            _write_json(
-                cfg.out_dir / f"certificate_j{j}_f{f_index}.json",
-                {**certificate.to_json(), "audited": audited},
-            )
-            _write_csv(
-                cfg.out_dir / f"decay_j{j}_f{f_index}.csv",
-                ("m", "sup_norm", "delta_scaled", "decay_bound", "pass"),
-                decay_rows,
-            )
-            all_pass = all_pass and cell_pass
-            summary.append(
-                {
-                    "j": j,
-                    "f": str(f),
-                    "f_index": f_index,
-                    "epsilon": str(certificate.epsilon),
-                    "M": str(certificate.M),
-                    "delta": str(certificate.delta),
-                    "audited": audited,
-                    "all_rows_pass": cell_pass,
-                }
-            )
-            if witness is not None:
-                summary[-1]["witness"] = witness
-            print(
-                f"analyticity j={j} f={f}: epsilon={certificate.epsilon} "
-                f"M~{float(certificate.M):.6g} audited={audited} pass={cell_pass}"
-            )
+            cells.append((j, f_index, f, certificate, audit_certificate(certificate), decay_rows, witness))
+    # every cell is decided, each float of its rows computed, before the first file is written
+    for j, f_index, f, certificate, audited, decay_rows, witness in cells:
+        cell_pass = audited and witness is None
+        _write_json(
+            cfg.out_dir / f"certificate_j{j}_f{f_index}.json",
+            {**certificate.to_json(), "audited": audited},
+        )
+        _write_csv(
+            cfg.out_dir / f"decay_j{j}_f{f_index}.csv",
+            ("m", "sup_norm", "delta_scaled", "decay_bound", "pass"),
+            decay_rows,
+        )
+        all_pass = all_pass and cell_pass
+        summary.append(
+            {
+                "j": j,
+                "f": str(f),
+                "f_index": f_index,
+                "epsilon": str(certificate.epsilon),
+                "M": str(certificate.M),
+                "delta": str(certificate.delta),
+                "audited": audited,
+                "all_rows_pass": cell_pass,
+            }
+        )
+        if witness is not None:
+            summary[-1]["witness"] = witness
+        print(
+            f"analyticity j={j} f={f}: epsilon={certificate.epsilon} "
+            f"M~{float(certificate.M):.6g} audited={audited} pass={cell_pass}"
+        )
     _write_json(
         cfg.out_dir / "analyticity.json",
         {"check": "analyticity", "cells": summary, "all_pass": all_pass},
@@ -478,6 +476,8 @@ def _configure(args: argparse.Namespace) -> RunConfig:
     if args.corrupt_expansion:
         cfg = replace(cfg, corrupt_expansion=True)
     problems = cfg.validate()
+    if args.command in ("curvature", "all") and cfg.connection.potential is None:
+        problems.append("curvature report needs a connection given by a potential g")
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg

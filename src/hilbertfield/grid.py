@@ -24,8 +24,9 @@ __all__ = ["CompactRectangle", "PowerTables", "evaluate_on_grid"]
 class CompactRectangle:
     """Axis-aligned rectangle [re_min, re_max] x [im_min, im_max] with a grid.
 
-    Bounds are exact rationals; ``grid_n`` is the number of sample points
-    per axis (>= 2, endpoints always included).
+    Bounds are exact rationals within the float range, which the grid
+    needs; ``grid_n`` is the number of sample points per axis (>= 2,
+    endpoints always included).
     """
 
     re_min: Fraction
@@ -38,7 +39,11 @@ class CompactRectangle:
         for name in ("re_min", "re_max", "im_min", "im_max"):
             value = getattr(self, name)
             if not isinstance(value, Fraction):
-                object.__setattr__(self, name, json_fraction(value))
+                object.__setattr__(self, name, value := json_fraction(value))
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} does not fit a float") from None
         if self.re_min > self.re_max or self.im_min > self.im_max:
             raise ValueError("rectangle is empty: min bound exceeds max bound")
         if not isinstance(self.grid_n, int) or self.grid_n < 2:

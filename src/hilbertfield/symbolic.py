@@ -593,8 +593,8 @@ class _Graded:
         out = {key: pair for key, pair in out.items() if pair[0] or pair[1]}
         return _canonical(self._den * a_den, out, _Graded)
 
-    def numerators_at(self, lam: int) -> dict[tuple[int, int], tuple[int, int]]:
-        """(p, q) -> sum_k lam^k num(p, q, k) over ``denominator``, unreduced, in first-grade order; no zero sum."""
+    def at(self, lam: int) -> WirtingerPolynomial:
+        """The coefficient of phi_j at lam = j + 1: (p, q) -> sum_k lam^k num(p, q, k), no zero sum kept."""
         out: dict[tuple[int, int], tuple[int, int]] = {}
         get = out.get
         for (p, q, k), (re, im) in self._num.items():
@@ -603,11 +603,7 @@ class _Graded:
                 re, im = re * scale, im * scale
             acc = get((p, q))
             out[p, q] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
-        return {key: pair for key, pair in out.items() if pair[0] or pair[1]}
-
-    def at(self, lam: int) -> WirtingerPolynomial:
-        """The coefficient of phi_j at lam = j + 1."""
-        return _canonical(self._den, self.numerators_at(lam))
+        return _canonical(self._den, {key: pair for key, pair in out.items() if pair[0] or pair[1]})
 
 
 def laplacian(g: WirtingerPolynomial) -> WirtingerPolynomial:

@@ -451,6 +451,20 @@ class TestLevelSupOracle:
         with pytest.raises(ValueError, match="full_cap"):
             covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), 3, full_cap=-1)
 
+    # m_max = 3 past full_cap = 1 meets the overflow in a greedy level, full_cap = 3 in an exhaustive one
+    @pytest.mark.parametrize("full_cap", [1, 3])
+    @pytest.mark.parametrize("indices", [[0, 99], [99, 0]])
+    def test_overflow_raises_whichever_index_meets_it(self, indices, full_cap):
+        # k = 10^50 sbar: the levels of j = 0 fit a float, and a level of j = 99 overflows when squared
+        conn = Connection(k=WirtingerPolynomial.constant(10**50) * SBAR)
+        rect = SQUARE.with_grid_n(9)
+        for f in (ONE, S):
+            with pytest.raises(OverflowError, match="^the squared fiber norm of a section on the grid does not fit"):
+                covariant_level_sups(conn, indices, f, rect, 3, full_cap=full_cap)
+            levels = covariant_level_sups(conn, [0], f, rect, 3, full_cap=full_cap)[0]
+            assert [level.m for level in levels] == [0, 1, 2, 3]
+            assert all(math.isfinite(level.sup) for level in levels)
+
     def test_worst_sequences_up_to_order_ten(self):
         rect = SQUARE.with_grid_n(9)
         cert = estimate_certificate(ONE, CONN, 0, rect)

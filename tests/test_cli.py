@@ -26,7 +26,7 @@ from hilbertfield import (
     S,
     SBAR,
 )
-from hilbertfield.cli import RunConfig, main
+from hilbertfield.cli import ConfigError, RunConfig, main
 from hilbertfield.field import CurvatureConsistencyError
 from hilbertfield.symbolic import json_text
 
@@ -280,9 +280,22 @@ class TestCurvature:
             csv_rows = list(csv.DictReader(handle))
         assert [row["matches_closed_form"] for row in csv_rows] == ["True"] * 3 + ["False"] + ["True"] * 3
 
-    def test_connection_without_potential_is_config_error(self, tmp_path):
-        config = write_config(tmp_path / "cfg.json", connection={"k": SBAR.to_json_terms()})
-        assert main(["curvature", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    def test_connection_without_potential_is_config_error(self, tmp_path, capsys):
+        # refused with the other config problems, before any suite starts
+        for k in (SBAR.to_json_terms(), [[0, 0, "1", "1"]]):
+            config = write_config(tmp_path / "cfg.json", connection={"k": k})
+            for command in ("curvature", "all"):
+                assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+                message = "config error: curvature report needs a connection given by a potential g\n"
+                assert capsys.readouterr() == ("", message)
+                assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["verify-identity", "splittings", "analyticity"])
+    def test_other_suites_run_on_k_alone(self, tmp_path, command):
+        config = write_config(tmp_path / "cfg.json", connection={"k": [[0, 0, "1", "1"]]}, m_decay=2, m_greedy=3)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        assert list(out.iterdir())
 
     def test_non_real_potential_is_config_error(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", connection={"g": S.to_json_terms()})
@@ -522,6 +535,20 @@ class TestRunConfig:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, sign", [("re_min", "-"), ("im_max", "")])
+    def test_rectangle_bound_beyond_float_range_is_rejected(self, tmp_path, capsys, name, sign):
+        # the grid needs float bounds, so the bound is refused before any suite starts
+        rectangle = {"re_min": "-1", "re_max": "1", "im_min": "-1", "im_max": "1", "grid_n": 5}
+        rectangle[name] = sign + str(10**400)
+        message = f"rectangle: {name} does not fit a float"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            RunConfig.from_json({"rectangle": rectangle})
+        config = write_config(tmp_path / "cfg.json", rectangle=rectangle)
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: could not load config {config}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -618,20 +645,14 @@ class TestFloatOverflow:
         assert capsys.readouterr().err == f"config error: {value} does not fit a float\n"
         assert len(evaluated) == 2
 
-    @pytest.mark.parametrize(
-        "indices, written",
-        [
-            ([0, 99], ["certificate_j0_f0.json", "certificate_j0_f1.json", "decay_j0_f0.csv", "decay_j0_f1.csv"]),
-            ([99, 0], []),
-        ],
-    )
+    @pytest.mark.parametrize("indices", [[0, 99], [99, 0]])
     # --m-max 1 meets the overflow of j = 99 in a greedy level (m_greedy = 3),
     # the caps m_decay = m_greedy = 3 in an exhaustive one
     @pytest.mark.parametrize("caps, flags", [({}, ["--m-max", "1"]), ({"m_decay": 3, "m_greedy": 3}, [])])
-    def test_overflow_stops_the_run_at_its_own_cell(self, tmp_path, capsys, indices, written, caps, flags):
+    def test_overflowing_run_writes_no_file(self, tmp_path, capsys, indices, caps, flags):
         # k = 10^50 sbar: the levels of j = 0 fit a float and those of j = 99
-        # overflow, so the run writes the cells before (99, f0) in j-major
-        # order and stops there, whichever index the level sweep of f served first
+        # overflow; the sweeps are built before any cell, so no cell is written
+        # or printed, whichever index comes first
         config = {
             "connection": {"k": [[0, 1, "1" + "0" * 50, "0"]]},
             "indices": indices,
@@ -643,11 +664,30 @@ class TestFloatOverflow:
         out = tmp_path / "out"
         argv = ["analyticity", "--config", str(path), *flags, "--grid", "9", "--out", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"config error: {SQUARED_NORM} does not fit a float\n"
-        assert sorted(p.name for p in out.iterdir()) == written
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {SQUARED_NORM} does not fit a float\n"
+        assert "analyticity j=" not in captured.out
+        assert not list(out.iterdir())
+
+    def test_certificate_bound_beyond_float_range_writes_no_cell(self, tmp_path, capsys):
+        # k = 10^300 and f = 10^-470: every level fits a float, and M fits for j = 0
+        # but not for j = 10^10, so the cells of j = 0 are decided and not written
+        config = {
+            "connection": {"k": [[0, 0, str(10**300), "0"]]},
+            "indices": [0, 10**10],
+            "functions": [[[0, 0, f"1/{10**470}", "0"]]],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["analyticity", "--config", str(path), "--m-max", "0", "--grid", "5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not list(out.iterdir())
 
     def test_stopped_run_leaves_no_certificate(self, tmp_path):
-        # the cell stops in its level suprema, after its certificate was estimated and audited
+        # the run stops in the level suprema, before any certificate is estimated
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"functions": [[[0, 0, "1" + "0" * 200, "0"]]], "indices": [0]}))
         out = tmp_path / "out"
