@@ -2,9 +2,12 @@
 
 Subcommands: ``verify-identity``, ``splittings``, ``curvature``,
 ``analyticity``, ``all``.  Exit status 0 means every check in the invoked
-suite passed, 1 means a verification failed, 2 means the invocation or
-configuration was invalid.  Reports are deterministic given a
-configuration: rows are emitted in a fixed sweep order.
+suites passed, 1 means a verification failed, 2 means the invocation or
+configuration was invalid, or a value derived from it is beyond the float
+range.  Each suite returns its reports and summary lines, and the run
+writes them only once every suite has decided, so a run that exits 2
+writes no file and prints nothing on stdout.  Reports are deterministic
+given a configuration: rows are emitted in a fixed sweep order.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 # --- subcommands ----------------------------------------------------------
 
 
-def cmd_verify_identity(cfg: RunConfig) -> int:
+def cmd_verify_identity(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     """Sweep the expansion identity and report every cell.
 
     One function at a time, so that only one function's states are held:
@@ -227,17 +230,17 @@ def cmd_verify_identity(cfg: RunConfig) -> int:
         "cells": cells,
         "all_pass": all_pass,
     }
-    _write_json(cfg.out_dir / "verify_identity.json", report)
-    _write_csv(
-        cfg.out_dir / "verify_identity.csv",
-        ("m", "dirs", "j", "f", "ok"),
-        [(c["m"], c["dirs"], c["j"], c["f"], c["ok"]) for c in cells],
-    )
-    print(f"verify-identity: {len(cells)} cells, all_pass={all_pass}")
-    return 0 if all_pass else 1
+    files = {
+        "verify_identity.json": report,
+        "verify_identity.csv": (
+            ("m", "dirs", "j", "f", "ok"),
+            [(c["m"], c["dirs"], c["j"], c["f"], c["ok"]) for c in cells],
+        ),
+    }
+    return files, [f"verify-identity: {len(cells)} cells, all_pass={all_pass}"], all_pass
 
 
-def cmd_splittings(cfg: RunConfig) -> int:
+def cmd_splittings(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     """Count table with type breakdown plus both correspondence verifications.
 
     The table makes one pass over the splittings of each m, counting them
@@ -273,24 +276,19 @@ def cmd_splittings(cfg: RunConfig) -> int:
                     all_pass = False
                 correspondences.append(row)
     count_header = ("m", "k", "total", "type1", "type2", "recursion_ok")
-    _write_csv(cfg.out_dir / "splittings.csv", count_header, rows)
     header = ("kind", "m", "k", "pairings", "ok")
-    _write_csv(
-        cfg.out_dir / "correspondences.csv",
-        header,
-        [[row[key] for key in header] for row in correspondences],
-    )
-    _write_json(
-        cfg.out_dir / "splittings.json",
-        {
+    files = {
+        "splittings.csv": (count_header, rows),
+        "correspondences.csv": (header, [[row[key] for key in header] for row in correspondences]),
+        "splittings.json": {
             "check": "splittings",
             "counts": [dict(zip(count_header, row)) for row in rows],
             "correspondences": correspondences,
             "all_pass": all_pass,
         },
-    )
-    print(f"splittings: table to m={cfg.m_splittings}, correspondences to m={cfg.m_bijection}, all_pass={all_pass}")
-    return 0 if all_pass else 1
+    }
+    line = f"splittings: table to m={cfg.m_splittings}, correspondences to m={cfg.m_bijection}, all_pass={all_pass}"
+    return files, [line], all_pass
 
 
 def _magnitude(value: GaussianRational, name: str) -> float:
@@ -300,7 +298,7 @@ def _magnitude(value: GaussianRational, name: str) -> float:
         raise OverflowError(f"{name} does not fit a float") from None
 
 
-def cmd_curvature(cfg: RunConfig) -> int:
+def cmd_curvature(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     """Eigenvalue spectrum of the curvature with growth flags at sample points (``_configure`` requires g)."""
     conn = cfg.connection
     lap = laplacian(conn.potential)
@@ -334,10 +332,9 @@ def cmd_curvature(cfg: RunConfig) -> int:
         grows = not flat and all(a < b for a, b in zip(squares, squares[1:]))
         growth[_format_point(pt)] = grows
         all_pass = all_pass and (not any(squares) if flat else grows)
-    _write_csv(cfg.out_dir / "curvature.csv", header, [[row[h] for h in header] for row in rows])
-    _write_json(
-        cfg.out_dir / "curvature.json",
-        {
+    files = {
+        "curvature.csv": (header, [[row[h] for h in header] for row in rows]),
+        "curvature.json": {
             "check": "curvature",
             "potential": str(conn.potential),
             "laplacian": str(lap),
@@ -345,24 +342,28 @@ def cmd_curvature(cfg: RunConfig) -> int:
             "growth": growth,
             "all_pass": all_pass,
         },
-    )
-    print(f"curvature: spectrum to j={cfg.curvature_j_max}, growth={growth}, all_pass={all_pass}")
-    return 0 if all_pass else 1
+    }
+    return files, [f"curvature: spectrum to j={cfg.curvature_j_max}, growth={growth}, all_pass={all_pass}"], all_pass
 
 
-def cmd_analyticity(cfg: RunConfig) -> int:
+def cmd_analyticity(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     """Audited certificates plus decay rows proved from them."""
     conn = cfg.connection
+    files = {}
+    lines = []
     summary = []
     all_pass = True
     # one sweep per f serves every index, greedy levels included
     sweeps = [
         covariant_level_sups(conn, cfg.indices, f, cfg.rectangle, cfg.m_greedy, cfg.m_decay) for f in cfg.functions
     ]
-    cells = []
     for j in cfg.indices:
         for f_index, f in enumerate(cfg.functions):
             certificate = estimate_certificate(f, conn, j, cfg.rectangle)
+            try:
+                M = float(certificate.M)
+            except OverflowError:
+                raise OverflowError(f"the certificate bound M of j={j} f={f_index} does not fit a float") from None
             decay_rows = []
             witness = None
             for level in sweeps[f_index][j]:
@@ -370,58 +371,39 @@ def cmd_analyticity(cfg: RunConfig) -> int:
                 if not row_ok and witness is None:
                     witness = decay_witness(certificate, level.m, scaled)
                 decay_rows.append((level.m, level.sup, scaled, bound, row_ok))
-            cells.append((j, f_index, f, certificate, audit_certificate(certificate), decay_rows, witness))
-    # every cell is decided, each float of its rows computed, before the first file is written
-    for j, f_index, f, certificate, audited, decay_rows, witness in cells:
-        cell_pass = audited and witness is None
-        _write_json(
-            cfg.out_dir / f"certificate_j{j}_f{f_index}.json",
-            {**certificate.to_json(), "audited": audited},
-        )
-        _write_csv(
-            cfg.out_dir / f"decay_j{j}_f{f_index}.csv",
-            ("m", "sup_norm", "delta_scaled", "decay_bound", "pass"),
-            decay_rows,
-        )
-        all_pass = all_pass and cell_pass
-        summary.append(
-            {
-                "j": j,
-                "f": str(f),
-                "f_index": f_index,
-                "epsilon": str(certificate.epsilon),
-                "M": str(certificate.M),
-                "delta": str(certificate.delta),
-                "audited": audited,
-                "all_rows_pass": cell_pass,
-            }
-        )
-        if witness is not None:
-            summary[-1]["witness"] = witness
-        print(
-            f"analyticity j={j} f={f}: epsilon={certificate.epsilon} "
-            f"M~{float(certificate.M):.6g} audited={audited} pass={cell_pass}"
-        )
-    _write_json(
-        cfg.out_dir / "analyticity.json",
-        {"check": "analyticity", "cells": summary, "all_pass": all_pass},
-    )
-    return 0 if all_pass else 1
+            audited = audit_certificate(certificate)
+            cell_pass = audited and witness is None
+            files[f"certificate_j{j}_f{f_index}.json"] = {**certificate.to_json(), "audited": audited}
+            files[f"decay_j{j}_f{f_index}.csv"] = (("m", "sup_norm", "delta_scaled", "decay_bound", "pass"), decay_rows)
+            all_pass = all_pass and cell_pass
+            summary.append(
+                {
+                    "j": j,
+                    "f": str(f),
+                    "f_index": f_index,
+                    "epsilon": str(certificate.epsilon),
+                    "M": str(certificate.M),
+                    "delta": str(certificate.delta),
+                    "audited": audited,
+                    "all_rows_pass": cell_pass,
+                }
+            )
+            if witness is not None:
+                summary[-1]["witness"] = witness
+            lines.append(
+                f"analyticity j={j} f={f}: epsilon={certificate.epsilon} M~{M:.6g} audited={audited} pass={cell_pass}"
+            )
+    files["analyticity.json"] = {"check": "analyticity", "cells": summary, "all_pass": all_pass}
+    return files, lines, all_pass
 
 
-def cmd_all(cfg: RunConfig) -> int:
-    status = 0
-    for command in (cmd_verify_identity, cmd_splittings, cmd_curvature, cmd_analyticity):
-        status = max(status, command(cfg))
-    return status
-
-
-_COMMANDS = {
-    "verify-identity": cmd_verify_identity,
-    "splittings": cmd_splittings,
-    "curvature": cmd_curvature,
-    "analyticity": cmd_analyticity,
-    "all": cmd_all,
+# the suites each command runs, in report order
+_SUITES = {
+    "verify-identity": (cmd_verify_identity,),
+    "splittings": (cmd_splittings,),
+    "curvature": (cmd_curvature,),
+    "analyticity": (cmd_analyticity,),
+    "all": (cmd_verify_identity, cmd_splittings, cmd_curvature, cmd_analyticity),
 }
 
 # --m-max retargets the cap that drives the invoked suite
@@ -446,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification suites for the diagonal Hilbert field model",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _SUITES:
         subparsers.add_parser(name, parents=[common])
     return parser
 
@@ -493,7 +475,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out stops the run before it starts
-        return _COMMANDS[args.command](cfg)
+        reports = [suite(cfg) for suite in _SUITES[args.command]]
+        # every suite has decided: only now is a file written or a line printed
+        for files, _, _ in reports:
+            for name, content in files.items():
+                if name.endswith(".json"):
+                    _write_json(cfg.out_dir / name, content)
+                else:
+                    _write_csv(cfg.out_dir / name, *content)
+        print("\n".join(line for _, lines, _ in reports for line in lines))
+        return 0 if all(passed for _, _, passed in reports) else 1
     # an OverflowError names a value, given in the config or derived from it, beyond the float range
     except (ConfigError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ give bit-identical values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -25,7 +26,8 @@ class CompactRectangle:
     """Axis-aligned rectangle [re_min, re_max] x [im_min, im_max] with a grid.
 
     Bounds are exact rationals within the float range, which the grid
-    needs; ``grid_n`` is the number of sample points per axis (>= 2,
+    needs, as are the width and height that ``grid_points`` takes from
+    them; ``grid_n`` is the number of sample points per axis (>= 2,
     endpoints always included).
     """
 
@@ -46,6 +48,9 @@ class CompactRectangle:
                 raise ValueError(f"{name} does not fit a float") from None
         if self.re_min > self.re_max or self.im_min > self.im_max:
             raise ValueError("rectangle is empty: min bound exceeds max bound")
+        for low, high in (("re_min", "re_max"), ("im_min", "im_max")):
+            if not math.isfinite(float(getattr(self, high)) - float(getattr(self, low))):
+                raise ValueError(f"{high} - {low} does not fit a float")
         if not isinstance(self.grid_n, int) or self.grid_n < 2:
             raise ValueError("grid_n must be an integer >= 2")
 

@@ -385,6 +385,21 @@ class TestAnalyticity:
         }
 
 
+# the report set of `all` on the default indices (0, 1, 4) and functions (1, s, s*sbar)
+ALL_REPORTS = [
+    "analyticity.json",
+    "correspondences.csv",
+    "curvature.csv",
+    "curvature.json",
+    "splittings.csv",
+    "splittings.json",
+    "verify_identity.csv",
+    "verify_identity.json",
+    *(f"certificate_j{j}_f{f}.json" for j in (0, 1, 4) for f in range(3)),
+    *(f"decay_j{j}_f{f}.csv" for j in (0, 1, 4) for f in range(3)),
+]
+
+
 class TestAll:
     def test_runs_every_suite(self, tmp_path):
         config = write_config(
@@ -407,6 +422,47 @@ class TestAll:
             "analyticity.json",
         ):
             assert (out / name).exists(), name
+
+    def test_prints_every_suite_line_in_suite_order(self, tmp_path, capsys):
+        assert main(["all", "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "verify-identity",
+            "splittings",
+            "curvature",
+            *(f"analyticity j={j} f={f}" for j in (0, 1, 4) for f in ("1", "s", "s*sbar")),
+        ]
+        assert all(line.endswith("=True") for line in lines)
+
+    def test_failed_check_still_writes_every_file(self, tmp_path, capsys):
+        assert main(["all", "--corrupt-expansion", "--m-max", "2", "--grid", "9", "--out", str(tmp_path)]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ALL_REPORTS)
+        cells = json.loads((tmp_path / "verify_identity.json").read_text())["cells"]
+        failed = [cell for cell in cells if not cell["ok"]]
+        assert failed and all("witness" in cell for cell in failed)
+        assert len(capsys.readouterr().out.splitlines()) == 12
+
+    def test_late_overflow_writes_no_file_and_prints_no_line(self, tmp_path, capsys):
+        # g = 10^50 s sbar: identity, splittings and curvature pass, and the
+        # analyticity levels of j = 99 overflow; nothing is written before that
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "connection": {"g": [[1, 1, "1" + "0" * 50, "0"]]},
+                    "indices": [0, 99],
+                    "functions": [ONE.to_json_terms(), S.to_json_terms()],
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(config), "--m-max", "1", "--grid", "9", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {SQUARED_NORM} does not fit a float\n"
+        assert captured.out == ""
+        assert not list(out.iterdir())
+
+
 
 
 # JSON values as the reports hold them, and the edges of the encoding: non-ASCII
@@ -549,6 +605,24 @@ class TestRunConfig:
         assert capsys.readouterr().err == f"config error: could not load config {config}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("low, high", [("re_min", "re_max"), ("im_min", "im_max")])
+    def test_rectangle_wider_than_float_range_is_rejected(self, tmp_path, capsys, recwarn, low, high):
+        # each bound fits a float, their difference does not: the grid would be NaN
+        rectangle = {"re_min": "-1", "re_max": "1", "im_min": "-1", "im_max": "1", "grid_n": 33}
+        rectangle[low], rectangle[high] = str(-(10**308)), str(10**308)
+        message = f"rectangle: {high} - {low} does not fit a float"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig.from_json({"rectangle": rectangle})
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"rectangle": rectangle}))
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: could not load config {config}: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -671,7 +745,8 @@ class TestFloatOverflow:
 
     def test_certificate_bound_beyond_float_range_writes_no_cell(self, tmp_path, capsys):
         # k = 10^300 and f = 10^-470: every level fits a float, and M fits for j = 0
-        # but not for j = 10^10, so the cells of j = 0 are decided and not written
+        # but not for j = 10^10, so the cells of j = 0 are decided and not written;
+        # the message names M and its cell
         config = {
             "connection": {"k": [[0, 0, str(10**300), "0"]]},
             "indices": [0, 10**10],
@@ -682,7 +757,7 @@ class TestFloatOverflow:
         out = tmp_path / "out"
         assert main(["analyticity", "--config", str(path), "--m-max", "0", "--grid", "5", "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert captured.err == f"config error: the certificate bound M of j={10**10} f=0 does not fit a float\n"
         assert captured.out == ""
         assert not list(out.iterdir())
 
