@@ -34,7 +34,9 @@ is lam times the one at j = 0, which ``TestIndexWeights`` checks), so one
 sweep per f serves every j.  It merges equal coefficients, weights each
 once by grade (|sum_k lam^k c_k| <= sum_k lam^k |c_k|), and evaluates on the
 grid only those whose float bound read at lam can reach the level maximum,
-so its values are the full sweep's, bit for bit.
+so its values are the full sweep's, bit for bit.  The deepest exhaustive
+level is never built whole: weighing its parents bounds every child as well,
+and only the children whose bound can reach the level maximum are built.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,6 +71,8 @@ __all__ = [
 # M is twice the largest scaled bound: the audit's inequality is strict, and
 # halving M must still break it (the negative control)
 _HEADROOM = 2
+
+_DIRECTIONS = (Direction.D, Direction.DBAR)
 
 # 1/den and r^d at least this keep _section_bound's products normal and its coefficients within range
 _RANGE_GUARD = 2.0**-510
@@ -254,7 +258,9 @@ class LevelSup:
     exhaustive: bool
 
 
-def _section_bound(graded: _Graded, radii: list[float]) -> list[float]:
+def _section_bound(
+    graded: _Graded, radii: list[float], steps: Sequence[tuple] = (), grades: int | None = None
+) -> tuple[list[float], list[tuple[float, list[float]]]]:
     """Per-grade weights of a graded coefficient, read at any lam = j+1 by ``_bounds_at``.
 
     The read bounds every grid value ``_section_sup`` can give
@@ -264,8 +270,9 @@ def _section_bound(graded: _Graded, radii: list[float]) -> list[float]:
     (over den, largest p + q equal to d, largest grade K) gives
     w_k = sum |c_pqk| r^(p+q), c_pqk the coefficient of s^p sbar^q lam^k
     rounded part by part, scaled by the pad 1 + (2T + 9d + 3K + 7) eps and
-    listed from grade K down.  A real c_pqk skips ``hypot``: C99
-    hypot(x, +-0) is |x|, so w_k is the same bit for bit.
+    listed from grade ``grades`` - 1 (by default K) down.  A real c_pqk skips
+    ``hypot``: C99 hypot(x, +-0) is |x|, so w_k is the same bit for bit.
+    Each of ``steps`` adds what its children's parent read needs (below).
 
     Why the read b stays above the grid.  Let u = eps/2 and nu the smallest
     normal float.  Real operations round correctly: x(1 + delta) + eta with
@@ -300,28 +307,89 @@ def _section_bound(graded: _Graded, radii: list[float]) -> list[float]:
     their roundings and R >= r / (1 + 2u).  A finite bound has b < 2^512, so
     every |c| <= b / min(1, r)^d < 2^1023 fits a float, as do the grid's
     powers and products.  Where the check fails or a part of some c_pqk does
-    not fit a float, the weights are [inf]; where lam or b*b does not fit,
-    the read is infinite: h is always evaluated.
+    not fit a float, every weight is inf; where lam or b*b does not fit, the
+    read is infinite: h is always evaluated.  Once the check passes every
+    term adds a positive |c| r^n, so K is the last grade weighing above 0.
+
+    The parent read.  A step (``_step``) is (|a|_r, #a, deg a, den(a)) for a
+    multiplier a = A(d, 0) = sum a_ab s^a sbar^b, |a|_r being its own w_0.
+    The child eta_d h + lam a h has at grade k the terms eta_d c_pqk s^p sbar^q,
+    n_d c_pqk times a monomial of degree p + q - 1 (n_d is p along D, q along
+    DBAR), and a_ab c_pq(k-1) s^(p+a) sbar^(q+b), so by the triangle
+    inequality its weight at grade k, at R, is at most v_k + |a|_R W_(k-1):
+    v_k = sum n_d |c_pqk| R^(p+q-1), W_k = sum |c_pqk| R^(p+q).  The same pass
+    sums v_k in floats, n_d times |c_pqk| r^(p+q-1), and gives each step its
+    pad and its v_k from the top grade down; ``_weighed`` makes the child's
+    row (v_k + |a|_r w_(k-1)) times that pad, from grade K + 1 down, from the
+    padded w_k (a larger input only raises the read: every term is positive
+    and rounding is monotone).  The child has T' <= T (1 + #a) terms, degree
+    at most D = d + deg a, top grade K + 1 and a denominator dividing
+    den den(a); its pad 1 + (2T (1 + #a) + 9D + 3(K + 1) + 11) eps uses these
+    bounds.
+
+    Why that read stays above the child's grid.  The grid side is the
+    child's own, (1 - u)^-(6D + T' + 4).  On this side w_(k-1) loses
+    (1 - u)^(3d + T + 2) before its pad, as above, and |a|_r, made the same
+    way, (1 - u)^(3 deg a + #a + 2); a term of v_k loses 3u for |c_pqk|,
+    (1 - u)^(n-2) for r^(n-1), u for each of its two products and
+    (1 - u)^(2n-2) for R, and its sum (1 - u)^(T-1), at most
+    (1 - u)^(3d + T) in all.  The product by |a|_r, the sum with v_k and the
+    pad take u each, and Horner's rule (1 - u)^(3(K + 1)): the read is at
+    most (1 - u)^(3D + T + #a + 3(K + 1) + 7) below the exact sum.  As
+    T + #a <= T' for T >= 1 (a zero parent has a zero child), the two sides
+    come to at most N = 2T' + 9D + 3(K + 1) + 11, and (1 - u)^-N <= 1 + N eps.
+    The supposition is checked as min(1/(den den(a)), r^D) >= 2^-510, r^D as
+    ``radii`` holds it, which does not grow with n when r <= 1: the child's
+    own check then holds, and every product on this side, |a|_r w_(k-1)
+    included, stays at or above 4 nu.  A finite read again bounds every
+    coefficient of the child below 2^1023.  Where the check fails, the
+    parent's weights are infinite, or |a|_r times their sum is not below inf
+    (which also catches 0 times inf), the pad is inf, the row reads inf and
+    the child is built.
     """
     den, numerators = graded.denominator, graded.numerators
-    weights, degree = [0.0], 0
+    if grades is None:
+        grades = 1 + max((k for _, _, k in numerators), default=0)
+    weights, degree = [0.0] * grades, 0
+    slopes = ([0.0] * grades, [0.0] * grades) if steps else ()
     for (p, q, k), (re, im) in numerators.items():
         n = p + q
-        while len(radii) <= n:
-            radii.append(radii[-1] * radii[1])
-        while len(weights) <= k:
-            weights.append(0.0)
+        if n > degree:
+            degree = n
+            while len(radii) <= n:
+                radii.append(radii[-1] * radii[1])
         try:
             modulus = math.hypot(re / den, im / den) if im else abs(re / den)
         except OverflowError:
-            return [math.inf]
-        if n > degree:
-            degree = n
+            return [math.inf] * grades, [(math.inf, [0.0] * grades)] * len(steps)
         weights[k] += modulus * radii[n]
+        if steps and n:
+            low = modulus * radii[n - 1]
+            slopes[0][k] += p * low
+            slopes[1][k] += q * low
     if min(1 / den, radii[degree]) < _RANGE_GUARD:
-        return [math.inf]
-    pad = 1 + (2 * len(numerators) + 9 * degree + 3 * (len(weights) - 1) + 7) * sys.float_info.epsilon
-    return [w * pad for w in reversed(weights)]
+        return [math.inf] * grades, [(math.inf, [0.0] * grades)] * len(steps)
+    top = grades - 1
+    while top and not weights[top]:
+        top -= 1
+    eps, count, parts = sys.float_info.epsilon, len(numerators), []
+    for (norm, size, lift, den_a), along in zip(steps, slopes):
+        while len(radii) <= degree + lift:
+            radii.append(radii[-1] * radii[1])
+        if min(1 / (den * den_a), radii[degree + lift]) < _RANGE_GUARD or not norm * sum(weights) < math.inf:
+            pad = math.inf
+        else:
+            pad = 1 + (2 * count * (1 + size) + 9 * (degree + lift) + 3 * (top + 1) + 11) * eps
+        along.reverse()
+        parts.append((pad, along))
+    pad = 1 + (2 * count + 9 * degree + 3 * top + 7) * eps
+    weights.reverse()
+    return [w * pad for w in weights], parts
+
+
+def _step(a: WirtingerPolynomial, radii: list[float]) -> tuple[float, int, int, int]:
+    """A step of ``_section_bound``: the multiplier's weight |a|_r, term count, degree and denominator."""
+    return _section_bound(_Graded(a), radii, (), 1)[0][0], len(a.numerators), max(a.total_degree(), 0), a.denominator
 
 
 def _bounds_at(weights: np.ndarray, lam: int) -> list[float]:
@@ -344,33 +412,88 @@ def _section_sup(h: WirtingerPolynomial, tables: PowerTables) -> float:
     return math.sqrt(top)
 
 
-def _level_max(graded: list[_Graded], weights: np.ndarray, lam: int, tables: PowerTables) -> tuple[float, int]:
-    """(top, best): a level's grid maximum at lam and the least index attaining it.
+def _level_max(weights: np.ndarray, lam: int, value: Callable[[int, float], float]) -> tuple[float, int]:
+    """(top, best): a level's grid maximum at lam and the least row attaining it.
 
-    ``weights`` are the coefficients' ``_section_bound`` weights, made once for every index that
-    reads the level; each row is read at lam.  Evaluated in descending order of these bounds, ties
-    (infinite bounds first) in level order, up to the first bound below the largest grid value found,
-    which no skipped coefficient could reach.
+    ``weights`` holds a bound row per coefficient, made once for every index that reads the level;
+    each row is read at lam.  Rows are visited in descending order of these bounds, ties (infinite
+    bounds first) in level order, up to the first bound below the largest grid value found, which no
+    skipped row could reach.  ``value(i, top)`` is row i's grid value, or -inf where a finer bound
+    puts it below top.
     """
     bounds = _bounds_at(weights, lam)
     top, best = -math.inf, -1
     for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
         if bounds[i] < top:
             break
-        sup = _section_sup(graded[i].at(lam), tables)
-        # the least index attaining top has the first sequence attaining it
+        sup = value(i, top)
+        # the least row attaining top has the first sequence attaining it
         if sup > top or (sup == top and i < best):
             top, best = sup, i
     return top, best
 
 
-def _weighed(level: dict, m: int, radii: list[float]) -> tuple[dict, np.ndarray]:
-    """A level of order m beside its coefficients' weights, one row each: grade m (the most m steps reach) to 0."""
-    weights = np.zeros((len(level), m + 1))
-    for row, graded in zip(weights, level):
-        w = _section_bound(graded, radii)
-        row[m + 1 - len(w) :] = w
-    return level, weights
+def _weighed(level: dict, m: int, radii: list[float], steps: Sequence = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of a level of order m, one row each from grade m (the most m steps reach) down, and
+    the parent reads of its children, row 2i + e for coefficient i stepped along the e-th step, from grade m + 1."""
+    size = len(level)
+    weights, slopes, pads = np.empty((size, m + 1)), np.empty((len(steps), size, m + 1)), np.empty((len(steps), size))
+    for i, graded in enumerate(level):
+        weights[i], parts = _section_bound(graded, radii, steps, m + 1)
+        for e, (pad, along) in enumerate(parts):
+            pads[e, i] = pad
+            slopes[e, i] = along
+    children = np.zeros((size, len(steps), m + 2))
+    for e, (norm, *_) in enumerate(steps):
+        rows = children[:, e]
+        rows[:, :-1] = norm * weights
+        rows[:, 1:] += slopes[e]
+        rows *= pads[e][:, None]
+        # an infinite pad marks a read that is inf, whatever 0 * inf gave
+        rows[pads[e] == math.inf] = math.inf
+    return weights, children.reshape(-1, m + 2)
+
+
+# j's read of a level at lam = j+1: its grid maximum, the winning coefficient and its first sequence
+_Read = Callable[[int], tuple[float, _Graded, tuple]]
+
+
+def _reader(level: dict, weights: np.ndarray, tables: PowerTables) -> _Read:
+    """The ``_Read`` of a built level from its weights."""
+    graded, first = list(level), list(level.values())
+
+    def read(lam):
+        top, best = _level_max(weights, lam, lambda i, top: _section_sup(graded[i].at(lam), tables))
+        return top, graded[best], first[best]
+
+    return read
+
+
+def _parent_reader(level: dict, children: np.ndarray, a: dict, radii: list[float], tables: PowerTables) -> _Read:
+    """The ``_Read`` of the level below ``level``, from the rows ``children`` that ``_weighed`` made for it.
+
+    Row 2i + e is the child of parent i along the e-th direction, in the order ``_children`` steps them.
+    Children are not merged: equal ones give bit-identical grid values, and each row attaining the
+    maximum has both its bounds at or above it and is evaluated, so the least such row names the first
+    sequence, as the merged level would.  A child is built and weighed the first time an index visits
+    it, once for every index, and evaluated only where its own read at lam can still reach the largest
+    grid value found.
+    """
+    graded, first, built, grades = list(level), list(level.values()), {}, children.shape[1]
+
+    def value(i, lam, top):
+        if i not in built:
+            d = _DIRECTIONS[i & 1]
+            child = graded[i >> 1].twisted_derivative(d, a[d])
+            built[i] = child, np.array([_section_bound(child, radii, (), grades)[0]])
+        child, weights = built[i]
+        return _section_sup(child.at(lam), tables) if _bounds_at(weights, lam)[0] >= top else -math.inf
+
+    def read(lam):
+        top, best = _level_max(children, lam, lambda i, top: value(i, lam, top))
+        return top, built[best][0], first[best >> 1] + (_DIRECTIONS[best & 1],)
+
+    return read
 
 
 def _children(level: dict, multipliers: dict) -> dict:
@@ -409,12 +532,18 @@ def covariant_level_sups(
     each distinct one to the first sequence reaching it, each (parent,
     direction) takes one step eta_d + lam A(d, 0), and j reads the level at
     lam = j+1.  Equal coefficients give bit-identical grid values, so merging
-    changes no result: on g = s*sbar the levels 0..10 hold 1 094 (1 256
-    graded steps per f), not 2 047 per (j, f).  Each is weighted once for
-    every j (``_section_bound``); j reads the weights at lam and builds only
-    the coefficients ``_level_max`` evaluates (29 at j = 0, f = 1).  A greedy
-    level is j's own: the graded children of j's graded winner, weighted and
-    read at lam like every other level.
+    changes no result.  Each is weighted once for every j
+    (``_section_bound``); j reads the weights at lam and builds only the
+    coefficients ``_level_max`` evaluates.  The deepest exhaustive level,
+    min(full_cap, m_max) when at least 1, is not built: it is read from its
+    parents (``_parent_reader``), whose weighing also bounds each child, and
+    only the children whose bound can reach the level maximum are built, once
+    for every j.  On g = s*sbar with f = 1 the levels 0..9 hold 628
+    distinct coefficients, not 1 023 per j, and the 274 of level 9 leave 4
+    of their 548 children to build at level 10: 712 graded steps, and j = 0
+    evaluates 31 coefficients on the grid.  A greedy level is j's own:
+    the graded children of j's graded winner, weighted and read at lam like
+    every other level.
     """
     if full_cap < 0:
         raise ValueError(f"full_cap must be nonnegative, got {full_cap}")
@@ -422,27 +551,34 @@ def covariant_level_sups(
         raise ValueError("basis index must be nonnegative")
     tables = PowerTables(rectangle.grid_points())
     radii = [1.0, float(np.abs(tables.points).max())]
-    a = {d: conn.coefficient(0, d) for d in (Direction.D, Direction.DBAR)}
+    a = {d: conn.coefficient(0, d) for d in _DIRECTIONS}
+    steps = [_step(h, radii) for h in a.values()]
+    last = min(full_cap, m_max)
     sweeps = {j: [] for j in indices}
     winners: dict[int, _Graded] = {}
     level: dict = {_Graded(f): ()}
     # a squared norm beyond the float range becomes inf, which _section_sup reports
     with np.errstate(over="ignore"):
         for m in range(m_max + 1):
-            if m <= full_cap:
-                level = _children(level, a) if m else level
-                reads = dict.fromkeys(indices, _weighed(level, m, radii))
-            else:
+            if m > last:
                 # past the cap the shared level is dropped and each index steps and weighs its own winner
                 level.clear()
-                reads = {j: _weighed(_children({winners[j]: sweeps[j][-1].dirs}, a), m, radii) for j in indices}
-            for j, (own, weights) in reads.items():
-                graded, first = list(own), list(own.values())
-                top, best = _level_max(graded, weights, j + 1, tables)
-                winners[j] = graded[best]
+                readers = {}
+                for j in indices:
+                    own = _children({winners[j]: sweeps[j][-1].dirs}, a)
+                    readers[j] = _reader(own, _weighed(own, m, radii)[0], tables)
+            elif m == last and m:
+                # the deepest exhaustive level: its parents were weighed with steps one level up
+                readers = dict.fromkeys(indices, _parent_reader(level, children, a, radii, tables))
+            else:
+                level = _children(level, a) if m else level
+                weights, children = _weighed(level, m, radii, steps if m + 1 == last else ())
+                readers = dict.fromkeys(indices, _reader(level, weights, tables))
+            for j, read in readers.items():
+                top, winners[j], dirs = read(j + 1)
                 # a greedy level 1 still holds both sequences
-                sweeps[j].append(LevelSup(m, top, first[best], exhaustive=m <= max(full_cap, 1)))
-                del graded, first
+                sweeps[j].append(LevelSup(m, top, dirs, exhaustive=m <= max(full_cap, 1)))
+            readers.clear()
     return sweeps
 
 

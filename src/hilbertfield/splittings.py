@@ -180,14 +180,33 @@ def all_splittings(m: int) -> tuple[Splitting, ...]:
     return tuple(grown)
 
 
+def _grown(m: int, blocks: tuple[tuple[int, ...], ...], markers: tuple[int, ...]) -> Splitting:
+    """A splitting built by a growth move, without ``Splitting.__post_init__``.
+
+    Each move takes a valid splitting of {1..m-1} to a valid one of {1..m}.
+    Inserting m at the end of a block keeps the block sorted and above its
+    marker, as m exceeds every element; adjoining m as the leading marker
+    before a new empty leading block keeps the markers strictly decreasing
+    and one fewer than the blocks.  Either way m is used once and the ground
+    set is exhausted again, so there is nothing to check.  The tests rebuild
+    every splitting the tree makes through the public constructor.
+    """
+    spl = object.__new__(Splitting)
+    # set in field order, as __init__ does, so the instances keep sharing one key table
+    object.__setattr__(spl, "m", m)
+    object.__setattr__(spl, "blocks", blocks)
+    object.__setattr__(spl, "markers", markers)
+    return spl
+
+
 def _insert_top_element(spl: Splitting, position: int) -> Splitting:
     blocks = list(spl.blocks)
     blocks[position] = blocks[position] + (spl.m + 1,)
-    return Splitting(spl.m + 1, tuple(blocks), spl.markers)
+    return _grown(spl.m + 1, tuple(blocks), spl.markers)
 
 
 def _adjoin_leading_marker(spl: Splitting) -> Splitting:
-    return Splitting(spl.m + 1, ((),) + spl.blocks, (spl.m + 1,) + spl.markers)
+    return _grown(spl.m + 1, ((),) + spl.blocks, (spl.m + 1,) + spl.markers)
 
 
 def enumerate_splittings(m: int, k: int) -> tuple[Splitting, ...]:

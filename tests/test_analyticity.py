@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 
 import hilbertfield.analyticity
-from hilbertfield.analyticity import _bounds_at, _section_bound
+from hilbertfield.analyticity import _bounds_at, _section_bound, _section_sup, _step, _weighed
+from hilbertfield.grid import PowerTables
 from hilbertfield.symbolic import _Graded
 from conftest import directions, exponent_pairs, polynomials
 from hilbertfield import (
@@ -338,7 +339,12 @@ class TestLevelSupOracle:
         # both sequences and so is exhaustive.  On the real segment [-1, 1],
         # f = 2s + sbar^3/3 - 2 sbar has D f = 2 and Dbar f = sbar^2 - 2, tied
         # at 2 on the grid, and the later Dbar f, with the larger bound, is
-        # evaluated first: the first sequence must still win the tie
+        # evaluated first: the first sequence must still win the tie.  The
+        # deepest exhaustive level is read from its parents, child by child:
+        # on the default model with full_cap = 6 its children repeat, the
+        # level may lie below the cap (m_max < full_cap) or be level 1
+        # (full_cap = 1), and the indices sharing its built children may come
+        # in any order
         complex_k = Connection(
             k=WirtingerPolynomial.from_json_terms([[1, 2, "1/2", "-1/3"], [0, 0, "1", "1"]])
         )
@@ -352,13 +358,18 @@ class TestLevelSupOracle:
             evaluated.append(h)
             return section_sup(h, tables)
 
-        merged_ties = partial_levels = 0
+        merged_ties = partial_levels = repeated_deepest = 0
         cases = [
             (CONN, ONE, SQUARE.with_grid_n(9), 9, 8, (0, 3)),
             (Connection.flat(), S * S * SBAR * SBAR, SQUARE.with_grid_n(9), 9, 8, (0, 1)),
             (complex_k, ONE, off_origin, 7, 6, (0, 2, 7)),
             (complex_k, S, off_origin, 5, 0, (1, 4)),
             (Connection.flat(), tie, segment, 2, 2, (0,)),
+            (CONN, ONE, SQUARE.with_grid_n(9), 8, 6, (0, 3)),
+            (complex_k, S * SBAR, off_origin, 4, 6, (1, 3)),
+            (CONN, S, SQUARE.with_grid_n(9), 4, 1, (0, 2)),
+            (complex_k, ONE, SQUARE.with_grid_n(9), 7, 5, (4, 1, 0)),
+            (complex_k, ONE, SQUARE.with_grid_n(9), 7, 5, (0, 1, 4)),
         ]
         for conn, f, rect, m_max, full_cap, indices in cases:
             points = rect.grid_points()
@@ -388,19 +399,25 @@ class TestLevelSupOracle:
                     )
                     distinct = set(coefficients)
                     partial_levels += 1 < len(distinct & set(evaluated)) < len(distinct)
+                    repeated_deepest += m == min(full_cap, m_max) and len(distinct) < len(coefficients)
         assert merged_ties
         assert partial_levels
+        assert repeated_deepest
 
     def test_one_derivative_and_one_grid_evaluation_per_distinct_section(self, monkeypatch):
         # k = sbar has constant curvature, so D and Dbar form a Heisenberg pair
-        # and these are the numbers of distinct sections of the levels 0..10;
-        # one graded coefficient per distinct section is differentiated and
-        # weighted once for all three indices, each index reads the weights,
-        # and the bounds, tight on this model, leave 29 of them per index to
-        # evaluate on the grid.  The sweep builds no section and takes no
-        # per-index twisted derivative: each greedy level steps the index's
-        # graded winner twice, weights both children and evaluates one
-        distinct = [1, 2, 4, 8, 15, 28, 50, 90, 156, 274, 466]
+        # and these are the numbers of distinct sections of the levels 0..9;
+        # one graded coefficient per distinct section of the levels 0..8 is
+        # differentiated once per direction, and each of the levels 0..9 is
+        # weighted once, for all three indices, as are the two multipliers.
+        # Level 10, the deepest exhaustive one, is not built: weighing level 9
+        # also bounds its 548 children, and these bounds, tight on this
+        # model, leave four children to build and weigh, once for all three
+        # indices.  Each index evaluates 27 coefficients of the levels 0..9
+        # and those four on the grid.  The sweep builds no section and takes
+        # no per-index twisted derivative: each greedy level steps the
+        # index's graded winner twice, weights both children and evaluates one
+        distinct = [1, 2, 4, 8, 15, 28, 50, 90, 156, 274]
         calls = Counter()
 
         def counted(name, function):
@@ -427,17 +444,25 @@ class TestLevelSupOracle:
             greedy = m_max - 10
             calls.clear()
             sweeps = covariant_level_sups(CONN, (0, 1, 4), ONE, SQUARE.with_grid_n(9), m_max, full_cap=10)
-            assert calls["_section_bound"] == sum(distinct) + 2 * 3 * greedy == 1094 + 6 * greedy
-            assert calls["graded"] == 2 * sum(distinct[:-1]) + 2 * 3 * greedy == 2 * 628 + 6 * greedy
+            assert calls["_section_bound"] == sum(distinct) + 2 + 4 + 2 * 3 * greedy == 634 + 6 * greedy
+            assert calls["graded"] == 2 * sum(distinct[:-1]) + 4 + 2 * 3 * greedy == 712 + 6 * greedy
             assert calls["derivative"] == 0
             assert calls["section"] == 0
-            assert calls["_section_sup"] == 3 * (29 + greedy)
+            assert calls["_section_sup"] == 3 * (27 + 4 + greedy)
             assert [level.exhaustive for level in sweeps[0]] == [m <= 10 for m in range(m_max + 1)]
             calls.clear()
             # no level of an index depends on the indices sharing its sweep
             assert covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), m_max, full_cap=10) == {0: sweeps[0]}
-            assert calls["_section_sup"] == 29 + greedy
-            assert calls["_section_bound"] == 1094 + 2 * greedy
+            assert calls["_section_sup"] == 31 + greedy
+            assert calls["_section_bound"] == 634 + 2 * greedy
+        # a complex multi-term k merges nothing and its parent reads are loose: the deepest level
+        # builds all its children, and the screen by each child's own read keeps the grid
+        # evaluations to the 353 that a fully built level needs
+        complex_k = Connection(k=WirtingerPolynomial.from_json_terms([[0, 0, "1", "1"], [1, 2, "1/2", "-1/3"]]))
+        calls.clear()
+        covariant_level_sups(complex_k, (0, 2, 7), ONE, SQUARE.with_grid_n(9), 6, full_cap=6)
+        assert calls["graded"] == 2 * (2**6 - 1)
+        assert calls["_section_sup"] == 353
 
     @pytest.mark.parametrize("m_max", [3, 5])
     def test_negative_index_is_rejected(self, m_max):
@@ -522,7 +547,7 @@ def grid_radii(points):
 def graded_bound(graded, radii, lam):
     """The weights of one coefficient read at lam, as ``_level_max`` reads a level's."""
     with np.errstate(over="ignore"):
-        return _bounds_at(np.array([_section_bound(graded, radii)]), lam)[0]
+        return _bounds_at(np.array([_section_bound(graded, radii)[0]]), lam)[0]
 
 
 def section_bound(h, radii):
@@ -642,6 +667,77 @@ class TestSectionBound:
             bound = section_bound(h, grid_radii(points))
             top = grid_max(h * FieldSection.basis(1), points)[0]
             assert top <= bound <= 2.5 * 2 ** ((p + q) / 2) * (1 + 1e-12)
+
+
+def row_reads(rows, lam):
+    """Bound rows read at lam, as ``_level_max`` reads a level's."""
+    with np.errstate(over="ignore"):
+        return _bounds_at(rows, lam)
+
+
+# complex, never an integer: an odd numerator over an even denominator in each part
+non_integers = st.builds(lambda n, d: Fraction(2 * n + 1, 2 * d), st.integers(-16, 15), st.integers(1, 4))
+non_integer_polynomials = st.dictionaries(
+    exponent_pairs, st.builds(GaussianRational, non_integers, non_integers), min_size=1, max_size=2
+).map(WirtingerPolynomial)
+
+
+class TestParentRead:
+    """``_weighed`` with steps: each child's read from its parent's weights bounds the child's grid values."""
+
+    LAMS = (1, 2, 5, 1000)
+
+    def children_reads(self, conn, f, rect, depth=7):
+        """(grid value, parent read, read without |a|_r W) for every child of the levels 0..depth, at each lam."""
+        tables = PowerTables(rect.grid_points())
+        radii = grid_radii(tables.points)
+        a = {d: conn.coefficient(0, d) for d in (D, DBAR)}
+        steps = [_step(h, radii) for h in a.values()]
+        # the negative control: |a|_r = 0 drops the lam a h part of every child from its read
+        bare = [(0.0, *step[1:]) for step in steps]
+        level, found = {_Graded(f): ()}, []
+        for m in range(depth + 1):
+            rows, bare_rows = _weighed(level, m, radii, steps)[1], _weighed(level, m, radii, bare)[1]
+            # row 2i + e steps parent i along the e-th direction
+            children = [parent.twisted_derivative(d, h) for parent in level for d, h in a.items()]
+            for lam in self.LAMS:
+                reads, bare_reads = row_reads(rows, lam), row_reads(bare_rows, lam)
+                found.extend(
+                    (_section_sup(child.at(lam), tables), read, bare_read)
+                    for child, read, bare_read in zip(children, reads, bare_reads, strict=True)
+                )
+            level = dict.fromkeys(children, ())
+        return found
+
+    @pytest.mark.parametrize(
+        "conn, f",
+        [
+            (CONN, ONE),
+            (Connection(k=WirtingerPolynomial.from_json_terms([[0, 0, "1", "1"], [1, 2, "1/2", "-1/3"]])), S),
+        ],
+        ids=["default", "complex-k"],
+    )
+    def test_bounds_every_child_and_the_control_does_not(self, conn, f):
+        found = self.children_reads(conn, f, SQUARE.with_grid_n(9))
+        assert all(value <= read < math.inf for value, read, _ in found)
+        # without |a|_r W the read falls below some child's grid value: the check above can fail
+        assert any(bare < value for value, _, bare in found)
+
+    @settings(max_examples=6, deadline=None)
+    @given(non_integer_polynomials, non_integer_polynomials, rectangles_within(84, 120))
+    def test_bounds_every_child_of_a_drawn_model(self, f, k, rect):
+        for value, read, _ in self.children_reads(Connection(k=k), f, rect.with_grid_n(5)):
+            assert value <= read
+
+    def test_range_guard_gives_an_infinite_read(self):
+        # 1/den and 1/den(a) are each 2^-300, within the guard, but the child's bound 2^-600 is not
+        f = WirtingerPolynomial({(2, 1): GaussianRational(Fraction(3, 2**300))})
+        k = WirtingerPolynomial({(0, 1): GaussianRational(Fraction(1, 2**300))})
+        radii = grid_radii(SQUARE.with_grid_n(9).grid_points())
+        steps = [_step(Connection(k=k).coefficient(0, d), radii) for d in (D, DBAR)]
+        weights, rows = _weighed({_Graded(f): ()}, 0, radii, steps)
+        assert row_reads(weights, 2)[0] < math.inf
+        assert row_reads(rows, 2) == [math.inf, math.inf]
 
 
 class TestScaledLevelBound:

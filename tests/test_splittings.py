@@ -36,6 +36,7 @@ from hilbertfield import (
     ZERO,
 )
 from hilbertfield import splittings as splittings_mod
+from hilbertfield.cli import RunConfig
 
 from conftest import brute_force_splittings, polynomials, stirling2
 
@@ -90,6 +91,13 @@ class TestEnumerationAgainstBruteForce:
         for m in range(7):
             splittings = all_splittings(m)
             assert len(splittings) == len(set(splittings))
+
+    def test_tree_builds_only_valid_splittings(self):
+        # the growth moves skip validation; the public constructor validates each one again,
+        # to the table's default order m_splittings = 8
+        for m in range(RunConfig().m_splittings + 1):
+            for spl in all_splittings(m):
+                assert Splitting(spl.m, spl.blocks, spl.markers) == spl
 
 
 class TestCounts:

@@ -258,7 +258,7 @@ class TestGradedKernel:
         # the weights 1 and r + 1/2 = 2 keep the constant that cancels at lam = 2: the bound is
         # 1 + 2 lam = 5 there, no longer 2s's own 3, but finite and above every grid value of 2s
         points = CompactRectangle(Fraction(-3, 2), Fraction(3, 2), 0, 0, 9).grid_points()
-        bound = _bounds_at(np.array([_section_bound(graded, [1.0, 1.5])]), 2)[0]
+        bound = _bounds_at(np.array([_section_bound(graded, [1.0, 1.5])[0]]), 2)[0]
         assert 5.0 < bound < 5.0 + 1e-13
         assert abs(evaluate_on_grid(graded.at(2), points)).max() == 3.0 < bound
 
