@@ -36,11 +36,13 @@ once by grade (|sum_k lam^k c_k| <= sum_k lam^k |c_k|), and evaluates on the
 grid only those whose float bound read at lam can reach the level maximum,
 so its values are the full sweep's, bit for bit.  The deepest exhaustive
 level is never built whole: weighing its parents bounds every child as well,
-and only the children whose bound can reach the level maximum are built.
+and a child is built only when its bound comes first and can still reach
+the level maximum; its own bound then takes its parent's place.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -412,27 +414,6 @@ def _section_sup(h: WirtingerPolynomial, tables: PowerTables) -> float:
     return math.sqrt(top)
 
 
-def _level_max(weights: np.ndarray, lam: int, value: Callable[[int, float], float]) -> tuple[float, int]:
-    """(top, best): a level's grid maximum at lam and the least row attaining it.
-
-    ``weights`` holds a bound row per coefficient, made once for every index that reads the level;
-    each row is read at lam.  Rows are visited in descending order of these bounds, ties (infinite
-    bounds first) in level order, up to the first bound below the largest grid value found, which no
-    skipped row could reach.  ``value(i, top)`` is row i's grid value, or -inf where a finer bound
-    puts it below top.
-    """
-    bounds = _bounds_at(weights, lam)
-    top, best = -math.inf, -1
-    for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
-        if bounds[i] < top:
-            break
-        sup = value(i, top)
-        # the least row attaining top has the first sequence attaining it
-        if sup > top or (sup == top and i < best):
-            top, best = sup, i
-    return top, best
-
-
 def _weighed(level: dict, m: int, radii: list[float], steps: Sequence = ()) -> tuple[np.ndarray, np.ndarray]:
     """The weights of a level of order m, one row each from grade m (the most m steps reach) down, and
     the parent reads of its children, row 2i + e for coefficient i stepped along the e-th step, from grade m + 1."""
@@ -458,40 +439,40 @@ def _weighed(level: dict, m: int, radii: list[float], steps: Sequence = ()) -> t
 _Read = Callable[[int], tuple[float, _Graded, tuple]]
 
 
-def _reader(level: dict, weights: np.ndarray, tables: PowerTables) -> _Read:
-    """The ``_Read`` of a built level from its weights."""
-    graded, first = list(level), list(level.values())
+def _reader(level: dict, weights: np.ndarray, tables: PowerTables, radii: list[float], a: dict | None = None) -> _Read:
+    """The ``_Read`` of a level from its bound rows ``weights``, one per entry, shared by every index.
 
-    def read(lam):
-        top, best = _level_max(weights, lam, lambda i, top: _section_sup(graded[i].at(lam), tables))
-        return top, graded[best], first[best]
-
-    return read
-
-
-def _parent_reader(level: dict, children: np.ndarray, a: dict, radii: list[float], tables: PowerTables) -> _Read:
-    """The ``_Read`` of the level below ``level``, from the rows ``children`` that ``_weighed`` made for it.
-
-    Row 2i + e is the child of parent i along the e-th direction, in the order ``_children`` steps them.
-    Children are not merged: equal ones give bit-identical grid values, and each row attaining the
-    maximum has both its bounds at or above it and is evaluated, so the least such row names the first
-    sequence, as the merged level would.  A child is built and weighed the first time an index visits
-    it, once for every index, and evaluated only where its own read at lam can still reach the largest
-    grid value found.
+    Without ``a`` the entries are the coefficients of ``level``.  With the multipliers ``a`` they are
+    the children of ``level``, row 2i + e for parent i stepped along the e-th direction as
+    ``_children`` steps them, and a child's row is its parent's read of it (``_weighed``) until the
+    child is built.  An index visits the entries in descending order of their reads at lam, ties
+    (infinite reads first) to the least row, up to the first read below the largest grid value found,
+    which no entry left could reach.  An unbuilt child is built when first visited, once for every
+    index; its own weights replace its parent's read in ``weights`` and it is visited again at its own
+    read.  Any other entry is evaluated.  Children are not merged: equal ones give bit-identical grid
+    values, and every row attaining the maximum has its reads at or above it and is evaluated, so the
+    least such row names the first sequence, as the merged level would.
     """
-    graded, first, built, grades = list(level), list(level.values()), {}, children.shape[1]
-
-    def value(i, lam, top):
-        if i not in built:
-            d = _DIRECTIONS[i & 1]
-            child = graded[i >> 1].twisted_derivative(d, a[d])
-            built[i] = child, np.array([_section_bound(child, radii, (), grades)[0]])
-        child, weights = built[i]
-        return _section_sup(child.at(lam), tables) if _bounds_at(weights, lam)[0] >= top else -math.inf
+    graded, first = list(level), list(level.values())
+    if a:
+        parents, graded = graded, [None] * len(weights)
 
     def read(lam):
-        top, best = _level_max(children, lam, lambda i, top: value(i, lam, top))
-        return top, built[best][0], first[best >> 1] + (_DIRECTIONS[best & 1],)
+        queue = sorted(zip(_bounds_at(weights, lam), range(0, -len(weights), -1)))
+        top, best = -math.inf, -1
+        while queue and queue[-1][0] >= top:
+            i = -queue.pop()[1]
+            if graded[i] is None:
+                d = _DIRECTIONS[i & 1]
+                graded[i] = parents[i >> 1].twisted_derivative(d, a[d])
+                weights[i] = _section_bound(graded[i], radii, (), weights.shape[1])[0]
+                bisect.insort(queue, (_bounds_at(weights[i : i + 1], lam)[0], -i))
+                continue
+            sup = _section_sup(graded[i].at(lam), tables)
+            # the least row attaining top has the first sequence attaining it
+            if sup > top or (sup == top and i < best):
+                top, best = sup, i
+        return top, graded[best], (first[best >> 1] + (_DIRECTIONS[best & 1],) if a else first[best])
 
     return read
 
@@ -534,14 +515,14 @@ def covariant_level_sups(
     lam = j+1.  Equal coefficients give bit-identical grid values, so merging
     changes no result.  Each is weighted once for every j
     (``_section_bound``); j reads the weights at lam and builds only the
-    coefficients ``_level_max`` evaluates.  The deepest exhaustive level,
-    min(full_cap, m_max) when at least 1, is not built: it is read from its
-    parents (``_parent_reader``), whose weighing also bounds each child, and
-    only the children whose bound can reach the level maximum are built, once
-    for every j.  On g = s*sbar with f = 1 the levels 0..9 hold 628
-    distinct coefficients, not 1 023 per j, and the 274 of level 9 leave 4
-    of their 548 children to build at level 10: 712 graded steps, and j = 0
-    evaluates 31 coefficients on the grid.  A greedy level is j's own:
+    coefficients ``_reader`` evaluates, best bound first.  The deepest
+    exhaustive level, min(full_cap, m_max) when at least 1, is not built: its
+    rows are first its parents' reads of its children (``_weighed``), and a
+    child is built, once for every j, only when its row comes first and can
+    still reach the level maximum.  On g = s*sbar with f = 1 the levels 0..9
+    hold 628 distinct coefficients, not 1 023 per j, and the 274 of level 9
+    leave 4 of their 548 children to build at level 10: 712 graded steps,
+    and j = 0 evaluates 29 coefficients on the grid.  A greedy level is j's own:
     the graded children of j's graded winner, weighted and read at lam like
     every other level.
     """
@@ -566,14 +547,14 @@ def covariant_level_sups(
                 readers = {}
                 for j in indices:
                     own = _children({winners[j]: sweeps[j][-1].dirs}, a)
-                    readers[j] = _reader(own, _weighed(own, m, radii)[0], tables)
+                    readers[j] = _reader(own, _weighed(own, m, radii)[0], tables, radii)
             elif m == last and m:
                 # the deepest exhaustive level: its parents were weighed with steps one level up
-                readers = dict.fromkeys(indices, _parent_reader(level, children, a, radii, tables))
+                readers = dict.fromkeys(indices, _reader(level, children, tables, radii, a))
             else:
                 level = _children(level, a) if m else level
                 weights, children = _weighed(level, m, radii, steps if m + 1 == last else ())
-                readers = dict.fromkeys(indices, _reader(level, weights, tables))
+                readers = dict.fromkeys(indices, _reader(level, weights, tables, radii))
             for j, read in readers.items():
                 top, winners[j], dirs = read(j + 1)
                 # a greedy level 1 still holds both sequences

@@ -339,7 +339,9 @@ class TestLevelSupOracle:
         # both sequences and so is exhaustive.  On the real segment [-1, 1],
         # f = 2s + sbar^3/3 - 2 sbar has D f = 2 and Dbar f = sbar^2 - 2, tied
         # at 2 on the grid, and the later Dbar f, with the larger bound, is
-        # evaluated first: the first sequence must still win the tie.  The
+        # evaluated first: the first sequence must still win the tie, also
+        # with full_cap = 1, where level 1 is read from its parent and Dbar f,
+        # whose parent read is the larger, is built first.  The
         # deepest exhaustive level is read from its parents, child by child:
         # on the default model with full_cap = 6 its children repeat, the
         # level may lie below the cap (m_max < full_cap) or be level 1
@@ -365,6 +367,7 @@ class TestLevelSupOracle:
             (complex_k, ONE, off_origin, 7, 6, (0, 2, 7)),
             (complex_k, S, off_origin, 5, 0, (1, 4)),
             (Connection.flat(), tie, segment, 2, 2, (0,)),
+            (Connection.flat(), tie, segment, 2, 1, (0,)),
             (CONN, ONE, SQUARE.with_grid_n(9), 8, 6, (0, 3)),
             (complex_k, S * SBAR, off_origin, 4, 6, (1, 3)),
             (CONN, S, SQUARE.with_grid_n(9), 4, 1, (0, 2)),
@@ -414,7 +417,8 @@ class TestLevelSupOracle:
         # also bounds its 548 children, and these bounds, tight on this
         # model, leave four children to build and weigh, once for all three
         # indices.  Each index evaluates 27 coefficients of the levels 0..9
-        # and those four on the grid.  The sweep builds no section and takes
+        # and, best bound first, 2 of those four on the grid, as a fully built
+        # level 10 did.  The sweep builds no section and takes
         # no per-index twisted derivative: each greedy level steps the
         # index's graded winner twice, weights both children and evaluates one
         distinct = [1, 2, 4, 8, 15, 28, 50, 90, 156, 274]
@@ -448,15 +452,15 @@ class TestLevelSupOracle:
             assert calls["graded"] == 2 * sum(distinct[:-1]) + 4 + 2 * 3 * greedy == 712 + 6 * greedy
             assert calls["derivative"] == 0
             assert calls["section"] == 0
-            assert calls["_section_sup"] == 3 * (27 + 4 + greedy)
+            assert calls["_section_sup"] == 3 * (27 + 2 + greedy)
             assert [level.exhaustive for level in sweeps[0]] == [m <= 10 for m in range(m_max + 1)]
             calls.clear()
             # no level of an index depends on the indices sharing its sweep
             assert covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), m_max, full_cap=10) == {0: sweeps[0]}
-            assert calls["_section_sup"] == 31 + greedy
+            assert calls["_section_sup"] == 29 + greedy
             assert calls["_section_bound"] == 634 + 2 * greedy
         # a complex multi-term k merges nothing and its parent reads are loose: the deepest level
-        # builds all its children, and the screen by each child's own read keeps the grid
+        # builds all its children, and each child, visited again at its own read, keeps the grid
         # evaluations to the 353 that a fully built level needs
         complex_k = Connection(k=WirtingerPolynomial.from_json_terms([[0, 0, "1", "1"], [1, 2, "1/2", "-1/3"]]))
         calls.clear()
@@ -545,7 +549,7 @@ def grid_radii(points):
 
 
 def graded_bound(graded, radii, lam):
-    """The weights of one coefficient read at lam, as ``_level_max`` reads a level's."""
+    """The weights of one coefficient read at lam, as ``_reader`` reads a level's."""
     with np.errstate(over="ignore"):
         return _bounds_at(np.array([_section_bound(graded, radii)[0]]), lam)[0]
 
@@ -670,7 +674,7 @@ class TestSectionBound:
 
 
 def row_reads(rows, lam):
-    """Bound rows read at lam, as ``_level_max`` reads a level's."""
+    """Bound rows read at lam, as ``_reader`` reads a level's."""
     with np.errstate(over="ignore"):
         return _bounds_at(rows, lam)
 
