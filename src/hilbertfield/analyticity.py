@@ -34,10 +34,11 @@ is lam times the one at j = 0, which ``TestIndexWeights`` checks), so one
 sweep per f serves every j.  It merges equal coefficients, weights each
 once by grade (|sum_k lam^k c_k| <= sum_k lam^k |c_k|), and evaluates on the
 grid only those whose float bound read at lam can reach the level maximum,
-so its values are the full sweep's, bit for bit.  The deepest exhaustive
-level is never built whole: weighing its parents bounds every child as well,
-and a child is built only when its bound comes first and can still reach
-the level maximum; its own bound then takes its parent's place.
+so its values are the full sweep's, bit for bit.  The last three exhaustive
+levels are never built whole: the derivative moments of the level above
+them bound every node up to three steps down, and a node is built only when
+a row through it comes first and can still reach its level maximum; its own
+moments then bound the rows below it.
 """
 
 from __future__ import annotations
@@ -78,6 +79,16 @@ _DIRECTIONS = (Direction.D, Direction.DBAR)
 
 # 1/den and r^d at least this keep _section_bound's products normal and its coefficients within range
 _RANGE_GUARD = 2.0**-510
+
+_EPS = sys.float_info.epsilon
+
+# the last _DEPTH exhaustive levels are read from the derivative moments of the level above them.
+# Three: two builds one more level whole for no time gained on the default model, and four is
+# slower (its reads from further up are looser) and needs the binomial 3, inexact in floats
+_DEPTH = 3
+
+# (i, j) of each moment D^i Dbar^j by order i + j, so the first _count(n) are those of order at most n
+_MOMENTS = [(i, n - i) for n in range(_DEPTH + 1) for i in range(n, -1, -1)]
 
 
 def delta_from(epsilon: Fraction, M: Fraction) -> Fraction:
@@ -260,138 +271,198 @@ class LevelSup:
     exhaustive: bool
 
 
+def _count(order: int) -> int:
+    """The number of moments of order at most ``order``: the first this many of ``_MOMENTS``."""
+    return (order + 1) * (order + 2) // 2
+
+
 def _section_bound(
-    graded: _Graded, radii: list[float], steps: Sequence[tuple] = (), grades: int | None = None
-) -> tuple[list[float], list[tuple[float, list[float]]]]:
-    """Per-grade weights of a graded coefficient, read at any lam = j+1 by ``_bounds_at``.
+    graded: _Graded,
+    radii: list[float],
+    step: tuple = (0, 0, 1),
+    order: int = 0,
+    grades: int | None = None,
+    terms: list | None = None,
+) -> tuple[list[list[float]], list[float]]:
+    """Derivative moments of a graded coefficient to ``order``, and the pads of its reads at each distance.
 
-    The read bounds every grid value ``_section_sup`` can give
-    ``graded.at(lam)``; a polynomial h is ``_Graded(h)``, grade 0.  ``radii``
-    holds the powers 1, r, r^2, ... of r, the largest float |s| over the grid
-    points, and is extended here as needed.  One pass over the T numerators
-    (over den, largest p + q equal to d, largest grade K) gives
-    w_k = sum |c_pqk| r^(p+q), c_pqk the coefficient of s^p sbar^q lam^k
-    rounded part by part, scaled by the pad 1 + (2T + 9d + 3K + 7) eps and
-    listed from grade ``grades`` - 1 (by default K) down.  A real c_pqk skips
-    ``hypot``: C99 hypot(x, +-0) is |x|, so w_k is the same bit for bit.
-    Each of ``steps`` adds what its children's parent read needs (below).
+    A polynomial h is ``_Graded(h)``, grade 0.  ``radii`` holds the powers 1, r, r^2, ... of r, the
+    largest float |s| over the grid points, and is extended here as needed.  One pass over the T
+    numerators (over den, largest p + q equal to d, largest grade K) gives for each (i, j) of
+    ``_MOMENTS`` of order at most ``order`` the row M_(i,j),k = sum p^(i) q^(j) |c_pqk| r^(p+q-i-j),
+    grades 0 to ``grades`` - 1 (by default K): c_pqk is the coefficient of s^p sbar^q lam^k rounded
+    part by part, p^(i) the falling factorial.  M_(0,0) is the weight row w; a real c_pqk skips
+    ``hypot``: C99 hypot(x, +-0) is |x|, so w is the same bit for bit.  With ``terms`` only w is
+    summed, and each term's k, p, q and |c_pqk| go to ``terms`` for ``_higher_moments``.
+    ``pads[t]`` pads a read t steps down (``_descend``); ``step`` is ``_Steps.step``.
 
-    Why the read b stays above the grid.  Let u = eps/2 and nu the smallest
-    normal float.  Real operations round correctly: x(1 + delta) + eta with
-    |delta| <= u, and |eta| <= u nu for products (eta = 0 for sums).  The C
-    hypot behind numpy's complex abs, and ``math.hypot``, err by at most one
-    ulp: 2u relative, or 2u nu absolute below nu.  A complex product, naive
-    or fused, errs by at most 3u relative plus 3u nu absolute; a complex sum
-    by at most u relative.  At lam the grid sums h = at(lam), of at most T
-    terms and degree at most d; its c = sum_k lam^k c_pqk, rounded once per
-    part, has |c| <= sum_k lam^k |c_pqk| by the triangle inequality, also
-    where grades cancel at this lam (a cancelled term is absent from the grid
-    and only adds to b).  A nonzero c, like each c_pqk, is a Gaussian integer
-    over den, so |c| >= 1/den.  Suppose min(1, R)^d / den >= nu, R the
-    largest true |s|.  Then every partial product of a grid term
-    c s^p sbar^q has a bound >= nu, each absolute error is at most 3u of that
-    bound, and with 1 + ku <= (1 - u)^-k the grid's |h(s)| is at most
-    sum |c| R^(p+q) (1 - u)^-(6d + T + 4): u for rounding c, 6u per product,
-    u per sum and 4u for abs.  On this side, with 1 - 2u >= (1 - u)^2, each
-    |c_pqk| loses at most 3u (a division and hypot), r^n (1 - u)^(n-1), each
-    product u, each weight's sum (1 - u)^(T-1) and the pad's product u;
-    R <= r / (1 - 2u) adds (1 - u)^-2d.  Horner's rule in ``_bounds_at``
-    works on positive terms and rounds lam once and each of its K steps
-    above the top grade twice, (1 - u)^(3K); steps on a row's leading zeros
-    are exact.  So the grid value is at most b over the pad times
-    (1 - u)^-(2T + 9d + 3K + 7), and for N u <= 1/2 that power is at most
-    1 + 2Nu = 1 + N eps, exact in floats.  Rounding is monotone, so the bound
-    sqrt(b*b), taken as ``_section_sup`` takes it of |h(s)|^2, stays at or
-    above the grid's own.
+    Why a read b stays above the grid.  Let u = eps/2 and nu the smallest normal float.  Lemma: a
+    float made from nonnegative floats by correctly rounded sums and products, fused or not, each
+    product 0 or at least nu, is at least (1 - u)^L times the exact value of the same expression, L
+    its depth: an input at least (1 - u)^l times its exact value has depth l, and an inexact
+    operation adds 1 to the largest depth of a sum's operands or to the sum of a product's
+    (induction, with fl(x) >= x(1 - u) and 1 - 2u >= (1 - u)^2).  Every read is such a float.
+    |c_pqk| has depth 3 (a division and a hypot within one ulp), r^n depth n - 1, a term of M depth
+    d + 4 and M depth d + T + 3 (w: d + T + 2).  A step eta_d + lam a maps grade k of h to
+    eta_d G_k + a G_(k-1), so by Leibniz and |f g|_R <= |f|_R |g|_R, |h|_R = sum |c| R^(p+q), the
+    child's moments at R are at most M_((i,j)+e_d),k + sum C(i,i') C(j,j') |eta^(i-i',j-j') a|_R M_(i',j'),k-1.
+    An entry of one step's map (``_Steps``) is 0, 1 or C |eta^b a|_r, of depth deg a + #a + 3 as
+    C <= 2 is exact; an entry of a product of maps sums at most 7 nonzero products (a parent moment
+    feeds one child moment at its grade and at most 6 one grade up), so the map t steps down has
+    depth at most t (deg a + #a + 10).  A read t >= 1 steps down sums at most 40 products of M and
+    that map per grade (10 moments, t + 1 grades): depth d + T + 43 + t (deg a + #a + 10); its pad
+    adds 1 and Horner's rule in ``_bounds_at``, rounding lam once and each step above the top twice,
+    3(K + t).  The node there has T' <= T (1 + #a)^t terms, degree d' <= d + t deg a, top grade
+    K + t and a denominator dividing den den(a)^t.  The grid sums h = at(lam), whose
+    c = sum_k lam^k c_pqk has |c| <= sum_k lam^k |c_pqk| (a term cancelled at this lam only adds to
+    b) and, if nonzero, |c| >= 1/(den den(a)^t).  Suppose min(1, R)^d' / (den den(a)^t) >= nu, R the
+    largest true |s|: every partial product of a grid term has a bound >= nu, each absolute error is
+    at most 3u of it, and the grid's |h(s)| is at most sum |c| R^(p+q) (1 - u)^-(6d' + T' + 4): u for
+    rounding c, 6u per product (3u relative plus 3u nu absolute for a complex one), u per sum and 4u
+    for abs.  R <= r / (1 - 2u) adds (1 - u)^-2d'.  Both sides come to
+    N = 2T' + 9d' + 3(K + t) + 7 + t (deg a + #a + 51), and for N u <= 1/2, (1 - u)^-N <= 1 + 2Nu
+    = 1 + N eps, exact in floats.  Rounding is monotone, so sqrt(b*b), taken as ``_section_sup``
+    takes it of |h(s)|^2, stays at or above the grid's own.
 
-    The supposition is checked as min(1/den, r^d) >= 2^-510 in floats, r^d as
-    ``radii`` holds it: the product of the two is then 4 nu, the 4 covering
-    their roundings and R >= r / (1 + 2u).  A finite bound has b < 2^512, so
-    every |c| <= b / min(1, r)^d < 2^1023 fits a float, as do the grid's
-    powers and products.  Where the check fails or a part of some c_pqk does
-    not fit a float, every weight is inf; where lam or b*b does not fit, the
-    read is infinite: h is always evaluated.  Once the check passes every
-    term adds a positive |c| r^n, so K is the last grade weighing above 0.
-
-    The parent read.  A step (``_step``) is (|a|_r, #a, deg a, den(a)) for a
-    multiplier a = A(d, 0) = sum a_ab s^a sbar^b, |a|_r being its own w_0.
-    The child eta_d h + lam a h has at grade k the terms eta_d c_pqk s^p sbar^q,
-    n_d c_pqk times a monomial of degree p + q - 1 (n_d is p along D, q along
-    DBAR), and a_ab c_pq(k-1) s^(p+a) sbar^(q+b), so by the triangle
-    inequality its weight at grade k, at R, is at most v_k + |a|_R W_(k-1):
-    v_k = sum n_d |c_pqk| R^(p+q-1), W_k = sum |c_pqk| R^(p+q).  The same pass
-    sums v_k in floats, n_d times |c_pqk| r^(p+q-1), and gives each step its
-    pad and its v_k from the top grade down; ``_weighed`` makes the child's
-    row (v_k + |a|_r w_(k-1)) times that pad, from grade K + 1 down, from the
-    padded w_k (a larger input only raises the read: every term is positive
-    and rounding is monotone).  The child has T' <= T (1 + #a) terms, degree
-    at most D = d + deg a, top grade K + 1 and a denominator dividing
-    den den(a); its pad 1 + (2T (1 + #a) + 9D + 3(K + 1) + 11) eps uses these
-    bounds.
-
-    Why that read stays above the child's grid.  The grid side is the
-    child's own, (1 - u)^-(6D + T' + 4).  On this side w_(k-1) loses
-    (1 - u)^(3d + T + 2) before its pad, as above, and |a|_r, made the same
-    way, (1 - u)^(3 deg a + #a + 2); a term of v_k loses 3u for |c_pqk|,
-    (1 - u)^(n-2) for r^(n-1), u for each of its two products and
-    (1 - u)^(2n-2) for R, and its sum (1 - u)^(T-1), at most
-    (1 - u)^(3d + T) in all.  The product by |a|_r, the sum with v_k and the
-    pad take u each, and Horner's rule (1 - u)^(3(K + 1)): the read is at
-    most (1 - u)^(3D + T + #a + 3(K + 1) + 7) below the exact sum.  As
-    T + #a <= T' for T >= 1 (a zero parent has a zero child), the two sides
-    come to at most N = 2T' + 9D + 3(K + 1) + 11, and (1 - u)^-N <= 1 + N eps.
-    The supposition is checked as min(1/(den den(a)), r^D) >= 2^-510, r^D as
-    ``radii`` holds it, which does not grow with n when r <= 1: the child's
-    own check then holds, and every product on this side, |a|_r w_(k-1)
-    included, stays at or above 4 nu.  A finite read again bounds every
-    coefficient of the child below 2^1023.  Where the check fails, the
-    parent's weights are infinite, or |a|_r times their sum is not below inf
-    (which also catches 0 times inf), the pad is inf, the row reads inf and
-    the child is built.
+    The supposition is checked as min(1/(den den(a)^t), r^(d + t deg a)) >= 2^-510 in floats, r^n
+    as ``radii`` holds it: every nonzero product on either side is then at least their product,
+    4 nu, the 4 covering roundings and R >= r / (1 + 2u).  A finite read has b < 2^512, so every
+    |c| <= b / min(1, r)^d' < 2^1023 fits a float, as do the grid's powers and products.  Where the
+    check fails the pad is inf, and where a part of some c_pqk does not fit a float every moment is:
+    such a read, one through a map that does not fit and one where lam or b*b does not fit are inf
+    (``_finite``, ``_descend``, ``_bounds_at``), and h is always evaluated.
     """
-    den, numerators = graded.denominator, graded.numerators
+    den, numerators, perm = graded.denominator, graded.numerators, math.perm
     if grades is None:
         grades = 1 + max((k for _, _, k in numerators), default=0)
-    weights, degree = [0.0] * grades, 0
-    slopes = ([0.0] * grades, [0.0] * grades) if steps else ()
+    weights, degree, top = [0.0] * grades, 0, 0
+    higher = [] if terms is not None else [([0.0] * grades, i, j, i + j) for i, j in _MOMENTS[1 : _count(order)]]
     for (p, q, k), (re, im) in numerators.items():
         n = p + q
         if n > degree:
             degree = n
             while len(radii) <= n:
                 radii.append(radii[-1] * radii[1])
+        if k > top:
+            top = k
         try:
             modulus = math.hypot(re / den, im / den) if im else abs(re / den)
         except OverflowError:
-            return [math.inf] * grades, [(math.inf, [0.0] * grades)] * len(steps)
+            return [[math.inf] * grades] * (1 + len(higher)), [math.inf] * (order + 1)
         weights[k] += modulus * radii[n]
-        if steps and n:
-            low = modulus * radii[n - 1]
-            slopes[0][k] += p * low
-            slopes[1][k] += q * low
-    if min(1 / den, radii[degree]) < _RANGE_GUARD:
-        return [math.inf] * grades, [(math.inf, [0.0] * grades)] * len(steps)
-    top = grades - 1
-    while top and not weights[top]:
-        top -= 1
-    eps, count, parts = sys.float_info.epsilon, len(numerators), []
-    for (norm, size, lift, den_a), along in zip(steps, slopes):
-        while len(radii) <= degree + lift:
+        if terms is not None:
+            terms += k, p, q, modulus
+        for row, i, j, shift in higher:
+            if i <= p and j <= q:
+                row[k] += perm(p, i) * perm(q, j) * modulus * radii[n - shift]
+    size, lift, den_a = step
+    pads = []
+    for t in range(order + 1):
+        reach = degree + t * lift
+        while len(radii) <= reach:
             radii.append(radii[-1] * radii[1])
-        if min(1 / (den * den_a), radii[degree + lift]) < _RANGE_GUARD or not norm * sum(weights) < math.inf:
-            pad = math.inf
+        if min(1 / (den * den_a**t), radii[reach]) < _RANGE_GUARD:
+            pads.append(math.inf)
         else:
-            pad = 1 + (2 * count * (1 + size) + 9 * (degree + lift) + 3 * (top + 1) + 11) * eps
-        along.reverse()
-        parts.append((pad, along))
-    pad = 1 + (2 * count + 9 * degree + 3 * top + 7) * eps
-    weights.reverse()
-    return [w * pad for w in weights], parts
+            count = len(numerators) * (1 + size) ** t
+            pads.append(1 + (2 * count + 9 * reach + 3 * (top + t) + 7 + t * (lift + size + 51)) * _EPS)
+    return [weights, *(row for row, *_ in higher)], pads
 
 
-def _step(a: WirtingerPolynomial, radii: list[float]) -> tuple[float, int, int, int]:
-    """A step of ``_section_bound``: the multiplier's weight |a|_r, term count, degree and denominator."""
-    return _section_bound(_Graded(a), radii, (), 1)[0][0], len(a.numerators), max(a.total_degree(), 0), a.denominator
+def _higher_moments(weights: np.ndarray, terms: list, ends: list[int], radii: list[float], order: int) -> np.ndarray:
+    """A level's moments to ``order`` from its ``weights`` (N, 1, grades) and ``terms`` from
+    ``_section_bound``, those of coefficient x ending at ``ends[x]``: the same sums, term by term."""
+    k, p, q, modulus = np.array(terms, dtype=float).reshape(-1, 4).T
+    x = np.arange(len(ends)).repeat(np.diff(ends, prepend=0))
+    count, grades = _count(order), weights.shape[2]
+    i, j = np.array(_MOMENTS[1:count]).T
+    falling = [[np.ones_like(p)], [np.ones_like(q)]]
+    for s in range(order):
+        for rows, n in zip(falling, (p, q)):
+            rows.append(rows[-1] * (n - s))
+    scale = np.array(falling[0])[i] * np.array(falling[1])[j]
+    # the moment and the term of each product that is not 0, moments first, terms in order
+    row, term = np.nonzero(scale)
+    values = scale[row, term] * modulus[term] * np.array(radii)[(p + q)[term].astype(int) - (i + j)[row]]
+    cells = (x[term] * (count - 1) + row) * grades + k[term].astype(int)
+    higher = np.bincount(cells, weights=values, minlength=len(weights) * (count - 1) * grades)
+    return np.concatenate([weights, higher.reshape(len(weights), count - 1, grades)], axis=1)
+
+
+class _Steps:
+    """The steps eta_d + lam a_d, a_d = A(d, 0), as maps of moments flattened moment by moment.
+
+    Order-n moments over some grades give the child's of order n - 1: its (i, j) is the parent's
+    (i, j) + e_d and, one grade up, the sum of C(i,i') C(j,j') |eta^(i-i',j-j') a_d|_r times the
+    parent's (i', j').  ``step`` is (#a, deg a, den(a)), each the larger of the two directions.
+    """
+
+    def __init__(self, a: dict, radii: list[float]):
+        norms = [_section_bound(_Graded(h), radii, (0, 0, 1), _DEPTH - 1, 1)[0] for h in a.values()]
+        self.maps, self.operators = {}, {}
+        for n in range(1, _DEPTH + 1):
+            below, above = _MOMENTS[: _count(n - 1)], _MOMENTS[: _count(n)]
+            select, lift = np.zeros((2, len(above), len(below))), np.zeros((2, len(above), len(below)))
+            for e, norm in enumerate(norms):
+                for row, (i, j) in enumerate(below):
+                    select[e, _MOMENTS.index((i + 1 - e, j + e)), row] = 1
+                    for column, (i2, j2) in enumerate(above[: _count(i + j)]):
+                        if i2 <= i and j2 <= j:
+                            binomial = math.comb(i, i2) * math.comb(j, j2)
+                            lift[e, column, row] = binomial * norm[_MOMENTS.index((i - i2, j - j2))][0]
+            self.maps[n] = select, lift
+        a = list(a.values())
+        self.step = (
+            max(len(h.numerators) for h in a), max(max(h.total_degree(), 0) for h in a), max(h.denominator for h in a)
+        )
+
+    def operator(self, path: tuple, grades: int) -> np.ndarray | None:
+        """The map from moments of order len(path) over ``grades`` grades to the weights ``path`` steps down.
+
+        Each step is a direction's index, or None for both, D first; None where an entry does not fit a float.
+        """
+        if (path, grades) not in self.operators:
+            if path[0] is None:
+                parts = [self.operator((e, *path[1:]), grades) for e in (0, 1)]
+                operator = None if any(part is None for part in parts) else np.hstack(parts)
+            else:
+                select, lift = (part[path[0]] for part in self.maps[len(path)])
+                # axes: the parent's moment and grade, the child's moment and grade
+                operator, grade = np.zeros((len(select), grades, select.shape[1], grades + 1)), np.arange(grades)
+                operator[:, grade, :, grade] = select
+                operator[:, grade, :, grade + 1] = lift
+                operator = operator.reshape(len(select) * grades, -1)
+                if len(path) > 1 and np.isfinite(operator).all():
+                    rest = self.operator(path[1:], grades + 1)
+                    operator = None if rest is None else operator @ rest
+            self.operators[path, grades] = operator if operator is not None and np.isfinite(operator).all() else None
+        return self.operators[path, grades]
+
+
+def _finite(moments: np.ndarray, pads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moments and pads of N coefficients, one whose moments do not all fit a float zeroed with
+    infinite pads: no product meets 0 * inf, and every read of it is inf."""
+    if not moments.max() < math.inf:
+        lost = ~np.isfinite(moments).all(axis=(1, 2))
+        moments[lost], pads[lost] = 0.0, math.inf
+    return moments, pads
+
+
+def _descend(moments: np.ndarray, pads: np.ndarray, steps: _Steps, path: tuple) -> np.ndarray:
+    """Padded weight rows, from the top grade down, of the nodes ``path`` steps below N coefficients.
+
+    ``moments`` (N, ``_count(len(path))``, grades) and ``pads``, their pads at that distance, are
+    ``_finite``'s; each None in ``path`` doubles the rows, row 2i + e stepping row i along the e-th
+    direction.  A row reads inf where its pad or the map does not fit a float, or the product.
+    """
+    rows = moments[:, 0]
+    if path:
+        operator = steps.operator(path, moments.shape[2])
+        if operator is None:
+            return np.full((len(moments) << path.count(None), moments.shape[2] + len(path)), math.inf)
+        rows = (moments.reshape(len(moments), -1) @ operator).reshape(-1, moments.shape[2] + len(path))
+    pads = pads.repeat(len(rows) // len(pads))[:, None]
+    return np.multiply(rows[:, ::-1], pads, out=np.full(rows.shape, math.inf), where=pads < math.inf)
 
 
 def _bounds_at(weights: np.ndarray, lam: int) -> list[float]:
@@ -400,6 +471,12 @@ def _bounds_at(weights: np.ndarray, lam: int) -> list[float]:
         x = float(lam)
     except OverflowError:
         return [math.inf] * len(weights)
+    if len(weights) == 1:
+        # one row in floats: the same operations, so the same bits, without numpy's per-call cost
+        bound, *rest = weights[0].tolist()
+        for column in rest:
+            bound = bound * x + column
+        return [math.sqrt(bound * bound)]
     bounds = weights[:, 0]
     for column in weights.T[1:]:
         bounds = bounds * x + column
@@ -414,65 +491,104 @@ def _section_sup(h: WirtingerPolynomial, tables: PowerTables) -> float:
     return math.sqrt(top)
 
 
-def _weighed(level: dict, m: int, radii: list[float], steps: Sequence = ()) -> tuple[np.ndarray, np.ndarray]:
-    """The weights of a level of order m, one row each from grade m (the most m steps reach) down, and
-    the parent reads of its children, row 2i + e for coefficient i stepped along the e-th step, from grade m + 1."""
-    size = len(level)
-    weights, slopes, pads = np.empty((size, m + 1)), np.empty((len(steps), size, m + 1)), np.empty((len(steps), size))
-    for i, graded in enumerate(level):
-        weights[i], parts = _section_bound(graded, radii, steps, m + 1)
-        for e, (pad, along) in enumerate(parts):
-            pads[e, i] = pad
-            slopes[e, i] = along
-    children = np.zeros((size, len(steps), m + 2))
-    for e, (norm, *_) in enumerate(steps):
-        rows = children[:, e]
-        rows[:, :-1] = norm * weights
-        rows[:, 1:] += slopes[e]
-        rows *= pads[e][:, None]
-        # an infinite pad marks a read that is inf, whatever 0 * inf gave
-        rows[pads[e] == math.inf] = math.inf
-    return weights, children.reshape(-1, m + 2)
+class _Tree:
+    """A built level of order m, the base, and the nodes up to ``depth`` steps below it, built on demand.
+
+    Node (u, p), u steps down, is base coefficient p >> u stepped along the u low bits of p, highest
+    first, bit 0 for D: the rows p of a level are in the order of their first sequences.  A node keeps
+    its moments to order ``depth`` - u and their pads.
+    """
+
+    def __init__(self, level: dict, m: int, depth: int, a: dict, radii: list[float], steps: _Steps):
+        self.first, self.m, self.depth, self.a, self.radii, self.steps = list(level.values()), m, depth, a, radii, steps
+        terms, parts, ends = [] if depth else None, [], []
+        for graded in level:
+            parts.append(_section_bound(graded, radii, steps.step, depth, m + 1, terms))
+            ends.append(len(terms or ()) // 4)
+        moments, pads = np.array([moments for moments, _ in parts]), np.array([pads for _, pads in parts])
+        if depth:
+            moments = _higher_moments(moments, terms, ends, radii, depth)
+        self.moments, self.pads = _finite(moments, pads)
+        self.nodes = {(0, i): (graded, self.moments[i], self.pads[i]) for i, graded in enumerate(level)}
+
+    def rows(self, t: int) -> tuple[np.ndarray, list[int]]:
+        """The rows of the level t steps down, read from the deepest node built on each path, and their steps to go."""
+        rows = _descend(self.moments[:, : _count(t)], self.pads[:, t], self.steps, (None,) * t)
+        togo = [t] * len(rows)
+        for u in range(1, t):
+            built = [p for v, p in self.nodes if v == u]
+            if built:
+                nodes = [self.nodes[u, p] for p in built]
+                moments = np.array([moments[: _count(t - u)] for _, moments, _ in nodes])
+                index = ((np.array(built)[:, None] << (t - u)) + np.arange(1 << (t - u))).ravel()
+                pads = np.array([pads[t - u] for *_, pads in nodes])
+                rows[index] = _descend(moments, pads, self.steps, (None,) * (t - u))
+                for r in index.tolist():
+                    togo[r] = t - u
+        return rows, togo
+
+    def node(self, u: int, p: int) -> tuple:
+        """Node (u, p): its coefficient, moments and pads, built from its parent on first call."""
+        if (u, p) not in self.nodes:
+            d = _DIRECTIONS[p & 1]
+            graded = self.node(u - 1, p >> 1)[0].twisted_derivative(d, self.a[d])
+            moments, pads = _section_bound(graded, self.radii, self.steps.step, self.depth - u, self.m + u + 1)
+            moments, pads = _finite(np.array([moments]), np.array([pads]))
+            self.nodes[u, p] = graded, moments[0], pads[0]
+        return self.nodes[u, p]
+
+    def read(self, u: int, r: int, t: int) -> np.ndarray:
+        """Row r of the level t steps down, read from the node u steps down on its path as ``_descend`` reads
+        it, without its per-call array costs: a sweep rereads hundreds of single rows."""
+        _, moments, pads = self.node(u, r >> (t - u))
+        togo, grades = t - u, moments.shape[1]
+        operator = self.steps.operator(tuple((r >> s) & 1 for s in reversed(range(togo))), grades) if togo else 1.0
+        if operator is None or not pads[togo] < math.inf:
+            return np.full(grades + togo, math.inf)
+        return (moments[: _count(togo)].reshape(-1) @ operator if togo else moments[0])[::-1] * pads[togo]
 
 
 # j's read of a level at lam = j+1: its grid maximum, the winning coefficient and its first sequence
 _Read = Callable[[int], tuple[float, _Graded, tuple]]
 
 
-def _reader(level: dict, weights: np.ndarray, tables: PowerTables, radii: list[float], a: dict | None = None) -> _Read:
-    """The ``_Read`` of a level from its bound rows ``weights``, one per entry, shared by every index.
+def _reader(tree: _Tree, t: int, tables: PowerTables) -> _Read:
+    """The ``_Read`` of the level t steps below ``tree``'s base, shared by every index.
 
-    Without ``a`` the entries are the coefficients of ``level``.  With the multipliers ``a`` they are
-    the children of ``level``, row 2i + e for parent i stepped along the e-th direction as
-    ``_children`` steps them, and a child's row is its parent's read of it (``_weighed``) until the
-    child is built.  An index visits the entries in descending order of their reads at lam, ties
-    (infinite reads first) to the least row, up to the first read below the largest grid value found,
-    which no entry left could reach.  An unbuilt child is built when first visited, once for every
-    index; its own weights replace its parent's read in ``weights`` and it is visited again at its own
-    read.  Any other entry is evaluated.  Children are not merged: equal ones give bit-identical grid
-    values, and every row attaining the maximum has its reads at or above it and is evaluated, so the
-    least such row names the first sequence, as the merged level would.
+    Row r is the node (t, r).  An index visits the rows in descending order of their reads at lam,
+    ties (infinite reads first) to the least row, up to the first read below the largest grid value
+    found, which no row left could reach.  A row read from a node above its own is read again, for
+    every index, from the next node on its path, built once, and visited again; a row read from its
+    own node's weights is evaluated.  Rows are not merged: equal nodes give bit-identical grid
+    values, and every row attaining the maximum is evaluated, so the least such row names the first
+    sequence, as the merged level would.
     """
-    graded, first = list(level), list(level.values())
-    if a:
-        parents, graded = graded, [None] * len(weights)
+    rows, togo = tree.rows(t)
 
     def read(lam):
-        queue = sorted(zip(_bounds_at(weights, lam), range(0, -len(weights), -1)))
+        # the rows in visiting order, and the rows read again waiting in ``again``, ascending
+        reads, again, at = _bounds_at(rows, lam), [], 0
+        order = sorted(range(len(reads)), key=reads.__getitem__, reverse=True)
         top, best = -math.inf, -1
-        while queue and queue[-1][0] >= top:
-            i = -queue.pop()[1]
-            if graded[i] is None:
-                d = _DIRECTIONS[i & 1]
-                graded[i] = parents[i >> 1].twisted_derivative(d, a[d])
-                weights[i] = _section_bound(graded[i], radii, (), weights.shape[1])[0]
-                bisect.insort(queue, (_bounds_at(weights[i : i + 1], lam)[0], -i))
+        while at < len(order) or again:
+            if at < len(order) and (not again or (reads[order[at]], -order[at]) > again[-1]):
+                r, at = order[at], at + 1
+            else:
+                r = -again.pop()[1]
+            if reads[r] < top:
+                break
+            if togo[r]:
+                togo[r] -= 1
+                rows[r] = tree.read(t - togo[r], r, t)
+                reads[r] = _bounds_at(rows[r : r + 1], lam)[0]
+                bisect.insort(again, (reads[r], -r))
                 continue
-            sup = _section_sup(graded[i].at(lam), tables)
+            sup = _section_sup(tree.node(t, r)[0].at(lam), tables)
             # the least row attaining top has the first sequence attaining it
-            if sup > top or (sup == top and i < best):
-                top, best = sup, i
-        return top, graded[best], (first[best >> 1] + (_DIRECTIONS[best & 1],) if a else first[best])
+            if sup > top or (sup == top and r < best):
+                top, best = sup, r
+        steps = tuple(_DIRECTIONS[(best >> s) & 1] for s in reversed(range(t)))
+        return top, tree.node(t, best)[0], tree.first[best >> t] + steps
 
     return read
 
@@ -515,16 +631,17 @@ def covariant_level_sups(
     lam = j+1.  Equal coefficients give bit-identical grid values, so merging
     changes no result.  Each is weighted once for every j
     (``_section_bound``); j reads the weights at lam and builds only the
-    coefficients ``_reader`` evaluates, best bound first.  The deepest
-    exhaustive level, min(full_cap, m_max) when at least 1, is not built: its
-    rows are first its parents' reads of its children (``_weighed``), and a
-    child is built, once for every j, only when its row comes first and can
-    still reach the level maximum.  On g = s*sbar with f = 1 the levels 0..9
-    hold 628 distinct coefficients, not 1 023 per j, and the 274 of level 9
-    leave 4 of their 548 children to build at level 10: 712 graded steps,
-    and j = 0 evaluates 29 coefficients on the grid.  A greedy level is j's own:
-    the graded children of j's graded winner, weighted and read at lam like
-    every other level.
+    coefficients ``_reader`` evaluates, best bound first.  The last
+    ``_DEPTH`` exhaustive levels are not built whole: their base, the level
+    above them or the root, bounds every node up to ``_DEPTH`` steps down
+    from its derivative moments (``_descend``), and a node is built, once for
+    every j, only when a row through it comes first and can still reach its
+    level maximum.  On g = s*sbar with f = 1 the levels 0..7 hold 198
+    distinct coefficients, not 255 per j; the 90 of level 7 bound the 720
+    rows of level 10, the sweep takes 216 whole-level and 24 on-demand graded
+    steps, and j = 0 evaluates 29 coefficients on the grid.  A greedy level
+    is j's own: the graded children of j's graded winner, weighted and read
+    at lam like every other level.
     """
     if full_cap < 0:
         raise ValueError(f"full_cap must be nonnegative, got {full_cap}")
@@ -533,8 +650,9 @@ def covariant_level_sups(
     tables = PowerTables(rectangle.grid_points())
     radii = [1.0, float(np.abs(tables.points).max())]
     a = {d: conn.coefficient(0, d) for d in _DIRECTIONS}
-    steps = [_step(h, radii) for h in a.values()]
+    steps = _Steps(a, radii)
     last = min(full_cap, m_max)
+    base = max(last - _DEPTH, 0)
     sweeps = {j: [] for j in indices}
     winners: dict[int, _Graded] = {}
     level: dict = {_Graded(f): ()}
@@ -542,19 +660,20 @@ def covariant_level_sups(
     with np.errstate(over="ignore"):
         for m in range(m_max + 1):
             if m > last:
-                # past the cap the shared level is dropped and each index steps and weighs its own winner
+                # past the cap the shared levels are dropped and each index steps and weighs its own winner
                 level.clear()
-                readers = {}
+                tree, readers = None, {}
                 for j in indices:
                     own = _children({winners[j]: sweeps[j][-1].dirs}, a)
-                    readers[j] = _reader(own, _weighed(own, m, radii)[0], tables, radii)
-            elif m == last and m:
-                # the deepest exhaustive level: its parents were weighed with steps one level up
-                readers = dict.fromkeys(indices, _reader(level, children, tables, radii, a))
+                    readers[j] = _reader(_Tree(own, m, 0, a, radii, steps), 0, tables)
+            elif m > base:
+                readers = dict.fromkeys(indices, _reader(tree, m - base, tables))
             else:
+                # the previous level's tree goes before its children are made
+                tree = None
                 level = _children(level, a) if m else level
-                weights, children = _weighed(level, m, radii, steps if m + 1 == last else ())
-                readers = dict.fromkeys(indices, _reader(level, weights, tables, radii))
+                tree = _Tree(level, m, last - base if m == base else 0, a, radii, steps)
+                readers = dict.fromkeys(indices, _reader(tree, 0, tables))
             for j, read in readers.items():
                 top, winners[j], dirs = read(j + 1)
                 # a greedy level 1 still holds both sequences

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 
 from hilbertfield import (
     Connection,
@@ -14,6 +15,7 @@ from hilbertfield import (
     Splitting,
     WirtingerPolynomial,
 )
+from hilbertfield.analyticity import _descend, _finite, _section_bound
 
 # every fraction in [-4, 4] with denominator at most 6, built from two integers:
 # st.fractions draws the same values at several times the cost
@@ -96,3 +98,10 @@ def brute_force_splittings(m: int, k: int) -> tuple[Splitting, ...]:
             if valid:
                 found.append(Splitting(m, tuple(tuple(b) for b in blocks), markers))
     return tuple(found)
+
+
+def own_rows(graded, radii):
+    """A coefficient's padded weight row, top grade first, as the analyticity sweep reads it from its own weights."""
+    moments, pads = _section_bound(graded, radii)
+    moments, pads = _finite(np.array([moments]), np.array([pads]))
+    return _descend(moments, pads[:, 0], None, ())

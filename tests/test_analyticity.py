@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 
 import hilbertfield.analyticity
-from hilbertfield.analyticity import _bounds_at, _section_bound, _section_sup, _step, _weighed
+from hilbertfield.analyticity import _MOMENTS, _bounds_at, _children, _section_bound, _section_sup, _Steps, _Tree
 from hilbertfield.grid import PowerTables
 from hilbertfield.symbolic import _Graded
-from conftest import directions, exponent_pairs, polynomials
+from conftest import directions, exponent_pairs, own_rows, polynomials
 from hilbertfield import (
     AnalyticityCertificate,
     CompactRectangle,
@@ -340,19 +340,22 @@ class TestLevelSupOracle:
         # f = 2s + sbar^3/3 - 2 sbar has D f = 2 and Dbar f = sbar^2 - 2, tied
         # at 2 on the grid, and the later Dbar f, with the larger bound, is
         # evaluated first: the first sequence must still win the tie, also
-        # with full_cap = 1, where level 1 is read from its parent and Dbar f,
-        # whose parent read is the larger, is built first.  The
-        # deepest exhaustive level is read from its parents, child by child:
-        # on the default model with full_cap = 6 its children repeat, the
-        # level may lie below the cap (m_max < full_cap) or be level 1
-        # (full_cap = 1), and the indices sharing its built children may come
-        # in any order
+        # with full_cap = 1 or 2, where level 1 is read from the root's moments
+        # and Dbar f, whose read is the larger, is built first.  So must
+        # (D, D) win the tie of s^2 - sbar^2 + sbar^4/12 at level 2, two steps
+        # below the root, against the later (Dbar, Dbar) with its larger
+        # bound.  The last three exhaustive levels are read from the moments
+        # of the level above them, node by node: on the default model with
+        # full_cap = 6 their nodes repeat, the levels may lie below the cap
+        # (m_max < full_cap) or start at the root (full_cap 1 to 3), and the
+        # indices sharing their built nodes may come in any order
         complex_k = Connection(
             k=WirtingerPolynomial.from_json_terms([[1, 2, "1/2", "-1/3"], [0, 0, "1", "1"]])
         )
         off_origin = CompactRectangle(Fraction(1, 4), Fraction(1), Fraction(-1, 2), Fraction(1, 4), 9)
         segment = CompactRectangle(Fraction(-1), Fraction(1), Fraction(0), Fraction(0), 9)
         tie = 2 * S + WirtingerPolynomial({(0, 3): Fraction(1, 3), (0, 1): -2})
+        tie_two_down = S * S + WirtingerPolynomial({(0, 4): Fraction(1, 12), (0, 2): -1})
         evaluated = []
         section_sup = hilbertfield.analyticity._section_sup
 
@@ -373,6 +376,13 @@ class TestLevelSupOracle:
             (CONN, S, SQUARE.with_grid_n(9), 4, 1, (0, 2)),
             (complex_k, ONE, SQUARE.with_grid_n(9), 7, 5, (4, 1, 0)),
             (complex_k, ONE, SQUARE.with_grid_n(9), 7, 5, (0, 1, 4)),
+            (Connection.flat(), tie_two_down, segment, 3, 2, (0,)),
+            (Connection.flat(), tie_two_down, segment, 3, 3, (0,)),
+            (CONN, S, SQUARE.with_grid_n(9), 5, 3, (2, 0)),
+            (complex_k, S, off_origin, 5, 3, (0, 2, 7)),
+            (complex_k, ONE, SQUARE.with_grid_n(9), 4, 2, (1, 0)),
+            (CONN, ONE, SQUARE.with_grid_n(9), 5, 8, (0, 3)),
+            (complex_k, S * SBAR, off_origin, 5, 9, (4, 1)),
         ]
         for conn, f, rect, m_max, full_cap, indices in cases:
             points = rect.grid_points()
@@ -381,6 +391,10 @@ class TestLevelSupOracle:
                 patch.setattr(hilbertfield.analyticity, "_section_sup", recorded)
                 sweeps = covariant_level_sups(conn, indices, f, rect, m_max, full_cap=full_cap)
             assert list(sweeps) == list(indices)
+            if f == tie_two_down:
+                # (Dbar, Dbar) f = sbar^2 - 2, with the larger bound, is evaluated before (D, D) f = 2
+                assert evaluated.index(SBAR * SBAR - 2 * ONE) < evaluated.index(2 * ONE)
+                assert sweeps[0][2] == LevelSup(2, 2.0, (D, D), True)
             for j, levels in sweeps.items():
                 assert [level.m for level in levels] == list(range(m_max + 1))
                 for m, level in enumerate(levels):
@@ -409,19 +423,19 @@ class TestLevelSupOracle:
 
     def test_one_derivative_and_one_grid_evaluation_per_distinct_section(self, monkeypatch):
         # k = sbar has constant curvature, so D and Dbar form a Heisenberg pair
-        # and these are the numbers of distinct sections of the levels 0..9;
-        # one graded coefficient per distinct section of the levels 0..8 is
-        # differentiated once per direction, and each of the levels 0..9 is
+        # and these are the numbers of distinct sections of the levels 0..7;
+        # one graded coefficient per distinct section of the levels 0..6 is
+        # differentiated once per direction, and each of the levels 0..7 is
         # weighted once, for all three indices, as are the two multipliers.
-        # Level 10, the deepest exhaustive one, is not built: weighing level 9
-        # also bounds its 548 children, and these bounds, tight on this
-        # model, leave four children to build and weigh, once for all three
-        # indices.  Each index evaluates 27 coefficients of the levels 0..9
-        # and, best bound first, 2 of those four on the grid, as a fully built
-        # level 10 did.  The sweep builds no section and takes
+        # Levels 8..10, the last three exhaustive ones, are not built: level
+        # 7's derivative moments bound the 720 nodes up to three steps below
+        # it, and these bounds, tight on this model, leave 24 nodes to build
+        # and weigh, once for all three indices, each from its parent.  Each
+        # index evaluates 29 coefficients on the grid, best bound first, as
+        # fully built levels did.  The sweep builds no section and takes
         # no per-index twisted derivative: each greedy level steps the
         # index's graded winner twice, weights both children and evaluates one
-        distinct = [1, 2, 4, 8, 15, 28, 50, 90, 156, 274]
+        distinct = [1, 2, 4, 8, 15, 28, 50, 90]
         calls = Counter()
 
         def counted(name, function):
@@ -448,20 +462,20 @@ class TestLevelSupOracle:
             greedy = m_max - 10
             calls.clear()
             sweeps = covariant_level_sups(CONN, (0, 1, 4), ONE, SQUARE.with_grid_n(9), m_max, full_cap=10)
-            assert calls["_section_bound"] == sum(distinct) + 2 + 4 + 2 * 3 * greedy == 634 + 6 * greedy
-            assert calls["graded"] == 2 * sum(distinct[:-1]) + 4 + 2 * 3 * greedy == 712 + 6 * greedy
+            assert calls["_section_bound"] == sum(distinct) + 2 + 24 + 2 * 3 * greedy == 224 + 6 * greedy
+            assert calls["graded"] == 2 * sum(distinct[:-1]) + 24 + 2 * 3 * greedy == 240 + 6 * greedy
             assert calls["derivative"] == 0
             assert calls["section"] == 0
-            assert calls["_section_sup"] == 3 * (27 + 2 + greedy)
+            assert calls["_section_sup"] == 3 * (29 + greedy)
             assert [level.exhaustive for level in sweeps[0]] == [m <= 10 for m in range(m_max + 1)]
             calls.clear()
             # no level of an index depends on the indices sharing its sweep
             assert covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), m_max, full_cap=10) == {0: sweeps[0]}
             assert calls["_section_sup"] == 29 + greedy
-            assert calls["_section_bound"] == 634 + 2 * greedy
-        # a complex multi-term k merges nothing and its parent reads are loose: the deepest level
-        # builds all its children, and each child, visited again at its own read, keeps the grid
-        # evaluations to the 353 that a fully built level needs
+            assert calls["_section_bound"] == 224 + 2 * greedy
+        # a complex multi-term k merges nothing and its reads from level 3's moments are loose: the
+        # last three levels build every node, and each, visited again at its own read, keeps the
+        # grid evaluations to the 353 that fully built levels need
         complex_k = Connection(k=WirtingerPolynomial.from_json_terms([[0, 0, "1", "1"], [1, 2, "1/2", "-1/3"]]))
         calls.clear()
         covariant_level_sups(complex_k, (0, 2, 7), ONE, SQUARE.with_grid_n(9), 6, full_cap=6)
@@ -551,7 +565,7 @@ def grid_radii(points):
 def graded_bound(graded, radii, lam):
     """The weights of one coefficient read at lam, as ``_reader`` reads a level's."""
     with np.errstate(over="ignore"):
-        return _bounds_at(np.array([_section_bound(graded, radii)[0]]), lam)[0]
+        return _bounds_at(own_rows(graded, radii), lam)[0]
 
 
 def section_bound(h, radii):
@@ -687,30 +701,38 @@ non_integer_polynomials = st.dictionaries(
 
 
 class TestParentRead:
-    """``_weighed`` with steps: each child's read from its parent's weights bounds the child's grid values."""
+    """``_Tree.rows``: the reads of every node 1-3 steps below a level, from the level's derivative
+    moments, bound the node's grid values."""
 
     LAMS = (1, 2, 5, 1000)
 
-    def children_reads(self, conn, f, rect, depth=7):
-        """(grid value, parent read, read without |a|_r W) for every child of the levels 0..depth, at each lam."""
+    def descendant_reads(self, conn, f, rect, depth=5, bare=False):
+        """(grid value, read) of every node 1-3 steps below each node of the levels 0..depth, at each lam."""
         tables = PowerTables(rect.grid_points())
         radii = grid_radii(tables.points)
         a = {d: conn.coefficient(0, d) for d in (D, DBAR)}
-        steps = [_step(h, radii) for h in a.values()]
-        # the negative control: |a|_r = 0 drops the lam a h part of every child from its read
-        bare = [(0.0, *step[1:]) for step in steps]
-        level, found = {_Graded(f): ()}, []
-        for m in range(depth + 1):
-            rows, bare_rows = _weighed(level, m, radii, steps)[1], _weighed(level, m, radii, bare)[1]
-            # row 2i + e steps parent i along the e-th direction
-            children = [parent.twisted_derivative(d, h) for parent in level for d, h in a.items()]
-            for lam in self.LAMS:
-                reads, bare_reads = row_reads(rows, lam), row_reads(bare_rows, lam)
-                found.extend(
-                    (_section_sup(child.at(lam), tables), read, bare_read)
-                    for child, read, bare_read in zip(children, reads, bare_reads, strict=True)
-                )
-            level = dict.fromkeys(children, ())
+        steps = _Steps(a, radii)
+        if bare:
+            # the negative control: no |eta^b a|_r term, so no read sees the lam a h part of a step
+            steps.maps = {n: (select, 0 * lift) for n, (select, lift) in steps.maps.items()}
+        level, found, children, values = {_Graded(f): ()}, [], {}, {}
+        with np.errstate(over="ignore"):
+            for m in range(depth + 1):
+                level = _children(level, a) if m else level
+                tree, nodes = _Tree(level, m, 3, a, radii, steps), list(level)
+                for t in (1, 2, 3):
+                    # row (i, path) is node i stepped along path, its first step in the highest bit; a node
+                    # lies below up to three levels, so its children and grid values are kept
+                    for node in nodes:
+                        if node not in children:
+                            children[node] = [node.twisted_derivative(d, h) for d, h in a.items()]
+                    nodes = [child for node in nodes for child in children[node]]
+                    rows = tree.rows(t)[0]
+                    for lam in self.LAMS:
+                        for node in nodes:
+                            if (node, lam) not in values:
+                                values[node, lam] = _section_sup(node.at(lam), tables)
+                        found.extend(zip([values[node, lam] for node in nodes], row_reads(rows, lam), strict=True))
         return found
 
     @pytest.mark.parametrize(
@@ -722,26 +744,41 @@ class TestParentRead:
         ids=["default", "complex-k"],
     )
     def test_bounds_every_child_and_the_control_does_not(self, conn, f):
-        found = self.children_reads(conn, f, SQUARE.with_grid_n(9))
-        assert all(value <= read < math.inf for value, read, _ in found)
-        # without |a|_r W the read falls below some child's grid value: the check above can fail
-        assert any(bare < value for value, _, bare in found)
+        rect = SQUARE.with_grid_n(9)
+        assert all(value <= read < math.inf for value, read in self.descendant_reads(conn, f, rect))
+        # without |eta^b a|_r the read falls below some descendant's grid value: the check above can fail
+        assert any(read < value for value, read in self.descendant_reads(conn, f, rect, bare=True))
 
     @settings(max_examples=6, deadline=None)
     @given(non_integer_polynomials, non_integer_polynomials, rectangles_within(84, 120))
     def test_bounds_every_child_of_a_drawn_model(self, f, k, rect):
-        for value, read, _ in self.children_reads(Connection(k=k), f, rect.with_grid_n(5)):
+        for value, read in self.descendant_reads(Connection(k=k), f, rect.with_grid_n(5)):
             assert value <= read
 
     def test_range_guard_gives_an_infinite_read(self):
-        # 1/den and 1/den(a) are each 2^-300, within the guard, but the child's bound 2^-600 is not
-        f = WirtingerPolynomial({(2, 1): GaussianRational(Fraction(3, 2**300))})
-        k = WirtingerPolynomial({(0, 1): GaussianRational(Fraction(1, 2**300))})
+        # 1/den and 1/den(a) are each 2^-200: one step down 2^-400 is within the guard, two steps 2^-600 are not
+        f = WirtingerPolynomial({(2, 1): GaussianRational(Fraction(3, 2**200))})
+        conn = Connection(k=WirtingerPolynomial({(0, 1): GaussianRational(Fraction(1, 2**200))}))
         radii = grid_radii(SQUARE.with_grid_n(9).grid_points())
-        steps = [_step(Connection(k=k).coefficient(0, d), radii) for d in (D, DBAR)]
-        weights, rows = _weighed({_Graded(f): ()}, 0, radii, steps)
-        assert row_reads(weights, 2)[0] < math.inf
-        assert row_reads(rows, 2) == [math.inf, math.inf]
+        a = {d: conn.coefficient(0, d) for d in (D, DBAR)}
+        tree = _Tree({_Graded(f): ()}, 0, 3, a, radii, _Steps(a, radii))
+        assert all(read < math.inf for t in (0, 1) for read in row_reads(tree.rows(t)[0], 2))
+        assert row_reads(tree.rows(2)[0], 2) == [math.inf] * 4
+        assert row_reads(tree.rows(3)[0], 2) == [math.inf] * 8
+
+    def test_level_moments_match_each_coefficient_bit_for_bit(self):
+        # the base's moments above order 0, summed by numpy for the whole level, are each coefficient's own
+        complex_k = Connection(k=WirtingerPolynomial.from_json_terms([[0, 0, "1", "1"], [1, 2, "1/2", "-1/3"]]))
+        for conn in (CONN, complex_k):
+            radii = grid_radii(SQUARE.with_grid_n(9).grid_points())
+            a = {d: conn.coefficient(0, d) for d in (D, DBAR)}
+            steps, level = _Steps(a, radii), {_Graded(S * SBAR): ()}
+            for m in range(1, 6):
+                level = _children(level, a)
+            tree = _Tree(level, 5, 3, a, radii, steps)
+            own = [_section_bound(graded, radii, steps.step, 3, 6)[0] for graded in level]
+            assert tree.moments.shape == (len(level), len(_MOMENTS), 6)
+            assert tree.moments.tolist() == own
 
 
 class TestScaledLevelBound:

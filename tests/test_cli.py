@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -383,6 +384,16 @@ class TestAnalyticity:
             "U_m": str(3 * M),
             "decay_bound": str(3 * M / 4),
         }
+
+    def test_single_point_rectangle_warns_nothing(self, tmp_path, capsys):
+        # on the point 0, r = 0 fails the range guard of every read below a built level: those
+        # reads are inf, and no 0 * inf is formed on the way, so a run with warnings as errors is quiet
+        rectangle = {"re_min": "0", "re_max": "0", "im_min": "0", "im_max": "0", "grid_n": 2}
+        config = write_config(tmp_path / "cfg.json", rectangle=rectangle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyticity", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 # the report set of `all` on the default indices (0, 1, 4) and functions (1, s, s*sbar)

@@ -16,6 +16,7 @@ from conftest import (
     exponent_pairs,
     from_records,
     gaussian_points,
+    own_rows,
     polynomials,
     raw_rationals,
     raw_records,
@@ -34,7 +35,7 @@ from hilbertfield import (
     SBAR,
     ZERO,
 )
-from hilbertfield.analyticity import _bounds_at, _section_bound
+from hilbertfield.analyticity import _bounds_at
 from hilbertfield.grid import evaluate_on_grid
 from hilbertfield.symbolic import _Graded
 
@@ -258,7 +259,7 @@ class TestGradedKernel:
         # the weights 1 and r + 1/2 = 2 keep the constant that cancels at lam = 2: the bound is
         # 1 + 2 lam = 5 there, no longer 2s's own 3, but finite and above every grid value of 2s
         points = CompactRectangle(Fraction(-3, 2), Fraction(3, 2), 0, 0, 9).grid_points()
-        bound = _bounds_at(np.array([_section_bound(graded, [1.0, 1.5])[0]]), 2)[0]
+        bound = _bounds_at(own_rows(graded, [1.0, 1.5]), 2)[0]
         assert 5.0 < bound < 5.0 + 1e-13
         assert abs(evaluate_on_grid(graded.at(2), points)).max() == 3.0 < bound
 
