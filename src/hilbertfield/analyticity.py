@@ -31,7 +31,7 @@ section rebuilt from the reported directions gives the same value bit for bit.
 The level sweep (``covariant_level_sups``) carries only the coefficient h
 of each section h*phi_j, as a polynomial in lam = j+1 (the multiplier at j
 is lam times the one at j = 0, which ``TestIndexWeights`` checks), so one
-sweep per f serves every j.  It merges equal coefficients, weights each
+sweep per run serves every f and j.  It merges equal coefficients, weights each
 once by grade (|sum_k lam^k c_k| <= sum_k lam^k |c_k|), and evaluates on the
 grid only those whose float bound read at lam can reach the level maximum,
 so its values are the full sweep's, bit for bit.  The last three exhaustive
@@ -399,7 +399,7 @@ class _Steps:
 
     def __init__(self, a: dict, radii: list[float]):
         norms = [_section_bound(_Graded(h), radii, (0, 0, 1), _DEPTH - 1, 1)[0] for h in a.values()]
-        self.maps, self.operators = {}, {}
+        self.a, self.radii, self.maps, self.operators = a, radii, {}, {}
         for n in range(1, _DEPTH + 1):
             below, above = _MOMENTS[: _count(n - 1)], _MOMENTS[: _count(n)]
             select, lift = np.zeros((2, len(above), len(below))), np.zeros((2, len(above), len(below)))
@@ -499,9 +499,9 @@ class _Tree:
     its moments to order ``depth`` - u and their pads.
     """
 
-    def __init__(self, level: dict, m: int, depth: int, a: dict, radii: list[float], steps: _Steps):
-        self.first, self.m, self.depth, self.a, self.radii, self.steps = list(level.values()), m, depth, a, radii, steps
-        terms, parts, ends = [] if depth else None, [], []
+    def __init__(self, level: dict, m: int, depth: int, steps: _Steps):
+        self.first, self.m, self.depth, self.steps = list(level.values()), m, depth, steps
+        terms, parts, ends, radii = [] if depth else None, [], [], steps.radii
         for graded in level:
             parts.append(_section_bound(graded, radii, steps.step, depth, m + 1, terms))
             ends.append(len(terms or ()) // 4)
@@ -531,8 +531,8 @@ class _Tree:
         """Node (u, p): its coefficient, moments and pads, built from its parent on first call."""
         if (u, p) not in self.nodes:
             d = _DIRECTIONS[p & 1]
-            graded = self.node(u - 1, p >> 1)[0].twisted_derivative(d, self.a[d])
-            moments, pads = _section_bound(graded, self.radii, self.steps.step, self.depth - u, self.m + u + 1)
+            graded = self.node(u - 1, p >> 1)[0].twisted_derivative(d, self.steps.a[d])
+            moments, pads = _section_bound(graded, self.steps.radii, self.steps.step, self.depth - u, self.m + u + 1)
             moments, pads = _finite(np.array([moments]), np.array([pads]))
             self.nodes[u, p] = graded, moments[0], pads[0]
         return self.nodes[u, p]
@@ -608,78 +608,80 @@ def _children(level: dict, multipliers: dict) -> dict:
 def covariant_level_sups(
     conn: Connection,
     indices: Sequence[int],
-    f: WirtingerPolynomial,
+    functions: Sequence[WirtingerPolynomial],
     rectangle: CompactRectangle,
     m_max: int,
-    full_cap: int = 10,
-) -> dict[int, list[LevelSup]]:
-    """Per-order grid suprema of |iterated covariant derivative of f*phi_j| for each j in ``indices``.
+    full_cap: int,
+) -> list[dict[int, list[LevelSup]]]:
+    """Per-order grid suprema of |iterated covariant derivative of f*phi_j|: one ``{j: levels}`` per f.
 
     Levels up to ``full_cap`` enumerate all direction sequences; beyond,
     j's worst sequence is extended greedily, to the child with the larger
     supremum: a lower bound of the level maximum.  The first sequence, in
     ``direction_sequences`` order, attaining a level's largest grid value
     wins.  A value beyond the float range raises ``OverflowError`` at the
-    first read that meets it: levels in order, each read by the indices in
-    their given order.
+    first read that meets it: functions in their given order, levels in
+    order, each read by the indices in their given order.
 
     Every section is h*phi_j, and A(d, j) = (j+1) A(d, 0)
     (``TestIndexWeights::test_multiplier_is_linear_in_j_plus_one``), so one
-    sweep of coefficients graded by lam = j+1 serves every j: a level maps
-    each distinct one to the first sequence reaching it, each (parent,
-    direction) takes one step eta_d + lam A(d, 0), and j reads the level at
-    lam = j+1.  Equal coefficients give bit-identical grid values, so merging
-    changes no result.  Each is weighted once for every j
-    (``_section_bound``); j reads the weights at lam and builds only the
-    coefficients ``_reader`` evaluates, best bound first.  The last
-    ``_DEPTH`` exhaustive levels are not built whole: their base, the level
-    above them or the root, bounds every node up to ``_DEPTH`` steps down
-    from its derivative moments (``_descend``), and a node is built, once for
-    every j, only when a row through it comes first and can still reach its
-    level maximum.  On g = s*sbar with f = 1 the levels 0..7 hold 198
-    distinct coefficients, not 255 per j; the 90 of level 7 bound the 720
-    rows of level 10, the sweep takes 216 whole-level and 24 on-demand graded
-    steps, and j = 0 evaluates 29 coefficients on the grid.  A greedy level
-    is j's own: the graded children of j's graded winner, weighted and read
-    at lam like every other level.
+    sweep of coefficients graded by lam = j+1 serves every j: a level maps each
+    distinct one to the first sequence reaching it, each (parent, direction)
+    takes one step eta_d + lam A(d, 0), and j reads the level at lam = j+1; the
+    functions share the grid and the steps (``_Steps``), so one sweep per run
+    serves every function and every j.  Equal coefficients give bit-identical
+    grid values, so merging changes no result.  Each is weighted once for every
+    j (``_section_bound``); j reads the weights at lam and builds only the
+    coefficients ``_reader`` evaluates, best bound first.  The last ``_DEPTH``
+    exhaustive levels are not built whole: their base, the level above them or
+    the root, bounds every node up to ``_DEPTH`` steps down from its derivative
+    moments (``_descend``), and a node is built, once for every j, only when a
+    row through it comes first and can still reach its level maximum.  On
+    g = s*sbar with f = 1 the levels 0..7 hold 198 distinct coefficients, not
+    255 per j; the 90 of level 7 bound the 720 rows of level 10, the sweep
+    takes 216 whole-level and 24 on-demand graded steps, and j = 0 evaluates
+    29 coefficients on the grid.  A greedy level is j's own: the graded
+    children of j's graded winner, weighted and read at lam like every other
+    level.
     """
     if full_cap < 0:
         raise ValueError(f"full_cap must be nonnegative, got {full_cap}")
     if any(j < 0 for j in indices):
         raise ValueError("basis index must be nonnegative")
     tables = PowerTables(rectangle.grid_points())
-    radii = [1.0, float(np.abs(tables.points).max())]
-    a = {d: conn.coefficient(0, d) for d in _DIRECTIONS}
-    steps = _Steps(a, radii)
+    steps = _Steps({d: conn.coefficient(0, d) for d in _DIRECTIONS}, [1.0, float(np.abs(tables.points).max())])
     last = min(full_cap, m_max)
     base = max(last - _DEPTH, 0)
-    sweeps = {j: [] for j in indices}
-    winners: dict[int, _Graded] = {}
-    level: dict = {_Graded(f): ()}
+    runs = []
     # a squared norm beyond the float range becomes inf, which _section_sup reports
     with np.errstate(over="ignore"):
-        for m in range(m_max + 1):
-            if m > last:
-                # past the cap the shared levels are dropped and each index steps and weighs its own winner
-                level.clear()
-                tree, readers = None, {}
-                for j in indices:
-                    own = _children({winners[j]: sweeps[j][-1].dirs}, a)
-                    readers[j] = _reader(_Tree(own, m, 0, a, radii, steps), 0, tables)
-            elif m > base:
-                readers = dict.fromkeys(indices, _reader(tree, m - base, tables))
-            else:
-                # the previous level's tree goes before its children are made
-                tree = None
-                level = _children(level, a) if m else level
-                tree = _Tree(level, m, last - base if m == base else 0, a, radii, steps)
-                readers = dict.fromkeys(indices, _reader(tree, 0, tables))
-            for j, read in readers.items():
-                top, winners[j], dirs = read(j + 1)
-                # a greedy level 1 still holds both sequences
-                sweeps[j].append(LevelSup(m, top, dirs, exhaustive=m <= max(full_cap, 1)))
-            readers.clear()
-    return sweeps
+        for f in functions:
+            sweeps = {j: [] for j in indices}
+            winners: dict[int, _Graded] = {}
+            level: dict = {_Graded(f): ()}
+            for m in range(m_max + 1):
+                if m > last:
+                    # past the cap the shared levels are dropped and each index steps and weighs its own winner
+                    level.clear()
+                    tree, readers = None, {}
+                    for j in indices:
+                        own = _children({winners[j]: sweeps[j][-1].dirs}, steps.a)
+                        readers[j] = _reader(_Tree(own, m, 0, steps), 0, tables)
+                elif m > base:
+                    readers = dict.fromkeys(indices, _reader(tree, m - base, tables))
+                else:
+                    # the previous level's tree goes before its children are made
+                    tree = None
+                    level = _children(level, steps.a) if m else level
+                    tree = _Tree(level, m, last - base if m == base else 0, steps)
+                    readers = dict.fromkeys(indices, _reader(tree, 0, tables))
+                for j, read in readers.items():
+                    top, winners[j], dirs = read(j + 1)
+                    # a greedy level 1 still holds both sequences
+                    sweeps[j].append(LevelSup(m, top, dirs, exhaustive=m <= max(full_cap, 1)))
+                readers.clear()
+            runs.append(sweeps)
+    return runs
 
 
 def scaled_level_bound(certificate: AnalyticityCertificate, m: int) -> Fraction:

@@ -353,10 +353,8 @@ def cmd_analyticity(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     lines = []
     summary = []
     all_pass = True
-    # one sweep per f serves every index, greedy levels included
-    sweeps = [
-        covariant_level_sups(conn, cfg.indices, f, cfg.rectangle, cfg.m_greedy, cfg.m_decay) for f in cfg.functions
-    ]
+    # one sweep per run serves every function and index, greedy levels included
+    sweeps = covariant_level_sups(conn, cfg.indices, cfg.functions, cfg.rectangle, cfg.m_greedy, cfg.m_decay)
     for j in cfg.indices:
         for f_index, f in enumerate(cfg.functions):
             certificate = estimate_certificate(f, conn, j, cfg.rectangle)
@@ -397,22 +395,21 @@ def cmd_analyticity(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     return files, lines, all_pass
 
 
-# the suites each command runs, in report order
+# each suite, in report order, and the cap that drives it, which --m-max retargets
+_CAPS = {
+    cmd_verify_identity: "m_identity",
+    cmd_splittings: "m_splittings",
+    cmd_curvature: "curvature_j_max",
+    cmd_analyticity: "m_decay",
+}
+
+# the suites each command runs
 _SUITES = {
     "verify-identity": (cmd_verify_identity,),
     "splittings": (cmd_splittings,),
     "curvature": (cmd_curvature,),
     "analyticity": (cmd_analyticity,),
-    "all": (cmd_verify_identity, cmd_splittings, cmd_curvature, cmd_analyticity),
-}
-
-# --m-max retargets the cap that drives the invoked suite
-_M_MAX_TARGETS = {
-    "verify-identity": ("m_identity",),
-    "splittings": ("m_splittings",),
-    "curvature": ("curvature_j_max",),
-    "analyticity": ("m_decay",),
-    "all": ("m_identity", "m_splittings", "curvature_j_max", "m_decay"),
+    "all": tuple(_CAPS),
 }
 
 
@@ -451,14 +448,14 @@ def _configure(args: argparse.Namespace) -> RunConfig:
     if args.m_max is not None:
         if args.m_max < 0:
             raise ConfigError("--m-max must be nonnegative")
-        updates = {name: args.m_max for name in _M_MAX_TARGETS[args.command]}
+        updates = {_CAPS[suite]: args.m_max for suite in _SUITES[args.command]}
         if "m_decay" in updates:
             updates["m_greedy"] = args.m_max + 2
         cfg = replace(cfg, **updates)
     if args.corrupt_expansion:
         cfg = replace(cfg, corrupt_expansion=True)
     problems = cfg.validate()
-    if args.command in ("curvature", "all") and cfg.connection.potential is None:
+    if cmd_curvature in _SUITES[args.command] and cfg.connection.potential is None:
         problems.append("curvature report needs a connection given by a potential g")
     if problems:
         raise ConfigError("; ".join(problems))

@@ -160,7 +160,7 @@ def test_criterion_6_analyticity_decay():
     conn = Connection(k=SBAR)
     rect = CompactRectangle(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1), 64)
     ok = True
-    sweeps = covariant_level_sups(conn, (0, 4), ONE, rect, 12, full_cap=10)
+    [sweeps] = covariant_level_sups(conn, (0, 4), [ONE], rect, 12, full_cap=10)
     for j in (0, 4):
         cert = estimate_certificate(ONE, conn, j, rect)
         ok = ok and audit_certificate(cert)

@@ -223,7 +223,8 @@ class TestCertificates:
 
 def decay_rows(conn, j, f, cert, m_max, full_cap=10):
     """``decay_row`` of every level of the covariant sweep, m = 0..m_max."""
-    levels = covariant_level_sups(conn, [j], f, cert.rectangle, m_max, full_cap)[j]
+    [sweeps] = covariant_level_sups(conn, [j], [f], cert.rectangle, m_max, full_cap)
+    levels = sweeps[j]
     return [decay_row(cert, level.m, level.sup) for level in levels]
 
 
@@ -258,7 +259,7 @@ class TestDecayProfile:
         assert decay_row(cert, 2, 200.0) == (1.5625, 1.5, False)
 
     def test_level_sups_metadata(self):
-        levels = covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), 6, full_cap=4)[0]
+        levels = covariant_level_sups(CONN, [0], [ONE], SQUARE.with_grid_n(9), 6, full_cap=4)[0][0]
         assert [level.m for level in levels] == list(range(7))
         assert all(level.exhaustive for level in levels[:5])
         assert not levels[5].exhaustive and not levels[6].exhaustive
@@ -295,7 +296,7 @@ class TestLevelSupOracle:
         ties = 0
         cases = [(CONN, ONE, (0, 2)), (CONN, S, (2, 5)), (complex_k, ONE, (1, 3)), (complex_k, S * SBAR, (0, 1))]
         for conn, f, indices in cases:
-            sweeps = covariant_level_sups(conn, indices, f, rect, 6, full_cap=4)
+            [sweeps] = covariant_level_sups(conn, indices, [f], rect, 6, full_cap=4)
             assert list(sweeps) == list(indices)
             for j, levels in sweeps.items():
                 assert [level.m for level in levels] == list(range(7))
@@ -389,7 +390,7 @@ class TestLevelSupOracle:
             evaluated.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(hilbertfield.analyticity, "_section_sup", recorded)
-                sweeps = covariant_level_sups(conn, indices, f, rect, m_max, full_cap=full_cap)
+                [sweeps] = covariant_level_sups(conn, indices, [f], rect, m_max, full_cap=full_cap)
             assert list(sweeps) == list(indices)
             if f == tie_two_down:
                 # (Dbar, Dbar) f = sbar^2 - 2, with the larger bound, is evaluated before (D, D) f = 2
@@ -461,7 +462,7 @@ class TestLevelSupOracle:
         for m_max in (10, 12):
             greedy = m_max - 10
             calls.clear()
-            sweeps = covariant_level_sups(CONN, (0, 1, 4), ONE, SQUARE.with_grid_n(9), m_max, full_cap=10)
+            [sweeps] = covariant_level_sups(CONN, (0, 1, 4), [ONE], SQUARE.with_grid_n(9), m_max, full_cap=10)
             assert calls["_section_bound"] == sum(distinct) + 2 + 24 + 2 * 3 * greedy == 224 + 6 * greedy
             assert calls["graded"] == 2 * sum(distinct[:-1]) + 24 + 2 * 3 * greedy == 240 + 6 * greedy
             assert calls["derivative"] == 0
@@ -470,7 +471,7 @@ class TestLevelSupOracle:
             assert [level.exhaustive for level in sweeps[0]] == [m <= 10 for m in range(m_max + 1)]
             calls.clear()
             # no level of an index depends on the indices sharing its sweep
-            assert covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), m_max, full_cap=10) == {0: sweeps[0]}
+            assert covariant_level_sups(CONN, [0], [ONE], SQUARE.with_grid_n(9), m_max, full_cap=10) == [{0: sweeps[0]}]
             assert calls["_section_sup"] == 29 + greedy
             assert calls["_section_bound"] == 224 + 2 * greedy
         # a complex multi-term k merges nothing and its reads from level 3's moments are loose: the
@@ -478,21 +479,65 @@ class TestLevelSupOracle:
         # grid evaluations to the 353 that fully built levels need
         complex_k = Connection(k=WirtingerPolynomial.from_json_terms([[0, 0, "1", "1"], [1, 2, "1/2", "-1/3"]]))
         calls.clear()
-        covariant_level_sups(complex_k, (0, 2, 7), ONE, SQUARE.with_grid_n(9), 6, full_cap=6)
+        covariant_level_sups(complex_k, (0, 2, 7), [ONE], SQUARE.with_grid_n(9), 6, full_cap=6)
         assert calls["graded"] == 2 * (2**6 - 1)
         assert calls["_section_sup"] == 353
+
+    @pytest.mark.parametrize("full_cap", [4, 10])
+    @pytest.mark.parametrize("model", ["default", "complex-k"])
+    def test_one_call_over_the_functions_is_each_function_on_its_own(self, model, full_cap):
+        # the functions share the grid, the multipliers and the steps' moment maps, which grow with the
+        # sweep: no level of a function may depend on the functions swept before it, also where one
+        # repeats or is zero.  Complex k builds thousands of nodes below level 7 on the unit square
+        # (about 4 s for three functions), so at the cap 10 it sweeps the small square, still to level 12
+        conn, rect = CONN, SQUARE.with_grid_n(9)
+        if model == "complex-k":
+            conn = Connection(k=WirtingerPolynomial.from_json_terms([[0, 0, "1", "1"], [1, 2, "1/2", "-1/3"]]))
+            rect = TINY if full_cap == 10 else rect
+        alone = {
+            f: covariant_level_sups(conn, (0, 2), [f], rect, full_cap + 2, full_cap) for f in (ONE, S, S * SBAR, ZERO)
+        }
+        for functions in ((ONE, S, S * SBAR), (S, ZERO, S, ONE)):
+            runs = covariant_level_sups(conn, (0, 2), functions, rect, full_cap + 2, full_cap)
+            assert runs == [alone[f][0] for f in functions]
+        assert not runs[1][0][-1].exhaustive and runs[0][2][-1].sup > 0
+
+    def test_one_grid_and_one_set_of_steps_serve_every_function(self, monkeypatch):
+        # the model, functions, indices, grid and caps of the default run: the work of one call over the
+        # three functions is that of three one-function calls less two _Steps and PowerTables builds
+        built, calls = {}, Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                result = function(*args)
+                built[name] = result
+                return result
+
+            return wrapper
+
+        for name in ("_Steps", "PowerTables", "_section_bound", "_section_sup"):
+            monkeypatch.setattr(hilbertfield.analyticity, name, counted(name, getattr(hilbertfield.analyticity, name)))
+        monkeypatch.setattr(_Graded, "twisted_derivative", counted("graded", _Graded.twisted_derivative))
+        conn = Connection.from_potential(S * SBAR)
+        covariant_level_sups(conn, (0, 1, 4), (ONE, S, S * SBAR), SQUARE, 12, full_cap=10)
+        assert calls["_Steps"] == calls["PowerTables"] == 1
+        assert len(built["_Steps"].operators) == 22
+        assert calls["_section_bound"] == 890
+        assert calls["_section_sup"] == 270
+        assert calls["graded"] == 942
 
     @pytest.mark.parametrize("m_max", [3, 5])
     def test_negative_index_is_rejected(self, m_max):
         # with full_cap = 3, m_max = 3 has only exhaustive levels and m_max = 5 greedy ones too
         with pytest.raises(ValueError, match="basis index must be nonnegative"):
-            covariant_level_sups(CONN, [-1], ONE, SQUARE.with_grid_n(9), m_max, full_cap=3)
+            covariant_level_sups(CONN, [-1], [ONE], SQUARE.with_grid_n(9), m_max, full_cap=3)
         with pytest.raises(ValueError, match="basis index must be nonnegative"):
-            covariant_level_sups(CONN, [0, -1], ONE, SQUARE.with_grid_n(9), m_max, full_cap=3)
+            covariant_level_sups(CONN, [0, -1], [ONE], SQUARE.with_grid_n(9), m_max, full_cap=3)
 
     def test_negative_full_cap_is_rejected(self):
         with pytest.raises(ValueError, match="full_cap"):
-            covariant_level_sups(CONN, [0], ONE, SQUARE.with_grid_n(9), 3, full_cap=-1)
+            covariant_level_sups(CONN, [0], [ONE], SQUARE.with_grid_n(9), 3, full_cap=-1)
 
     # m_max = 3 past full_cap = 1 meets the overflow in a greedy level, full_cap = 3 in an exhaustive one
     @pytest.mark.parametrize("full_cap", [1, 3])
@@ -503,15 +548,18 @@ class TestLevelSupOracle:
         rect = SQUARE.with_grid_n(9)
         for f in (ONE, S):
             with pytest.raises(OverflowError, match="^the squared fiber norm of a section on the grid does not fit"):
-                covariant_level_sups(conn, indices, f, rect, 3, full_cap=full_cap)
-            levels = covariant_level_sups(conn, [0], f, rect, 3, full_cap=full_cap)[0]
+                covariant_level_sups(conn, indices, [f], rect, 3, full_cap=full_cap)
+            levels = covariant_level_sups(conn, [0], [f], rect, 3, full_cap=full_cap)[0][0]
             assert [level.m for level in levels] == [0, 1, 2, 3]
             assert all(math.isfinite(level.sup) for level in levels)
+        # and so does one call over both functions
+        with pytest.raises(OverflowError, match="^the squared fiber norm of a section on the grid does not fit"):
+            covariant_level_sups(conn, indices, [ONE, S], rect, 3, full_cap=full_cap)
 
     def test_worst_sequences_up_to_order_ten(self):
         rect = SQUARE.with_grid_n(9)
         cert = estimate_certificate(ONE, CONN, 0, rect)
-        levels = covariant_level_sups(CONN, [0], ONE, rect, 10)[0]
+        levels = covariant_level_sups(CONN, [0], [ONE], rect, 10, full_cap=10)[0][0]
         for level in levels:
             assert decay_row(cert, level.m, level.sup)[2]
             # the section rebuilt from its directions gives the reported sup on the grid
@@ -719,7 +767,7 @@ class TestParentRead:
         with np.errstate(over="ignore"):
             for m in range(depth + 1):
                 level = _children(level, a) if m else level
-                tree, nodes = _Tree(level, m, 3, a, radii, steps), list(level)
+                tree, nodes = _Tree(level, m, 3, steps), list(level)
                 for t in (1, 2, 3):
                     # row (i, path) is node i stepped along path, its first step in the highest bit; a node
                     # lies below up to three levels, so its children and grid values are kept
@@ -761,7 +809,7 @@ class TestParentRead:
         conn = Connection(k=WirtingerPolynomial({(0, 1): GaussianRational(Fraction(1, 2**200))}))
         radii = grid_radii(SQUARE.with_grid_n(9).grid_points())
         a = {d: conn.coefficient(0, d) for d in (D, DBAR)}
-        tree = _Tree({_Graded(f): ()}, 0, 3, a, radii, _Steps(a, radii))
+        tree = _Tree({_Graded(f): ()}, 0, 3, _Steps(a, radii))
         assert all(read < math.inf for t in (0, 1) for read in row_reads(tree.rows(t)[0], 2))
         assert row_reads(tree.rows(2)[0], 2) == [math.inf] * 4
         assert row_reads(tree.rows(3)[0], 2) == [math.inf] * 8
@@ -775,7 +823,7 @@ class TestParentRead:
             steps, level = _Steps(a, radii), {_Graded(S * SBAR): ()}
             for m in range(1, 6):
                 level = _children(level, a)
-            tree = _Tree(level, 5, 3, a, radii, steps)
+            tree = _Tree(level, 5, 3, steps)
             own = [_section_bound(graded, radii, steps.step, 3, 6)[0] for graded in level]
             assert tree.moments.shape == (len(level), len(_MOMENTS), 6)
             assert tree.moments.tolist() == own
