@@ -16,7 +16,8 @@ Certificates are proved, not sampled: |d^a dbar^b h| is bounded on the
 whole rectangle from the coefficients alone (each term c s^p sbar^q is at
 most |c| R^(p+q), R the largest |s| there), in exact rational arithmetic
 with square roots rounded up.  The estimate and the audit both use that
-bound, so ``audit_certificate`` is an exact decision.
+bound, so ``audit_certificate`` is an exact decision; a run shares one
+table of these bounds (``bounds=``), so the audit reads the estimate's.
 
 From a certificate the derived rate delta = epsilon / (2 (1 + M epsilon))
 forces the scaled fiber norms of iterated covariant derivatives of f*phi_j
@@ -206,16 +207,28 @@ def _radius_bound(h: WirtingerPolynomial, a: int, b: int, radius: Fraction) -> F
 
 
 def _scaled_bounds(
-    h_polys: Sequence[WirtingerPolynomial], epsilon: Fraction, m_max: int, rectangle: CompactRectangle
+    h_polys: Sequence[WirtingerPolynomial],
+    epsilon: Fraction,
+    m_max: int,
+    rectangle: CompactRectangle,
+    bounds: dict | None,
 ) -> list[Fraction]:
-    """(epsilon^m / m!) * derivative_bound for every h, every m <= m_max and a + b = m."""
-    radius = _radius(rectangle)
-    return [
-        epsilon**m / math.factorial(m) * _radius_bound(h, a, m - a, radius)
-        for h in h_polys
-        for m in range(m_max + 1)
-        for a in range(m + 1)
-    ]
+    """(epsilon^m / m!) * derivative_bound for every h, every m <= m_max and a + b = m.
+
+    Each is computed once into ``bounds`` (a fresh dict if None), keyed on (h, a, b, epsilon, R),
+    and read from it after.
+    """
+    radius, bounds = _radius(rectangle), {} if bounds is None else bounds
+    out = []
+    for h in h_polys:
+        for m in range(m_max + 1):
+            for a in range(m + 1):
+                key = (h, a, m - a, epsilon, radius)
+                bound = bounds.get(key)
+                if bound is None:
+                    bound = bounds[key] = epsilon**m / math.factorial(m) * _radius_bound(h, a, m - a, radius)
+                out.append(bound)
+    return out
 
 
 def estimate_certificate(
@@ -223,6 +236,8 @@ def estimate_certificate(
     conn: Connection,
     j: int,
     rectangle: CompactRectangle,
+    *,
+    bounds: dict | None = None,
 ) -> AnalyticityCertificate:
     """Candidate certificate for (f, conn, j) on the rectangle, not yet audited.
 
@@ -230,7 +245,10 @@ def estimate_certificate(
     the vanishing tail makes the all-orders supremum finite.  Epsilon is
     fixed at 1/2; M is twice the largest scaled derivative bound, floored
     at 9/8 to stay above 1.  The caller decides the certificate with
-    ``audit_certificate``.
+    ``audit_certificate``.  ``bounds``, a dict shared by the calls of one
+    run, keeps every exact bound computed for the later calls: the
+    functions of a run share each index's multipliers, and the audit reads
+    the estimate's bounds.  A fresh one is used when omitted.
     """
     h_polys = (
         f,
@@ -239,20 +257,22 @@ def estimate_certificate(
     )
     m_max = 1 + max(h.total_degree() for h in h_polys)
     epsilon = Fraction(1, 2)
-    M = max(_HEADROOM * max(_scaled_bounds(h_polys, epsilon, m_max, rectangle)), Fraction(9, 8))
+    M = max(_HEADROOM * max(_scaled_bounds(h_polys, epsilon, m_max, rectangle, bounds)), Fraction(9, 8))
     return AnalyticityCertificate(epsilon, M, delta_from(epsilon, M), m_max, rectangle, h_polys)
 
 
-def audit_certificate(certificate: AnalyticityCertificate) -> bool:
+def audit_certificate(certificate: AnalyticityCertificate, *, bounds: dict | None = None) -> bool:
     """Exact decision of the certificate inequality on the whole rectangle.
 
     Every scaled derivative bound, over every certified function, order
-    m <= m_max and split a + b = m, must lie strictly below M.
+    m <= m_max and split a + b = m, must lie strictly below M.  ``bounds``
+    is as for :func:`estimate_certificate`: it holds exact bounds, so the
+    decision stays exact.
     """
     return all(
         bound < certificate.M
         for bound in _scaled_bounds(
-            certificate.h_polys, certificate.epsilon, certificate.m_max, certificate.rectangle
+            certificate.h_polys, certificate.epsilon, certificate.m_max, certificate.rectangle, bounds
         )
     )
 
@@ -702,29 +722,44 @@ def scaled_level_bound(certificate: AnalyticityCertificate, m: int) -> Fraction:
     return Fraction(M.numerator * rising, M.denominator * 2**m * math.factorial(m) * (a + b) ** m)
 
 
+def _level_bound(certificate: AnalyticityCertificate, m: int, bounds: dict | None) -> Fraction:
+    """``scaled_level_bound``, computed once into ``bounds`` (a fresh dict if None), keyed on (M, epsilon, m)."""
+    bounds = {} if bounds is None else bounds
+    key = (certificate.M, certificate.epsilon, m)
+    bound = bounds.get(key)
+    if bound is None:
+        bound = bounds[key] = scaled_level_bound(certificate, m)
+    return bound
+
+
 def _decay_bound(certificate: AnalyticityCertificate, m: int) -> Fraction:
     """(m+1) M (1/2)^m, the bound a decay row holds U_m to."""
     return (m + 1) * certificate.M * Fraction(1, 2) ** m
 
 
-def decay_row(certificate: AnalyticityCertificate, m: int, sup: float) -> tuple[float, float, bool]:
+def decay_row(
+    certificate: AnalyticityCertificate, m: int, sup: float, *, bounds: dict | None = None
+) -> tuple[float, float, bool]:
     """Decay check of one level: (delta^m / m!) * sup against (m+1) M (1/2)^m.
 
     Returns the scaled supremum, the bound and the verdict, decided exactly:
     the scaled grid value (a lower bound of the level) must not exceed the
-    proved U_m, and U_m must not exceed the bound.
+    proved U_m, and U_m must not exceed the bound.  ``bounds`` is as for
+    :func:`estimate_certificate`, and keeps each U_m for the later rows.
     """
     scaled = float(certificate.delta**m / math.factorial(m)) * sup
     bound = _decay_bound(certificate, m)
-    return scaled, float(bound), Fraction(scaled) <= scaled_level_bound(certificate, m) <= bound
+    return scaled, float(bound), Fraction(scaled) <= _level_bound(certificate, m, bounds) <= bound
 
 
-def decay_witness(certificate: AnalyticityCertificate, m: int, scaled: float) -> dict:
+def decay_witness(
+    certificate: AnalyticityCertificate, m: int, scaled: float, *, bounds: dict | None = None
+) -> dict:
     """What decided a failed decay row: its level, scaled value, U_m and bound as exact strings."""
     return {
         "m": m,
         "delta_scaled": scaled,
-        "U_m": str(scaled_level_bound(certificate, m)),
+        "U_m": str(_level_bound(certificate, m, bounds)),
         "decay_bound": str(_decay_bound(certificate, m)),
     }
 

@@ -191,10 +191,11 @@ def cmd_verify_identity(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     """Sweep the expansion identity and report every cell.
 
     One function at a time, so that only one function's states are held:
-    its cells share one :class:`IdentitySweep`, whose states serve every
-    index and whose direct sections serve one index at a time, and which
-    gives each failed cell's witness from the same states and sections as
-    its verdict.  Cells are reported level by level, then by direction
+    its cells share one :class:`IdentitySweep`, whose states and graded
+    sum of each direction sequence serve every index, read at lam = j+1,
+    and whose direct sections serve one index at a time, and which gives
+    each failed cell's witness from the same sums and sections as its
+    verdict.  Cells are reported level by level, then by direction
     sequence, index and function.
     """
     conn = cfg.connection
@@ -355,9 +356,12 @@ def cmd_analyticity(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     all_pass = True
     # one sweep per run serves every function and index, greedy levels included
     sweeps = covariant_level_sups(conn, cfg.indices, cfg.functions, cfg.rectangle, cfg.m_greedy, cfg.m_decay)
+    # one table of exact bounds per run: the functions share each index's multipliers, the audit
+    # reads the estimate's bounds and the decay rows share each (M, epsilon, m)
+    bounds: dict = {}
     for j in cfg.indices:
         for f_index, f in enumerate(cfg.functions):
-            certificate = estimate_certificate(f, conn, j, cfg.rectangle)
+            certificate = estimate_certificate(f, conn, j, cfg.rectangle, bounds=bounds)
             try:
                 M = float(certificate.M)
             except OverflowError:
@@ -365,11 +369,11 @@ def cmd_analyticity(cfg: RunConfig) -> tuple[dict, list[str], bool]:
             decay_rows = []
             witness = None
             for level in sweeps[f_index][j]:
-                scaled, bound, row_ok = decay_row(certificate, level.m, level.sup)
+                scaled, bound, row_ok = decay_row(certificate, level.m, level.sup, bounds=bounds)
                 if not row_ok and witness is None:
-                    witness = decay_witness(certificate, level.m, scaled)
+                    witness = decay_witness(certificate, level.m, scaled, bounds=bounds)
                 decay_rows.append((level.m, level.sup, scaled, bound, row_ok))
-            audited = audit_certificate(certificate)
+            audited = audit_certificate(certificate, bounds=bounds)
             cell_pass = audited and witness is None
             files[f"certificate_j{j}_f{f_index}.json"] = {**certificate.to_json(), "audited": audited}
             files[f"decay_j{j}_f{f_index}.csv"] = (("m", "sup_norm", "delta_scaled", "decay_bound", "pass"), decay_rows)

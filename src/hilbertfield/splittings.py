@@ -37,19 +37,21 @@ every state with a vanishing factor.  One table per f serves every basis
 index j: the multiplier along d at j is (j+1) times the one at j = 0, and
 the derivations are linear, so each of a term's b-1 multiplier factors
 scales by j+1.  Which terms vanish therefore does not depend on j, and a
-state's term at j is its j = 0 term times (j+1)^(b-1), with b the number
-of factors in the state (exactly one of them is f's).  ``_States``
+state's term at j is its j = 0 term times lam^(b-1), lam = j+1, with b the
+number of factors in the state (exactly one of them is f's).  ``_States``
 memoizes the states of each direction sequence, keyed on the sequence and
 advanced from its prefix's by one step, and the moves of each state, its
 children with their weights, keyed on (direction, state), since the same
-state recurs under many prefixes.  A step only adds counts, and each sum
-is one linear combination of its states' j = 0 terms, weighted by count
-times (j+1)^(b-1).  ``splitting_expansion``, ``check_splitting_recursion``
-and ``IdentitySweep`` (both sides of the identity for the cells of one f
-at every j, the direct side also taken from its prefix's) each read one
-such table.  Only f and the multipliers are differentiated: the expansion
-route never takes the direct route, which applies the multiplier of the
-real j at every step.
+state recurs under many prefixes.  A step only adds counts, and the states
+of a sequence are summed once, graded by lam: grade k is the sum of count
+times j = 0 term over the states with k multiplier factors, built in one
+pass over one denominator, and index j reads the graded sum at lam = j+1.
+``splitting_expansion``, ``check_splitting_recursion`` and
+``IdentitySweep`` (both sides of the identity for the cells of one f at
+every j, one graded sum per direction sequence shared by every j, the
+direct side taken from its prefix's) each read one such table.  Only f and
+the multipliers are differentiated: the expansion route never takes the
+direct route, which applies the multiplier of the real j at every step.
 ``all_splittings`` and ``splitting_term`` remain as small-m oracles.
 """
 
@@ -63,7 +65,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .field import Connection, FieldSection
-from .symbolic import Direction, WirtingerPolynomial, json_int
+from .symbolic import Direction, WirtingerPolynomial, _Graded, json_int
 
 __all__ = [
     "Splitting",
@@ -402,17 +404,22 @@ class _States(dict):
             for child, weight in twos:
                 type2[child] = type2.get(child, 0) + count * weight
 
-    def sum(self, states: dict, j: int) -> WirtingerPolynomial:
-        """The sum of each state's term at index j times its count.
+    def graded(self, states: dict) -> _Graded:
+        """The sum of each state's term times its count, graded by lam = j+1.
 
-        The table holds j = 0 terms; at j each of a state's factors but f's
-        is a multiplier factor scaled by j+1.
+        The table holds j = 0 terms, and at j each of a state's factors but
+        f's is a multiplier factor scaled by j+1: a state with b factors goes
+        to grade b-1, so the graded sum read at lam = j+1 is the sum at j.
         """
-        if j < 0:
-            raise ValueError("basis index must be nonnegative")
-        return WirtingerPolynomial.combination(
-            (count * (j + 1) ** (len(state) - 1), self.terms[state]) for state, count in states.items()
-        )
+        terms = self.terms
+        return _Graded.combination((count, len(state) - 1, terms[state]) for state, count in states.items())
+
+
+def _at(graded: _Graded, j: int) -> WirtingerPolynomial:
+    """A graded sum of states read at index j, lam = j+1."""
+    if j < 0:
+        raise ValueError("basis index must be nonnegative")
+    return graded.at(j + 1)
 
 
 def splitting_term(
@@ -443,14 +450,15 @@ def splitting_expansion(
 ) -> WirtingerPolynomial:
     """Closed-form scalar coefficient of the m-fold covariant derivative of f*phi_j.
 
-    Folds the signature states along ``dirs`` and sums each state's term
-    times its count.  Only zero terms are dropped: the result equals the
-    sum of ``splitting_term`` over ``all_splittings(m)``.
+    Folds the signature states along ``dirs``, sums each state's term
+    times its count graded by lam, and reads the sum at lam = j+1.  Only
+    zero terms are dropped: the result equals the sum of ``splitting_term``
+    over ``all_splittings(m)``.
     """
     if len(dirs) != m:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
     states = _States(_Terms(conn, f))
-    return states.sum(states[tuple(dirs)], j)
+    return _at(states.graded(states[tuple(dirs)]), j)
 
 
 class IdentitySweep:
@@ -459,17 +467,19 @@ class IdentitySweep:
     At each direction sequence looked up, the expansion route advances its
     prefix's signature states by one direction and the direct route takes
     one covariant derivative of its prefix's section.  The states do not
-    depend on j: one table serves every index, each state's j = 0 term
-    weighted by (j+1)^(b-1) for its b-1 multiplier factors.  The direct
-    sections do depend on j, and are kept for the last j looked up only:
-    sweeping one j after another computes each factor, each state's term,
-    each (state, direction) move once, and each covariant derivative once
+    depend on j: ``sums`` keeps each sequence's graded sum of its states
+    (``_States.graded``) beside them, made on the first lookup and read at
+    lam = j+1 by every index.  The direct sections do depend on j, and are
+    kept for the last j looked up only: sweeping one j after another
+    computes each factor, each state's term, each (state, direction) move
+    and each sequence's graded sum once, and each covariant derivative once
     per j.  The expansion route never reads the direct one.
     """
 
     def __init__(self, conn: Connection, f: WirtingerPolynomial):
         self.key = (conn, f)
         self.states = _States(_Terms(conn, f))
+        self.sums: dict[tuple[Direction, ...], _Graded] = {}
         # (j, its direct sections) in one attribute, so that threads sharing
         # the sweep never pair one index with another's sections
         self.direct: tuple[int, _Prefixes] | None = None
@@ -483,7 +493,10 @@ class IdentitySweep:
         if direct is None or direct[0] != j:
             conn, f = self.key
             self.direct = direct = (j, _Prefixes(FieldSection({j: f}), conn.covariant_derivative))
-        expanded = self.states.sum(self.states[dirs], j)
+        graded = self.sums.get(dirs)
+        if graded is None:
+            graded = self.sums[dirs] = self.states.graded(self.states[dirs])
+        expanded = _at(graded, j)
         return direct[1][dirs], FieldSection({j: -expanded if corrupt else expanded})
 
 
@@ -585,11 +598,11 @@ def check_splitting_recursion(
     level = states[tuple(dirs[:m])]
     type1, type2 = {}, {}
     states.step(level, dirs[m], type1, type2)
-    level_m = states.sum(level, j)
+    level_m = _at(states.graded(level), j)
     if corrupt:
         level_m = -level_m
-    type1_ok = states.sum(type1, j) == conn.coefficient(j, dirs[m]) * level_m
-    return type1_ok and states.sum(type2, j) == level_m.derivative(dirs[m])
+    type1_ok = _at(states.graded(type1), j) == conn.coefficient(j, dirs[m]) * level_m
+    return type1_ok and _at(states.graded(type2), j) == level_m.derivative(dirs[m])
 
 
 def direction_sequences(m: int) -> Iterable[tuple[Direction, ...]]:

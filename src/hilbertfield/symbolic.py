@@ -69,24 +69,46 @@ def json_fraction(value) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+# the writer of each JSON scalar, looked up by exact type (a bool is not written as an int)
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` without json's slow pure-Python encoder; keys must be strings."""
+    """``json.dumps(value, indent=2)`` without json's slow pure-Python encoder; keys must be strings.
+
+    A scalar member of a dict or list is written through ``_SCALARS`` in place
+    of a recursive call; a subclass of a scalar type is written as json writes it.
+    """
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
     if isinstance(value, str):
         return _quote(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    inner, comma = indent + "  ", "," + indent + "  "
+        return _float_text(value)
+    inner, comma, scalar = indent + "  ", "," + indent + "  ", _SCALARS.get
     if isinstance(value, dict):
-        items = [_quote(key) + ": " + json_text(item, inner) for key, item in value.items()]
+        items = [
+            _quote(key) + ": " + (write(item) if (write := scalar(type(item))) else json_text(item, inner))
+            for key, item in value.items()
+        ]
         return "{" + inner + comma.join(items) + indent + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        items = [json_text(item, inner) for item in value]
+        items = [write(item) if (write := scalar(type(item))) else json_text(item, inner) for item in value]
         return "[" + inner + comma.join(items) + indent + "]" if items else "[]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -564,6 +586,30 @@ class _Graded:
 
     __eq__ = WirtingerPolynomial.__eq__
     __hash__ = WirtingerPolynomial.__hash__
+
+    @staticmethod
+    def combination(triples: Iterable[tuple[int, int, WirtingerPolynomial]]) -> "_Graded":
+        """The sum of count * lam^k * poly over (count, k, poly) triples with integer counts.
+
+        As :meth:`WirtingerPolynomial.combination`: one pass over the least
+        common denominator, poly's s^p sbar^q going to (p, q, k), reduced to
+        canonical form once; the empty sum is 0.
+        """
+        triples = list(triples)
+        den = math.lcm(*[poly._den for _, _, poly in triples])
+        out: dict[tuple[int, int, int], tuple[int, int]] = {}
+        get = out.get
+        for count, k, poly in triples:
+            scale = count * (den // poly._den)
+            for (p, q), (re, im) in poly._num.items():
+                key = (p, q, k)
+                acc = get(key)
+                if acc is None:
+                    out[key] = (re * scale, im * scale)
+                else:
+                    out[key] = (acc[0] + re * scale, acc[1] + im * scale)
+        out = {key: pair for key, pair in out.items() if pair[0] or pair[1]}
+        return _canonical(den, out, _Graded)
 
     @property
     def denominator(self) -> int:

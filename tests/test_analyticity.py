@@ -30,6 +30,7 @@ from hilbertfield import (
     audit_certificate,
     covariant_level_sups,
     decay_row,
+    decay_witness,
     delta_from,
     derivative_bound,
     direction_sequences,
@@ -194,6 +195,29 @@ class TestCertificates:
     def test_halved_bound_fails_audit(self):
         cert = estimate_certificate(ONE, CONN, 0, SQUARE)
         assert not audit_certificate(cert.with_bound(cert.M / 2))
+
+    def test_shared_bounds_table_decides_as_a_fresh_one(self):
+        # one table across indices, functions and two rectangles of different radius: every certificate,
+        # audit and decay row is the one a fresh table gives, and the audit of a
+        # halved bound still fails on the shared table
+        bounds = {}
+        for rect in (SQUARE, CompactRectangle(0, 1, 0, Fraction(1, 2), 17)):
+            for j in (0, 4):
+                for f in (ONE, S, S * SBAR):
+                    cert = estimate_certificate(f, CONN, j, rect, bounds=bounds)
+                    assert cert == estimate_certificate(f, CONN, j, rect)
+                    assert audit_certificate(cert, bounds=bounds)
+                    assert not audit_certificate(cert.with_bound(cert.M / 2), bounds=bounds)
+                    for m, sup in enumerate((1.0, 2.0, 1e6, 0.5)):
+                        assert decay_row(cert, m, sup, bounds=bounds) == decay_row(cert, m, sup)
+                        assert decay_witness(cert, m, sup, bounds=bounds) == decay_witness(cert, m, sup)
+        # a bound read at another epsilon is another bound: (epsilon^2 / 2!) |d^2 (100 s^2)| is 25
+        # at epsilon 1/2 and 81 at 9/10, so M = 50 passes the first audit and fails the second
+        h_polys = (100 * S**2, ZERO, ZERO)
+        for epsilon, audited in ((Fraction(1, 2), True), (Fraction(9, 10), False)):
+            cert = AnalyticityCertificate(epsilon, Fraction(50), delta_from(epsilon, Fraction(50)), 3, TINY, h_polys)
+            assert audit_certificate(cert, bounds=bounds) is audited
+            assert decay_row(cert, 3, 1.0, bounds=bounds) == decay_row(cert, 3, 1.0)
 
     def test_invalid_constants_rejected(self):
         with pytest.raises(ValueError):

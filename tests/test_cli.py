@@ -1,10 +1,12 @@
 """Exit codes, report files and determinism of the command-line suites."""
 
 import csv
+import enum
 import json
 import math
 import re
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from hilbertfield import (
     Splitting,
     all_splittings,
     audit_certificate,
+    direction_sequences,
     ONE,
     S,
     SBAR,
@@ -123,6 +126,23 @@ class TestVerifyIdentity:
         assert len(sweeps) == 2
         assert len(calls) == (2 + 4 + 8) * 2 * 2
         assert len(steps) == (2 + 4 + 8) * 2
+
+    def test_one_graded_sum_per_function_and_direction_sequence(self, tmp_path, monkeypatch):
+        # the default model: three functions, three indices, m <= 6; the indices
+        # of a function share one graded sum of each direction sequence's states
+        sums = Counter()
+        graded = hilbertfield.splittings._States.graded
+
+        def counted(states, level):
+            dirs = next(dirs for dirs, kept in states.items() if kept is level)
+            sums[states.terms.bases[0], dirs] += 1
+            return graded(states, level)
+
+        monkeypatch.setattr(hilbertfield.splittings._States, "graded", counted)
+        assert main(["verify-identity", "--out", str(tmp_path / "out")]) == 0
+        sequences = [dirs for m in range(7) for dirs in direction_sequences(m)]
+        assert sums == Counter({(f, dirs): 1 for f in (ONE, S, S * SBAR) for dirs in sequences})
+        assert sum(sums.values()) == 381
 
     def test_each_direction_sequence_formatted_once(self, tmp_path, monkeypatch):
         labels = []
@@ -333,9 +353,9 @@ class TestAnalyticity:
     def test_each_certificate_audited_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counted(certificate, audit=hilbertfield.analyticity.audit_certificate):
+        def counted(certificate, audit=hilbertfield.analyticity.audit_certificate, **options):
             calls.append(certificate)
-            return audit(certificate)
+            return audit(certificate, **options)
 
         monkeypatch.setattr(hilbertfield.analyticity, "audit_certificate", counted)
         monkeypatch.setattr(hilbertfield.cli, "audit_certificate", counted)
@@ -344,7 +364,7 @@ class TestAnalyticity:
         assert len(calls) == 1
 
     def test_failed_audit_is_reported(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(hilbertfield.cli, "audit_certificate", lambda certificate: False)
+        monkeypatch.setattr(hilbertfield.cli, "audit_certificate", lambda certificate, **options: False)
         config = write_config(tmp_path / "cfg.json", indices=[0], functions=[ONE.to_json_terms()])
         out = tmp_path / "out"
         assert main(["analyticity", "--config", str(config), "--out", str(out)]) == 1
@@ -356,16 +376,18 @@ class TestAnalyticity:
         assert (out / "decay_j0_f0.csv").exists()
 
     def test_failed_decay_row_leaves_a_witness(self, tmp_path, monkeypatch):
-        # U_m is pushed past (m+1) M (1/2)^m at m = 2 of the cell j = 1, f = s only
-        original = hilbertfield.analyticity.scaled_level_bound
+        # U_m is pushed past (m+1) M (1/2)^m at m = 2 of the cell j = 1, f = s only; the
+        # cell j = 1, f = 1 has the same M, so the fault goes where a row reads the run's
+        # table of U_m, which scaled_level_bound fills once per (M, epsilon, m)
+        original = hilbertfield.analyticity._level_bound
         target = (S, 2 * SBAR)  # (f, multiplier along d/ds) of that cell, k = sbar
 
-        def patched(certificate, m):
+        def patched(certificate, m, bounds):
             if certificate.h_polys[:2] == target and m == 2:
                 return 3 * certificate.M
-            return original(certificate, m)
+            return original(certificate, m, bounds)
 
-        monkeypatch.setattr(hilbertfield.analyticity, "scaled_level_bound", patched)
+        monkeypatch.setattr(hilbertfield.analyticity, "_level_bound", patched)
         config = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
         assert main(["analyticity", "--config", str(config), "--out", str(out)]) == 1
@@ -384,6 +406,28 @@ class TestAnalyticity:
             "U_m": str(3 * M),
             "decay_bound": str(3 * M / 4),
         }
+
+    def test_each_exact_bound_once_per_run(self, tmp_path, monkeypatch):
+        # the default run: the three functions share each index's two multipliers, the
+        # audit reads the estimate's derivative bounds, and the 117 decay rows of the
+        # nine cells read U_m at 52 distinct (M, epsilon, m)
+        radius_bounds, level_bounds = Counter(), Counter()
+        radius_bound = hilbertfield.analyticity._radius_bound
+        level_bound = hilbertfield.analyticity.scaled_level_bound
+
+        def counted_radius(h, a, b, radius):
+            radius_bounds[h, a, b, radius] += 1
+            return radius_bound(h, a, b, radius)
+
+        def counted_level(certificate, m):
+            level_bounds[certificate.M, certificate.epsilon, m] += 1
+            return level_bound(certificate, m)
+
+        monkeypatch.setattr(hilbertfield.analyticity, "_radius_bound", counted_radius)
+        monkeypatch.setattr(hilbertfield.analyticity, "scaled_level_bound", counted_level)
+        assert main(["analyticity", "--out", str(tmp_path / "out")]) == 0
+        assert len(radius_bounds) == sum(radius_bounds.values()) == 82
+        assert len(level_bounds) == sum(level_bounds.values()) == 52
 
     def test_single_point_rectangle_warns_nothing(self, tmp_path, capsys):
         # on the point 0, r = 0 fails the range guard of every read below a built level: those
@@ -537,6 +581,27 @@ class TestJsonWriter:
             same = text == expected
             first = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), len(text))
             assert same, (path.name, first)
+
+
+class _Label(str):
+    pass
+
+
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+class _Ratio(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [_Label("s"), _Count.TWO, _Ratio(0.5), _Ratio(math.inf), [_Label("a"), _Count.TWO, _Ratio(-0.0)], {"k": _Ratio(math.nan)}],
+)
+def test_json_text_writes_scalar_subclasses_as_json_dumps(value):
+    # scalar members are written by exact type; a subclass takes the isinstance fallback
+    assert json_text(value) == json.dumps(value, indent=2)
 
 
 class TestRunConfig:

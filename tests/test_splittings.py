@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 from collections import Counter, defaultdict
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -37,6 +38,7 @@ from hilbertfield import (
 )
 from hilbertfield import splittings as splittings_mod
 from hilbertfield.cli import RunConfig
+from hilbertfield.symbolic import _Graded
 
 from conftest import brute_force_splittings, polynomials, stirling2
 
@@ -523,10 +525,12 @@ class TestPrunedWalk:
 
         monkeypatch.setattr(Connection, "iterated", refuse)
         monkeypatch.setattr(Connection, "covariant_derivative", refuse)
+        monkeypatch.setattr(WirtingerPolynomial, "twisted_derivative", refuse)
+        monkeypatch.setattr(_Graded, "twisted_derivative", refuse)
         dirs = (D, DBAR, D)
         # the expansion side alone: sides() would also take the direct route
         sweep = IdentitySweep(CONN2, S * SBAR)
-        expanded = sweep.states.sum(sweep.states[dirs], 1)
+        expanded = sweep.states.graded(sweep.states[dirs]).at(2)
         assert expanded == splitting_expansion(3, dirs, CONN2, 1, S * SBAR)
         assert expanded == unpruned_expansion(3, dirs, CONN2, 1, S * SBAR)
         assert check_splitting_recursion(2, dirs, CONN2, 1, S * SBAR)
@@ -751,6 +755,69 @@ class TestIndexWeights:
                     assert corrupt == expected.is_zero, (j, dirs)
                     failed += not corrupt
             assert failed == 2**6 - 1, j
+
+
+def grade(graded: _Graded, k: int) -> WirtingerPolynomial:
+    """The coefficient of lam^k of a graded sum, as a polynomial."""
+    den = graded.denominator
+    return WirtingerPolynomial(
+        {(p, q): GaussianRational(Fraction(re, den), Fraction(im, den)) for (p, q, g), (re, im) in graded.numerators.items() if g == k}
+    )
+
+
+class TestGradedSum:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 5),
+        st.one_of(st.just(ZERO), polynomials),
+        st.one_of(st.just(ZERO), polynomials),
+        st.data(),
+    )
+    def test_grades_against_splitting_terms(self, m, k, f, data):
+        # complex multi-term k and f, k = 0 (flat) and f = 0 included: grade b
+        # of the one graded sum is the j = 0 sum over the splittings with b
+        # markers, and the sum read at lam = j+1 is the expansion at j
+        conn = Connection(k=k)
+        dirs = tuple(data.draw(st.sampled_from([D, DBAR])) for _ in range(m))
+        sweep = IdentitySweep(conn, f)
+        graded = sweep.states.graded(sweep.states[dirs])
+        assert max((g for _, _, g in graded.numerators), default=0) <= m
+        for b in range(m + 1):
+            spls = enumerate_splittings(m, b + 1)
+            expected = sum((splitting_term(spl, dirs, conn, 0, f) for spl in spls), ZERO)
+            assert grade(graded, b) == expected, b
+        for j in (0, 1, 3, 7):
+            expanded = splitting_expansion(m, dirs, conn, j, f)
+            assert graded.at(j + 1) == expanded, j
+            direct, shared = sweep.sides(dirs, j)
+            assert shared == expanded * FieldSection.basis(j), j
+            assert direct == shared, j
+            # the negative control fails every cell whose sum is nonzero
+            corrupt = verify_expansion_identity(m, dirs, conn, j, f, corrupt=True, sweep=sweep)
+            assert corrupt == expanded.is_zero, j
+            assert (identity_witness(m, dirs, conn, j, f, corrupt=True, sweep=sweep) is None) == expanded.is_zero, j
+
+    def test_one_graded_sum_per_sequence_serves_every_index(self, monkeypatch):
+        # the indices in turn, and back: each sequence's states are summed once
+        graded, sums = splittings_mod._States.graded, []
+        monkeypatch.setattr(splittings_mod._States, "graded", lambda *args: sums.append(args[1]) or graded(*args))
+        conn, f = Connection(k=COMPLEX_K), S**2 * SBAR + GaussianRational("-2/3", 1) * S
+        sweep = IdentitySweep(conn, f)
+        sequences = [dirs for m in range(5) for dirs in direction_sequences(m)]
+        for j in (0, 1, 3, 7, 0):
+            for dirs in sequences:
+                assert verify_expansion_identity(len(dirs), dirs, conn, j, f, sweep=sweep), (j, dirs)
+        assert len(sums) == len(sequences) == len({id(states) for states in sums})
+        assert set(sweep.sums) == set(sequences)
+
+    def test_negative_index_is_refused(self):
+        sweep = IdentitySweep(CONN, S)
+        with pytest.raises(ValueError):
+            sweep.sides((D,), -1)
+        with pytest.raises(ValueError):
+            splitting_expansion(1, (D,), CONN, -1, S)
+        with pytest.raises(ValueError):
+            check_splitting_recursion(0, (D,), CONN, -1, S)
 
 
 class TestNegativeControl:

@@ -237,6 +237,26 @@ class TestGradedKernel:
             assert graded.denominator > 0 and all(re or im for re, im in graded._num.values())
             assert math.gcd(graded.denominator, *(x for pair in graded._num.values() for x in pair)) == 1
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 4), polynomials), max_size=6),
+        st.sampled_from([1, 2, 5, 100]),
+    )
+    def test_combination_reads_the_weighted_sum(self, triples, lam):
+        # sum of count * lam^k * poly, canonical, with cancelling grades dropped
+        graded = _Graded.combination(iter(triples))
+        expected = WirtingerPolynomial.combination((count * lam**k, poly) for count, k, poly in triples)
+        assert graded.at(lam) == expected
+        assert graded.denominator > 0 and all(re or im for re, im in graded._num.values())
+        assert math.gcd(graded.denominator, *(x for pair in graded._num.values() for x in pair)) == 1
+        # grade k holds the polynomials given grade k alone
+        den = graded.denominator
+        for k in range(5):
+            grade = {(p, q): GaussianRational(Fraction(re, den), Fraction(im, den)) for (p, q, g), (re, im) in graded._num.items() if g == k}
+            assert WirtingerPolynomial(grade) == WirtingerPolynomial.combination(
+                (count, poly) for count, g, poly in triples if g == k
+            )
+
     def test_equal_functions_of_lam_are_equal(self):
         # D and Dbar commute on a flat connection, and the graded steps with
         # constant multipliers agree along both orders
