@@ -597,7 +597,14 @@ class _Ratio(float):
 
 @pytest.mark.parametrize(
     "value",
-    [_Label("s"), _Count.TWO, _Ratio(0.5), _Ratio(math.inf), [_Label("a"), _Count.TWO, _Ratio(-0.0)], {"k": _Ratio(math.nan)}],
+    [
+        _Label("s"),
+        _Count.TWO,
+        _Ratio(0.5),
+        _Ratio(math.inf),
+        [_Label("a"), _Count.TWO, _Ratio(-0.0)],
+        {"k": _Ratio(math.nan)},
+    ],
 )
 def test_json_text_writes_scalar_subclasses_as_json_dumps(value):
     # scalar members are written by exact type; a subclass takes the isinstance fallback

@@ -761,7 +761,11 @@ def grade(graded: _Graded, k: int) -> WirtingerPolynomial:
     """The coefficient of lam^k of a graded sum, as a polynomial."""
     den = graded.denominator
     return WirtingerPolynomial(
-        {(p, q): GaussianRational(Fraction(re, den), Fraction(im, den)) for (p, q, g), (re, im) in graded.numerators.items() if g == k}
+        {
+            (p, q): GaussianRational(Fraction(re, den), Fraction(im, den))
+            for (p, q, g), (re, im) in graded.numerators.items()
+            if g == k
+        }
     )
 
 

@@ -252,7 +252,11 @@ class TestGradedKernel:
         # grade k holds the polynomials given grade k alone
         den = graded.denominator
         for k in range(5):
-            grade = {(p, q): GaussianRational(Fraction(re, den), Fraction(im, den)) for (p, q, g), (re, im) in graded._num.items() if g == k}
+            grade = {
+                (p, q): GaussianRational(Fraction(re, den), Fraction(im, den))
+                for (p, q, g), (re, im) in graded._num.items()
+                if g == k
+            }
             assert WirtingerPolynomial(grade) == WirtingerPolynomial.combination(
                 (count, poly) for count, g, poly in triples if g == k
             )
