@@ -412,7 +412,7 @@ class _States(dict):
         to grade b-1, so the graded sum read at lam = j+1 is the sum at j.
         """
         terms = self.terms
-        return _Graded.combination((count, len(state) - 1, terms[state]) for state, count in states.items())
+        return _Graded.combination([(count, len(state) - 1, terms[state]) for state, count in states.items()])
 
 
 def _at(graded: _Graded, j: int) -> WirtingerPolynomial:
