@@ -190,25 +190,24 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 def cmd_verify_identity(cfg: RunConfig) -> tuple[dict, list[str], bool]:
     """Sweep the expansion identity and report every cell.
 
-    One function at a time, so that only one function's states are held:
-    its cells share one :class:`IdentitySweep`, whose states and graded
-    sum of each direction sequence serve every index, read at lam = j+1,
-    and whose direct sections serve one index at a time, and which gives
-    each failed cell's witness from the same sums and sections as its
-    verdict.  Cells are reported level by level, then by direction
-    sequence, index and function.
+    One function at a time, so that only one function's sweep is held:
+    its cells share one :class:`IdentitySweep`, whose graded sum of each
+    direction sequence serves every index, read at lam = j+1, and whose
+    direct sections serve one index at a time.  Each cell is one
+    :func:`verify_expansion_identity` call, which checks the cell against
+    the sweep and returns :meth:`IdentitySweep.verdict`; a failed cell's
+    witness comes from the same sums and sections.  Cells are reported
+    level by level, then by direction sequence, index and function.
     """
-    conn = cfg.connection
+    conn, corrupt = cfg.connection, cfg.corrupt_expansion
     verdicts = {}
     for f_index, f in enumerate(cfg.functions):
         sweep = IdentitySweep(conn, f)
         for j_position, j in enumerate(cfg.indices):
             for m in range(cfg.m_identity + 1):
                 for dirs in direction_sequences(m):
-                    args = (m, dirs, conn, j, f)
-                    options = {"corrupt": cfg.corrupt_expansion, "sweep": sweep}
-                    ok = verify_expansion_identity(*args, **options)
-                    witness = None if ok else identity_witness(*args, **options)
+                    ok = verify_expansion_identity(m, dirs, conn, j, f, corrupt=corrupt, sweep=sweep)
+                    witness = None if ok else identity_witness(m, dirs, conn, j, f, corrupt=corrupt, sweep=sweep)
                     verdicts[dirs, j_position, f_index] = ok, witness
     names = [str(f) for f in cfg.functions]
     cells = []

@@ -39,19 +39,22 @@ the derivations are linear, so each of a term's b-1 multiplier factors
 scales by j+1.  Which terms vanish therefore does not depend on j, and a
 state's term at j is its j = 0 term times lam^(b-1), lam = j+1, with b the
 number of factors in the state (exactly one of them is f's).  ``_States``
-memoizes the states of each direction sequence, keyed on the sequence and
-advanced from its prefix's by one step, and the moves of each state, its
-children with their weights, keyed on (direction, state), since the same
-state recurs under many prefixes.  A step only adds counts, and the states
-of a sequence are summed once, graded by lam: grade k is the sum of count
-times j = 0 term over the states with k multiplier factors, built in one
-pass over one denominator, and index j reads the graded sum at lam = j+1.
-``splitting_expansion``, ``check_splitting_recursion`` and
-``IdentitySweep`` (both sides of the identity for the cells of one f at
-every j, one graded sum per direction sequence shared by every j, the
-direct side taken from its prefix's) each read one such table.  Only f and
-the multipliers are differentiated: the expansion route never takes the
-direct route, which applies the multiplier of the real j at every step.
+interns each distinct state once per table as a ``_State`` record that
+carries its grade and its j = 0 term, and memoizes the states of each
+direction sequence, keyed on the sequence, advanced from its prefix's by
+one step and dropped once both of its children are stepped, and the moves
+of each state, its children with their weights, keyed on (direction,
+state), since the same state recurs under many prefixes.  A step only adds
+counts, and the states of a sequence are summed once, graded by lam: grade
+k is the sum of count times j = 0 term over the states with k multiplier
+factors, built in one pass over one denominator, and index j reads the
+graded sum at lam = j+1.  ``splitting_expansion``,
+``check_splitting_recursion`` and ``IdentitySweep`` (both sides of the
+identity for the cells of one f at every j, one graded sum per direction
+sequence shared by every j, the direct side taken from its prefix's, and
+one verdict call per cell) each read one such table.  Only f and the
+multipliers are differentiated: the expansion route never takes the direct
+route, which applies the multiplier of the real j at every step.
 ``all_splittings`` and ``splitting_term`` remain as small-m oracles.
 """
 
@@ -368,36 +371,82 @@ def _moves(state: tuple, d: Direction, terms) -> tuple[tuple, tuple]:
     return type1, tuple(type2)
 
 
+class _State:
+    """One signature state of a term table: its sorted signatures, grade and j = 0 term.
+
+    ``_States`` makes one per distinct signature tuple, so a state is
+    hashed by identity: the per-sequence dicts and the move memo hash a
+    pointer, not a tuple of signature tuples.  ``grade`` is the number of
+    multiplier factors, b-1 for b factors.
+    """
+
+    __slots__ = ("signatures", "grade", "term")
+
+    def __init__(self, signatures: tuple[tuple[int, int, int], ...], term: WirtingerPolynomial):
+        self.signatures = signatures
+        self.grade = len(signatures) - 1
+        self.term = term
+
+
 class _States(dict):
     """The kept states of each direction sequence under one term table, computed on first lookup.
 
-    Keyed on the sequence, the value is {state: count}: the signature
-    states of its splittings whose term is nonzero, each with the number of
-    such splittings, one ``step`` from its prefix's.  ``moves`` memoizes
-    each state's moves, one dict per direction keyed on the state, so
-    ``_moves`` runs once per (state, direction).  Dropped children depend
-    on the table, so one table serves one f, at every j.
+    Keyed on the sequence, the value is {state: count}: the interned
+    ``_State`` of each signature state of its splittings whose term is
+    nonzero, with the number of such splittings, one ``step`` from its
+    prefix's.  ``records`` interns each signature tuple once, so ``moves``,
+    one memo per direction keyed on the state, runs ``_moves`` once per
+    (state, direction) and maps the state to its children's records.  A
+    sequence's states are dropped once both of its children have been
+    stepped, the root's excepted; a sequence asked for again is recomputed
+    from its prefix's.  Dropped children depend on the table, so one table
+    serves one f, at every j.
     """
 
     def __init__(self, terms):
-        # the root, the splitting of the empty set, has the one factor f
-        super().__init__({(): {} if terms[((0, 0, 0),)] is None else {((0, 0, 0),): 1}})
+        super().__init__()
         self.terms = terms
-        self.moves = {d: {} for d in Direction}
+        self.records: dict[tuple, _State] = {}
+        self.moves: dict[Direction, dict[_State, tuple]] = {d: {} for d in Direction}
+        # the one child stepped so far of each sequence that has one
+        self.stepped: dict[tuple[Direction, ...], Direction] = {}
+        # the root, the splitting of the empty set, has the one factor f
+        root = ((0, 0, 0),)
+        self[()] = {} if terms[root] is None else {self.record(root): 1}
+
+    def record(self, signatures: tuple[tuple[int, int, int], ...]) -> _State:
+        """The one record of a signature tuple, made on first request."""
+        found = self.records.get(signatures)
+        if found is None:
+            # setdefault: of two threads making the same record, both keep the first
+            found = self.records.setdefault(signatures, _State(signatures, self.terms[signatures]))
+        return found
 
     def __missing__(self, dirs: tuple[Direction, ...]) -> dict:
+        prefix, d = dirs[:-1], dirs[-1]
         children: dict = {}
-        self.step(self[dirs[:-1]], dirs[-1], children, children)
+        self.step(self[prefix], d, children, children)
         self[dirs] = children
+        if prefix and self.stepped.setdefault(prefix, d) is not d:
+            # both children of the prefix are stepped: nothing reads its states again.  Threads
+            # racing here can only drop a sequence early or keep it, and a dropped one is
+            # recomputed to the same states
+            self.stepped.pop(prefix, None)
+            self.pop(prefix, None)
         return children
 
     def step(self, states: dict, d: Direction, type1: dict, type2: dict) -> None:
         """Add to type1 and type2 the children one direction d further: parent count times move weight."""
-        memo, terms = self.moves[d], self.terms
+        memo = self.moves[d]
         for state, count in states.items():
             found = memo.get(state)
             if found is None:
-                found = memo[state] = _moves(state, d, terms)
+                ones, twos = _moves(state.signatures, d, self.terms)
+                record = self.record
+                found = memo[state] = (
+                    tuple((record(child), weight) for child, weight in ones),
+                    tuple((record(child), weight) for child, weight in twos),
+                )
             ones, twos = found
             for child, weight in ones:
                 type1[child] = type1.get(child, 0) + count * weight
@@ -408,11 +457,11 @@ class _States(dict):
         """The sum of each state's term times its count, graded by lam = j+1.
 
         The table holds j = 0 terms, and at j each of a state's factors but
-        f's is a multiplier factor scaled by j+1: a state with b factors goes
-        to grade b-1, so the graded sum read at lam = j+1 is the sum at j.
+        f's is a multiplier factor scaled by j+1: a state goes to its grade,
+        the number of its multiplier factors, so the graded sum read at
+        lam = j+1 is the sum at j.
         """
-        terms = self.terms
-        return _Graded.combination([(count, len(state) - 1, terms[state]) for state, count in states.items()])
+        return _Graded.combination([(count, state.grade, state.term) for state, count in states.items()])
 
 
 def _at(graded: _Graded, j: int) -> WirtingerPolynomial:
@@ -468,12 +517,15 @@ class IdentitySweep:
     prefix's signature states by one direction and the direct route takes
     one covariant derivative of its prefix's section.  The states do not
     depend on j: ``sums`` keeps each sequence's graded sum of its states
-    (``_States.graded``) beside them, made on the first lookup and read at
-    lam = j+1 by every index.  The direct sections do depend on j, and are
-    kept for the last j looked up only: sweeping one j after another
-    computes each factor, each state's term, each (state, direction) move
-    and each sequence's graded sum once, and each covariant derivative once
-    per j.  The expansion route never reads the direct one.
+    (``_States.graded``) for the life of the sweep, made on the first
+    lookup and read at lam = j+1 by every index, while ``states`` drops a
+    sequence's states once both its children are stepped.  The direct
+    sections do depend on j, and are kept for the last j looked up only:
+    sweeping one j after another computes each factor, each state's term,
+    each (state, direction) move and each sequence's graded sum once, and
+    each covariant derivative once per j.  ``verdict`` decides a cell and
+    ``sides`` gives both sides as sections, for a witness.  The expansion
+    route never reads the direct one.
     """
 
     def __init__(self, conn: Connection, f: WirtingerPolynomial):
@@ -484,11 +536,8 @@ class IdentitySweep:
         # the sweep never pair one index with another's sections
         self.direct: tuple[int, _Prefixes] | None = None
 
-    def sides(
-        self, dirs: Sequence[Direction], j: int, corrupt: bool = False
-    ) -> tuple[FieldSection, FieldSection]:
-        """(direct route, expansion route) at (dirs, j), the expansion negated when corrupt."""
-        dirs = tuple(dirs)
+    def _routes(self, dirs: tuple[Direction, ...], j: int) -> tuple[FieldSection, WirtingerPolynomial]:
+        """The direct route's section at (dirs, j) and the expansion route's coefficient of phi_j."""
         direct = self.direct
         if direct is None or direct[0] != j:
             conn, f = self.key
@@ -496,26 +545,42 @@ class IdentitySweep:
         graded = self.sums.get(dirs)
         if graded is None:
             graded = self.sums[dirs] = self.states.graded(self.states[dirs])
-        expanded = _at(graded, j)
-        return direct[1][dirs], FieldSection({j: -expanded if corrupt else expanded})
+        return direct[1][dirs], _at(graded, j)
+
+    def verdict(self, dirs: Sequence[Direction], j: int, corrupt: bool = False) -> bool:
+        """Whether the two sides agree at (dirs, j), the expansion negated when corrupt.
+
+        Compares the direct section's coefficients with the expansion's
+        coefficient of phi_j, without making a section of the expansion.
+        """
+        direct, expanded = self._routes(tuple(dirs), j)
+        if corrupt:
+            expanded = -expanded
+        return direct.coeffs == ({j: expanded} if expanded else {})
+
+    def sides(
+        self, dirs: Sequence[Direction], j: int, corrupt: bool = False
+    ) -> tuple[FieldSection, FieldSection]:
+        """(direct route, expansion route) at (dirs, j), the expansion negated when corrupt."""
+        direct, expanded = self._routes(tuple(dirs), j)
+        return direct, FieldSection({j: -expanded if corrupt else expanded})
 
 
-def _identity_sides(
+def _checked_sweep(
     m: int,
     dirs: Sequence[Direction],
     conn: Connection,
-    j: int,
     f: WirtingerPolynomial,
-    corrupt: bool,
     sweep: IdentitySweep | None,
-) -> tuple[FieldSection, FieldSection]:
+) -> IdentitySweep:
+    """The sweep that serves the cell, a fresh one when none is given, after checking the arguments."""
     if len(dirs) != m:
         raise ValueError(f"direction sequence has length {len(dirs)}, expected {m}")
     if sweep is None:
-        sweep = IdentitySweep(conn, f)
-    elif sweep.key != (conn, f):
+        return IdentitySweep(conn, f)
+    if sweep.key != (conn, f):
         raise ValueError("the sweep was built for another (connection, f)")
-    return sweep.sides(dirs, j, corrupt)
+    return sweep
 
 
 def verify_expansion_identity(
@@ -534,10 +599,10 @@ def verify_expansion_identity(
     before the comparison, so a working check must report a failure.
     ``sweep``, an :class:`IdentitySweep` of the same (conn, f), shares the
     expansion's work with every cell it has seen and the direct route's
-    with the cells of the same j seen since j last changed.
+    with the cells of the same j seen since j last changed.  The verdict is
+    :meth:`IdentitySweep.verdict`.
     """
-    direct, expanded = _identity_sides(m, dirs, conn, j, f, corrupt, sweep)
-    return direct == expanded
+    return _checked_sweep(m, dirs, conn, f, sweep).verdict(dirs, j, corrupt)
 
 
 def identity_witness(
@@ -557,7 +622,7 @@ def identity_witness(
     and then exponent pairs in increasing order.  ``sweep`` is as for
     :func:`verify_expansion_identity`.
     """
-    direct, expanded = _identity_sides(m, dirs, conn, j, f, corrupt, sweep)
+    direct, expanded = _checked_sweep(m, dirs, conn, f, sweep).sides(dirs, j, corrupt)
     for index in sorted(set(direct.support) | set(expanded.support)):
         left, right = direct.coefficient(index), expanded.coefficient(index)
         for p, q in sorted(set(left.numerators) | set(right.numerators)):

@@ -414,8 +414,13 @@ def signatures(spl, dirs) -> tuple:
     return tuple(sorted(signature(dirs, base, block) for base, block in zip(spl.markers + (0,), spl.blocks)))
 
 
+def by_signatures(states: dict) -> dict:
+    """A sequence's kept states as {signature tuple: count}, read through each state's record."""
+    return {state.signatures: count for state, count in states.items()}
+
+
 def kept_states(dirs, conn, f) -> dict:
-    return splittings_mod._States(splittings_mod._Terms(conn, f))[dirs]
+    return by_signatures(splittings_mod._States(splittings_mod._Terms(conn, f))[dirs])
 
 
 class TestPrunedWalk:
@@ -478,7 +483,7 @@ class TestPrunedWalk:
         for m, sequences in samples.items():
             for dirs in sequences:
                 expected = Counter(signatures(spl, dirs) for spl in all_splittings(m))
-                assert splittings_mod._States(never_zero)[dirs] == expected, dirs
+                assert by_signatures(splittings_mod._States(never_zero)[dirs]) == expected, dirs
 
     def test_memoized_states_against_unpruned_oracle(self):
         # one state table per f, so most sequences reuse moves memoized on
@@ -496,7 +501,58 @@ class TestPrunedWalk:
                         for spl in all_splittings(m)
                         if not splitting_term(spl, dirs, conn, j, f).is_zero
                     )
-                    assert states[dirs] == expected, dirs
+                    assert by_signatures(states[dirs]) == expected, dirs
+
+    def test_each_signature_state_interned_once_per_table(self):
+        # the default model to m = 6: every state of every sequence and every
+        # child of every move is the one record of its signature tuple, with
+        # its grade and its term from the table
+        conn, tables = Connection.from_potential(S * SBAR), []
+        for f in (ONE, S, S * SBAR):
+            states = splittings_mod._States(splittings_mod._Terms(conn, f))
+            seen = [state for m in range(7) for dirs in direction_sequences(m) for state in states[dirs]]
+            for memo in states.moves.values():
+                for state, (ones, twos) in memo.items():
+                    seen += [state] + [child for child, _ in ones + twos]
+            assert all(states.records[state.signatures] is state for state in seen)
+            assert len({id(state) for state in seen}) == len({state.signatures for state in seen})
+            assert len({state.signatures for state in seen}) == len(states.records)
+            for state in seen:
+                assert state.grade == len(state.signatures) - 1
+                assert state.term is states.terms[state.signatures] is not None
+            tables.append(states)
+        assert [len(states.records) for states in tables] == [80, 130, 210]
+        # a record serves one table: the functions share no state
+        ids = [{id(state) for state in states.records.values()} for states in tables]
+        assert not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
+
+    def test_states_dropped_once_both_children_are_stepped(self):
+        # the default model to m = 6, in the command's order and depth first:
+        # only the root and the sequences not yet stepped hold states, at most
+        # 1 + 2^6 state dicts where all 127 sequences were held
+        conn = Connection.from_potential(S * SBAR)
+
+        def depth_first(dirs):
+            yield dirs
+            if len(dirs) < 6:
+                for d in (D, DBAR):
+                    yield from depth_first(dirs + (d,))
+
+        for f in (ONE, S, S * SBAR):
+            in_order = [(j, dirs) for j in (0, 1, 4) for m in range(7) for dirs in direction_sequences(m)]
+            for cells in (in_order, [(0, dirs) for dirs in depth_first(())]):
+                sweep, peak = IdentitySweep(conn, f), 0
+                for j, dirs in cells:
+                    assert sweep.verdict(dirs, j)
+                    peak = max(peak, len(sweep.states))
+                assert peak == 65
+                assert set(sweep.states) == {()} | set(direction_sequences(6))
+                assert len(sweep.sums) == 127 and not sweep.states.stepped
+            # a dropped sequence asked for again is recomputed from its prefix
+            fresh = splittings_mod._States(splittings_mod._Terms(conn, f))
+            for dirs in ((D,), (DBAR, D, D), (D, DBAR, D, DBAR, D)):
+                assert dirs not in sweep.states
+                assert by_signatures(sweep.states[dirs]) == by_signatures(fresh[dirs]), dirs
 
     def test_cuts_d_dbar_of_s_squared_plus_sbar_squared(self):
         # d dbar (s^2 + sbar^2) = 0, although both separate degrees are 2
@@ -717,6 +773,64 @@ class TestIdentitySweep:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.integers(0, 3),
+        st.one_of(st.just(ZERO), polynomials),
+        st.one_of(st.just(ZERO), polynomials),
+    )
+    def test_verdict_against_sides_and_standalone_check(self, m_max, j, k, f):
+        conn = Connection(k=k)
+        sweep = IdentitySweep(conn, f)
+        for m in range(m_max + 1):
+            for dirs in direction_sequences(m):
+                for corrupt in (False, True):
+                    direct, expanded = sweep.sides(dirs, j, corrupt)
+                    verdict = sweep.verdict(dirs, j, corrupt)
+                    assert verdict == (direct == expanded), (dirs, corrupt)
+                    assert verdict == verify_expansion_identity(m, dirs, conn, j, f, corrupt=corrupt), (dirs, corrupt)
+                # the negative control fails wherever the expansion is nonzero
+                assert sweep.verdict(dirs, j, corrupt=True) == expanded.is_zero, dirs
+
+    def test_threads_sharing_sweeps_decide_every_cell(self):
+        # as above with the verdict, on fresh sweeps so that the threads also
+        # race to step, drop and intern states: each thread's index replaces
+        # the direct sections, and the negated expansion must fail exactly the
+        # nonzero cells
+        sweeps = [IdentitySweep(CONN2, S * SBAR) for _ in range(30)]
+        sequences = [dirs for m in range(5) for dirs in direction_sequences(m)]
+        nonzero = {
+            (j, dirs): not splitting_expansion(len(dirs), dirs, CONN2, j, S * SBAR).is_zero
+            for j in range(4)
+            for dirs in sequences
+        }
+        mismatches = []
+
+        def run(j):
+            for sweep in sweeps:
+                for dirs in sequences:
+                    if not sweep.verdict(dirs, j) or sweep.verdict(dirs, j, True) == nonzero[j, dirs]:
+                        mismatches.append((j, dirs))
+
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        for sweep in sweeps:
+            states = sweep.states
+            kept = [state for level in states.values() for state in level]
+            moved = [child for memo in states.moves.values() for moves in memo.values() for child, _ in sum(moves, ())]
+            assert all(states.records[state.signatures] is state for state in kept + moved)
 
     def test_length_mismatch_is_refused(self):
         with pytest.raises(ValueError):
