@@ -281,14 +281,13 @@ def audit_certificate(certificate: AnalyticityCertificate, *, bounds: dict | Non
 class LevelSup:
     """Largest fiber norm of an m-fold covariant derivative over the sweep.
 
-    ``dirs`` attains the maximum; ``exhaustive`` records whether the level
-    enumerated all 2^m sequences or extended a single greedily chosen one.
+    ``dirs`` attains the maximum.  A level past ``full_cap`` of
+    :func:`covariant_level_sups` extends a single greedily chosen sequence.
     """
 
     m: int
     sup: float
     dirs: tuple[Direction, ...]
-    exhaustive: bool
 
 
 def _count(order: int) -> int:
@@ -577,31 +576,29 @@ def _reader(tree: _Tree, t: int, tables: PowerTables) -> _Read:
 
     Row r is the node (t, r).  An index visits the rows in descending order of their reads at lam,
     ties (infinite reads first) to the least row, up to the first read below the largest grid value
-    found, which no row left could reach.  A row read from a node above its own is read again, for
-    every index, from the next node on its path, built once, and visited again; a row read from its
-    own node's weights is evaluated.  Rows are not merged: equal nodes give bit-identical grid
+    found, which no row left could reach: one queue, sorted by (read, -row), hands out the next row
+    from its end.  A row read from a node above its own is read again, for every index, from the
+    next node on its path, built once, and put back in the queue at its new read; a row read from
+    its own node's weights is evaluated.  Rows are not merged: equal nodes give bit-identical grid
     values, and every row attaining the maximum is evaluated, so the least such row names the first
     sequence, as the merged level would.
     """
     rows, togo = tree.rows(t)
 
     def read(lam):
-        # the rows in visiting order, and the rows read again waiting in ``again``, ascending
-        reads, again, at = _bounds_at(rows, lam), [], 0
-        order = sorted(range(len(reads)), key=reads.__getitem__, reverse=True)
+        # the rows left, ascending by read and then descending by row: the next one is the last
+        reads = _bounds_at(rows, lam)
+        queue = sorted(reversed(range(len(reads))), key=reads.__getitem__)
         top, best = -math.inf, -1
-        while at < len(order) or again:
-            if at < len(order) and (not again or (reads[order[at]], -order[at]) > again[-1]):
-                r, at = order[at], at + 1
-            else:
-                r = -again.pop()[1]
+        while queue:
+            r = queue.pop()
             if reads[r] < top:
                 break
             if togo[r]:
                 togo[r] -= 1
                 rows[r] = tree.read(t - togo[r], r, t)
                 reads[r] = _bounds_at(rows[r : r + 1], lam)[0]
-                bisect.insort(again, (reads[r], -r))
+                bisect.insort(queue, r, key=lambda x: (reads[x], -x))
                 continue
             sup = _section_sup(tree.node(t, r)[0].at(lam), tables)
             # the least row attaining top has the first sequence attaining it
@@ -697,8 +694,7 @@ def covariant_level_sups(
                     readers = dict.fromkeys(indices, _reader(tree, 0, tables))
                 for j, read in readers.items():
                     top, winners[j], dirs = read(j + 1)
-                    # a greedy level 1 still holds both sequences
-                    sweeps[j].append(LevelSup(m, top, dirs, exhaustive=m <= max(full_cap, 1)))
+                    sweeps[j].append(LevelSup(m, top, dirs))
                 readers.clear()
             runs.append(sweeps)
     return runs

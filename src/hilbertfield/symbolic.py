@@ -12,8 +12,15 @@ positive integer denominator and, per exponent pair, the Gaussian-integer
 numerator of its coefficient; every ring operation runs on Python ints and
 reduces to canonical form once (no zero numerator stored, no factor common
 to the denominator and all numerators), so algebraic identities are decided
-by literal equality.  :class:`GaussianRational` is the public scalar type
-for single coefficients, points and values.  A value at a point is exact
+by literal equality.  A graded polynomial (``_Graded``, one coefficient
+for every basis index at once) keys its numerators (p, q, k) for lam^k; a
+plain sum of polynomials is the graded sum at grade 0 read at lam = 1, so
+one loop sums both.  The twisted derivative keeps a plain and a graded
+loop: each is the hot loop of its own suite, and merging them would let the
+direct route share code with the graded expansion kernel.
+
+:class:`GaussianRational` is the public scalar type for single
+coefficients, points and values.  A value at a point is exact
 (:meth:`WirtingerPolynomial.evaluate_exact`) or that exact value rounded
 once to a float (:meth:`WirtingerPolynomial.evaluate`); the only other
 float path is the vectorized grid evaluation in :mod:`hilbertfield.grid`.
@@ -321,8 +328,11 @@ class WirtingerPolynomial:
         return self._den
 
     @property
-    def numerators(self) -> Mapping[tuple[int, int], tuple[int, int]]:
-        """(p, q) -> (re, im): the coefficient of s^p sbar^q is (re + im*i) / denominator."""
+    def numerators(self) -> Mapping[tuple, tuple[int, int]]:
+        """(p, q) -> (re, im): the coefficient of s^p sbar^q is (re + im*i) / denominator.
+
+        A graded sum keys (p, q, k), the coefficient of s^p sbar^q lam^k.
+        """
         return MappingProxyType(self._num)
 
     @property
@@ -399,25 +409,14 @@ class WirtingerPolynomial:
 
     @classmethod
     def combination(cls, pairs: Iterable[tuple[int, "WirtingerPolynomial"]]) -> "WirtingerPolynomial":
-        """The sum of count * poly over (count, poly) pairs with integer counts.
+        """The sum of count * poly over (count, poly) pairs with integer counts; the empty sum is 0.
 
-        One pass over the least common denominator of the polynomials,
-        into one dict, reduced to canonical form once; the empty sum is 0.
+        The grade-0 sum of :meth:`_Graded.combination`, which is its value
+        at lam = 1: one loop sums counted polynomials, plain or graded.  Every
+        key is (p, q, 0), so dropping the grade keeps the canonical form.
         """
-        pairs = list(pairs)
-        den = math.lcm(*[poly._den for _, poly in pairs])
-        out: dict[tuple[int, int], tuple[int, int]] = {}
-        get = out.get
-        for count, poly in pairs:
-            scale = count * (den // poly._den)
-            for key, (re, im) in poly._num.items():
-                acc = get(key)
-                if acc is None:
-                    out[key] = (re * scale, im * scale)
-                else:
-                    out[key] = (acc[0] + re * scale, acc[1] + im * scale)
-        out = {key: pair for key, pair in out.items() if pair[0] or pair[1]}
-        return _canonical(den, out)
+        graded = _Graded.combination([(count, 0, poly) for count, poly in pairs])
+        return _raw(graded._den, {(p, q): pair for (p, q, _), pair in graded._num.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -576,7 +575,12 @@ class _Graded:
 
     The numerator of c s^p sbar^q lam^k is kept under (p, q, k) over one
     denominator, in :class:`WirtingerPolynomial`'s canonical form, so
-    equality decides merging.  ``_Graded(f)`` is f at grade 0.
+    equality decides merging.  ``_Graded(f)`` is f at grade 0.  A plain sum
+    of polynomials is the grade-0 graded sum read at lam = 1, so
+    :meth:`combination` is the only loop that sums counted polynomials.
+    :meth:`twisted_derivative` stays apart from the plain one: each is the
+    hot loop of its own suite, and the expansion route and the direct route
+    share no code.
     """
 
     __slots__ = ("_den", "_num", "_hash")
@@ -586,14 +590,16 @@ class _Graded:
 
     __eq__ = WirtingerPolynomial.__eq__
     __hash__ = WirtingerPolynomial.__hash__
+    denominator = WirtingerPolynomial.denominator
+    numerators = WirtingerPolynomial.numerators
 
     @staticmethod
     def combination(triples: Iterable[tuple[int, int, WirtingerPolynomial]]) -> "_Graded":
         """The sum of count * lam^k * poly over (count, k, poly) triples with integer counts.
 
-        As :meth:`WirtingerPolynomial.combination`: one pass over the least
-        common denominator, poly's s^p sbar^q going to (p, q, k), reduced to
-        canonical form once; the empty sum is 0.
+        One pass over the least common denominator of the polynomials, into
+        one dict, poly's s^p sbar^q going to (p, q, k), reduced to canonical
+        form once; the empty sum is 0.
         """
         triples = list(triples)
         den = math.lcm(*[poly._den for _, _, poly in triples])
@@ -610,15 +616,6 @@ class _Graded:
                     out[key] = (acc[0] + re * scale, acc[1] + im * scale)
         out = {key: pair for key, pair in out.items() if pair[0] or pair[1]}
         return _canonical(den, out, _Graded)
-
-    @property
-    def denominator(self) -> int:
-        return self._den
-
-    @property
-    def numerators(self) -> Mapping[tuple[int, int, int], tuple[int, int]]:
-        """(p, q, k) -> (re, im): the coefficient of s^p sbar^q lam^k is (re + im*i) / denominator."""
-        return MappingProxyType(self._num)
 
     def twisted_derivative(self, d: Direction, a: WirtingerPolynomial) -> "_Graded":
         """eta_d + lam a, in one pass: grade k keeps eta_d G_k and grade k + 1 gains a G_k, reduced once."""

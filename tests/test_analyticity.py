@@ -285,8 +285,8 @@ class TestDecayProfile:
     def test_level_sups_metadata(self):
         levels = covariant_level_sups(CONN, [0], [ONE], SQUARE.with_grid_n(9), 6, full_cap=4)[0][0]
         assert [level.m for level in levels] == list(range(7))
-        assert all(level.exhaustive for level in levels[:5])
-        assert not levels[5].exhaustive and not levels[6].exhaustive
+        # past full_cap = 4 each level extends the sequence of the level before it
+        assert levels[5].dirs[:4] == levels[4].dirs and levels[6].dirs[:5] == levels[5].dirs
         assert len(levels[6].dirs) == 6
 
 
@@ -337,7 +337,6 @@ class TestLevelSupOracle:
                 frontier = list(direction_sequences(level.m))
             else:
                 frontier = [levels[level.m - 1].dirs + (d,) for d in (D, DBAR)]
-            assert level.exhaustive == (level.m <= 4)
             sections = {dirs: conn.iterated(f * FieldSection.basis(j), dirs) for dirs in frontier}
             grid = {dirs: grid_max(sections[dirs], points) for dirs in frontier}
             exact = {dirs: exact_norm(sections[dirs], grid[dirs][1]) for dirs in frontier}
@@ -419,7 +418,7 @@ class TestLevelSupOracle:
             if f == tie_two_down:
                 # (Dbar, Dbar) f = sbar^2 - 2, with the larger bound, is evaluated before (D, D) f = 2
                 assert evaluated.index(SBAR * SBAR - 2 * ONE) < evaluated.index(2 * ONE)
-                assert sweeps[0][2] == LevelSup(2, 2.0, (D, D), True)
+                assert sweeps[0][2] == LevelSup(2, 2.0, (D, D))
             for j, levels in sweeps.items():
                 assert [level.m for level in levels] == list(range(m_max + 1))
                 for m, level in enumerate(levels):
@@ -434,8 +433,7 @@ class TestLevelSupOracle:
                     assert all(set(section.support) <= {j} for section in sections)
                     top = max(sups)
                     winners = [i for i, value in enumerate(sups) if value == top]
-                    exhaustive = len(frontier) == 2**m
-                    assert level == LevelSup(m, top, frontier[winners[0]], exhaustive), (j, m)
+                    assert level == LevelSup(m, top, frontier[winners[0]]), (j, m)
                     merged_ties += top > 0 and any(
                         sections[a] == sections[b] for a, b in itertools.combinations(winners, 2)
                     )
@@ -492,7 +490,8 @@ class TestLevelSupOracle:
             assert calls["derivative"] == 0
             assert calls["section"] == 0
             assert calls["_section_sup"] == 3 * (29 + greedy)
-            assert [level.exhaustive for level in sweeps[0]] == [m <= 10 for m in range(m_max + 1)]
+            # each greedy level past full_cap = 10 extends the sequence of the level before it
+            assert all(sweeps[0][m].dirs[:-1] == sweeps[0][m - 1].dirs for m in range(11, m_max + 1))
             calls.clear()
             # no level of an index depends on the indices sharing its sweep
             assert covariant_level_sups(CONN, [0], [ONE], SQUARE.with_grid_n(9), m_max, full_cap=10) == [{0: sweeps[0]}]
@@ -524,7 +523,8 @@ class TestLevelSupOracle:
         for functions in ((ONE, S, S * SBAR), (S, ZERO, S, ONE)):
             runs = covariant_level_sups(conn, (0, 2), functions, rect, full_cap + 2, full_cap)
             assert runs == [alone[f][0] for f in functions]
-        assert not runs[1][0][-1].exhaustive and runs[0][2][-1].sup > 0
+        # the last level, past full_cap, is greedy
+        assert runs[1][0][-1].m > full_cap and runs[0][2][-1].sup > 0
 
     def test_one_grid_and_one_set_of_steps_serve_every_function(self, monkeypatch):
         # the model, functions, indices, grid and caps of the default run: the work of one call over the
@@ -837,6 +837,24 @@ class TestParentRead:
         assert all(read < math.inf for t in (0, 1) for read in row_reads(tree.rows(t)[0], 2))
         assert row_reads(tree.rows(2)[0], 2) == [math.inf] * 4
         assert row_reads(tree.rows(3)[0], 2) == [math.inf] * 8
+
+    def test_map_beyond_float_range_gives_an_infinite_read(self):
+        # |a|_r of the multiplier 2^1100 sbar does not fit a float, so no map through it does: a node's
+        # own read stays finite and every read one or more steps down is inf, so it is never pruned
+        conn = Connection(k=WirtingerPolynomial({(0, 1): 2**1100}))
+        radii = grid_radii(SQUARE.with_grid_n(9).grid_points())
+        steps = _Steps({d: conn.coefficient(0, d) for d in (D, DBAR)}, radii)
+        tree = _Tree({_Graded(S * SBAR): ()}, 0, 3, steps)
+        assert row_reads(tree.rows(0)[0], 2)[0] < math.inf
+        for t in (1, 2, 3):
+            assert steps.operator((None,) * t, 1) is None
+            assert row_reads(tree.rows(t)[0], 2) == [math.inf] * 2**t
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_lam_beyond_float_range_gives_an_infinite_read(self, rows):
+        # lam = j + 1 of an index beyond the float range: each read is inf, so no row is pruned
+        assert _bounds_at(np.ones((rows, 2)), 10**400) == [math.inf] * rows
+        assert _bounds_at(np.ones((rows, 2)), 2) == [3.0] * rows
 
     def test_level_moments_match_each_coefficient_bit_for_bit(self):
         # the base's moments above order 0, summed by numpy for the whole level, are each coefficient's own

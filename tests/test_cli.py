@@ -666,6 +666,11 @@ class TestRunConfig:
             ({"rectangle": "abc"}, "rectangle must be a JSON object"),
             ({"rectangle": [1, 2]}, "rectangle must be a JSON object"),
             ({"formats": ["json"]}, "formats"),
+            ({"indices": [0, -1]}, "basis indices must be nonnegative"),
+            ({"functions": []}, "function list must not be empty"),
+            ({"indices": 4}, "indices: expected a JSON list, got 4"),
+            ({"corrupt_expansion": "yes"}, "corrupt_expansion: expected a JSON boolean, got 'yes'"),
+            ({"connection": {}}, "connection record needs at least one of 'k', 'g'"),
         ],
     )
     def test_silently_accepted_config_is_rejected(self, tmp_path, capsys, overrides, key):

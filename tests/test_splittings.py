@@ -937,6 +937,11 @@ class TestGradedSum:
         with pytest.raises(ValueError):
             check_splitting_recursion(0, (D,), CONN, -1, S)
 
+    @pytest.mark.parametrize("dirs", [(D,), (D, DBAR, D, D)])
+    def test_recursion_needs_m_plus_one_directions(self, dirs):
+        with pytest.raises(ValueError, match=f"^direction sequence has length {len(dirs)}, expected 3$"):
+            check_splitting_recursion(2, dirs, CONN, 0, S)
+
 
 class TestNegativeControl:
     def test_sign_flip_hook_breaks_identity(self):

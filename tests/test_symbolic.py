@@ -212,6 +212,15 @@ multi_term_polynomials = st.dictionaries(exponent_pairs, coefficients, min_size=
 )
 
 
+def gaussian_sum(pairs) -> WirtingerPolynomial:
+    """The sum of count * poly, coefficient by coefficient in Gaussian rationals: no polynomial sum runs."""
+    sums: dict = {}
+    for count, poly in pairs:
+        for key, coeff in poly.terms.items():
+            sums[key] = sums.get(key, GaussianRational(0)) + GaussianRational(count) * coeff
+    return WirtingerPolynomial(sums)
+
+
 class TestGradedKernel:
     """``_Graded``: one coefficient for every basis index, read at lam = j + 1."""
 
@@ -245,8 +254,7 @@ class TestGradedKernel:
     def test_combination_reads_the_weighted_sum(self, triples, lam):
         # sum of count * lam^k * poly, canonical, with cancelling grades dropped
         graded = _Graded.combination(iter(triples))
-        expected = WirtingerPolynomial.combination((count * lam**k, poly) for count, k, poly in triples)
-        assert graded.at(lam) == expected
+        assert graded.at(lam) == gaussian_sum((count * lam**k, poly) for count, k, poly in triples)
         assert graded.denominator > 0 and all(re or im for re, im in graded._num.values())
         assert math.gcd(graded.denominator, *(x for pair in graded._num.values() for x in pair)) == 1
         # grade k holds the polynomials given grade k alone
@@ -257,9 +265,7 @@ class TestGradedKernel:
                 for (p, q, g), (re, im) in graded._num.items()
                 if g == k
             }
-            assert WirtingerPolynomial(grade) == WirtingerPolynomial.combination(
-                (count, poly) for count, g, poly in triples if g == k
-            )
+            assert WirtingerPolynomial(grade) == gaussian_sum((count, poly) for count, g, poly in triples if g == k)
 
     def test_equal_functions_of_lam_are_equal(self):
         # D and Dbar commute on a flat connection, and the graded steps with
